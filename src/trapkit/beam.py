@@ -65,12 +65,16 @@ class RabiPositionScan:
         r = np.asarray(self.rabi, dtype=float)
         if x.size != r.size:
             raise ValueError("positions and rabi must have equal length")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(r))):
+            raise ValueError("positions and rabi must be finite")
         if np.any(np.diff(x) <= 0):
             raise ValueError("positions must be strictly increasing")
         if self.rabi_err is not None:
             e = np.asarray(self.rabi_err, dtype=float)
             if e.size != x.size:
                 raise ValueError("rabi_err length mismatch")
+            if not np.all(np.isfinite(e)):
+                raise ValueError("rabi_err must be finite")
             if np.any(e <= 0):
                 raise ValueError("rabi_err must be positive")
 

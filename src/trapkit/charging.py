@@ -2,9 +2,14 @@
 
 Two superimposed exponentials describe the secular-frequency shift while
 light is on (fast negative metal effect, slow positive dielectric effect)
-and again while it discharges. Double-exponential fits are initialization
-sensitive, so the nonlinear fits are multi-started over decade-spaced
-time-constant pairs with amplitudes pre-solved by linear least squares.
+and again while it discharges. Both models are fitted by variable
+projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)): the
+nonlinear search runs over (log Ta, log Tb) only, multi-started from
+decade-spaced pairs, and the amplitudes and a free f0 are solved by linear
+least squares at every step. The discharge continuity constraint is one
+more design column. Time constants are bounded to 1e-9..1e3 times the fit
+window's span; one the data cannot identify runs to the ceiling and is
+flagged as sitting at the bound.
 """
 
 from __future__ import annotations
@@ -24,6 +29,14 @@ from .fitting import (
 
 # Decade grid for time-constant seeding, seconds
 TIME_CONSTANT_SEED_GRID = (1.0, 10.0, 100.0, 1e3, 1e4)
+
+# Time-constant search range as multiples of the fit window's span
+TIME_CONSTANT_FLOOR = 1e-9
+TIME_CONSTANT_CEILING = 1e3
+
+# A fitted time constant within this relative distance of a bound is
+# reported as sitting at it: its value is then the bound, not a measurement
+BOUND_TOLERANCE = 1e-3
 
 # Default settled-window start: this many slow time constants after turn-on
 SETTLED_WINDOW_FACTOR = 5.0
@@ -82,6 +95,8 @@ class FrequencySeries:
         f = np.asarray(self.freqs, dtype=float)
         if t.size != f.size:
             raise ValueError("times and freqs must have equal length")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(f))):
+            raise ValueError("times and freqs must be finite")
         if np.any(np.diff(t) <= 0):
             raise ValueError("times must be strictly increasing")
         if np.any(f <= 0):
@@ -90,9 +105,13 @@ class FrequencySeries:
             e = np.asarray(self.freq_errs, dtype=float)
             if e.size != t.size:
                 raise ValueError("freq_errs length mismatch")
+            if not np.all(np.isfinite(e)):
+                raise ValueError("freq_errs must be finite")
             if np.any(e <= 0):
                 raise ValueError("freq_errs must be positive")
         for start, end in self.light_on_intervals:
+            if not (math.isfinite(start) and math.isfinite(end)):
+                raise ValueError("light_on interval bounds must be finite")
             if end <= start:
                 raise ValueError("light_on interval must have end > start")
 
@@ -175,112 +194,90 @@ def _baseline_f0(series: FrequencySeries, t_on: float):
     return float(np.mean(pre)) if pre.size else None
 
 
-def _seed_amplitudes(basis_cols, f, w):
-    """Linear LSQ for the amplitude block given fixed time constants."""
-    A = np.column_stack(basis_cols)
-    if w is not None:
-        A = A * w[:, None]
-        f = f * w
-    sol, _, _, _ = np.linalg.lstsq(A, f, rcond=None)
-    return sol
+def _double_exp_fit(tau, f, w, kind, fix_f0, names, shift=None):
+    """Variable-projection fit of f0 + dfa*ba(tau; Ta) + dfb*bb(tau; Tb).
 
-
-def _double_exp_fit(t, f, w, model_kind, t_ref, fix_f0):
-    """Shared core for the charging/discharge fits.
-
-    model_kind 'charging' uses saturating exponentials with the slow term
-    entering negatively; 'discharge' uses decaying exponentials. Returns
-    (values, errs, cov, result) with keys (dfa, dfb, Ta, Tb, f0) ordered
-    fast/slow.
+    kind 'charging' uses ba = 1 - exp(-tau/Ta), bb = -(1 - exp(-tau/Tb));
+    'discharge' uses ba = -exp(-tau/Ta), bb = -exp(-tau/Tb). Only
+    (log Ta, log Tb) are searched; the amplitudes and a free f0 are solved
+    linearly at each evaluation. With shift set, dfb = -shift - dfa.
+    names labels (dfa, dfb, Ta, Tb). Returns (values, errs, cov, residuals,
+    flags) with Ta <= Tb and cov over (dfa, dfb, log Ta, log Tb[, f0]).
     """
-    if t.size < 8:
+    if tau.size < 8:
         raise ValueError("need at least 8 points for a double-exponential fit")
-    tau = t - t_ref
-    fit_f0 = fix_f0 is None
+    level = 1.0 if kind == "charging" else 0.0
+    signs = np.array([1.0, -1.0] if kind == "charging" else [1.0, 1.0])
+    span = max(float(tau[-1]), 1.0)
+    bounds = (math.log(TIME_CONSTANT_FLOOR * span), math.log(TIME_CONSTANT_CEILING * span))
+    ones = np.ones_like(tau)
 
-    def basis(Ta, Tb):
-        if model_kind == "charging":
-            return 1.0 - np.exp(-tau / Ta), -(1.0 - np.exp(-tau / Tb))
-        return -np.exp(-tau / Ta), -np.exp(-tau / Tb)
+    def basis(log_T):
+        e = np.exp(-tau[:, None] / np.exp(log_T))
+        return signs * (level - e), e
 
-    # floor keeps extreme trial points from underflowing exp() to zero
-    t_floor = 1e-9 * max(float(tau[-1]), 1.0)
-
-    def unpack(theta):
-        dfa, dfb = theta[0], theta[1]
-        Ta = max(math.exp(theta[2]), t_floor)
-        Tb = max(math.exp(theta[3]), t_floor)
-        f0 = theta[4] if fit_f0 else fix_f0
-        return dfa, dfb, Ta, Tb, f0
-
-    def residuals(theta):
-        dfa, dfb, Ta, Tb, f0 = unpack(theta)
-        ba, bb = basis(Ta, Tb)
-        model = f0 + dfa * ba + dfb * bb
-        r = model - f
-        return r * w if w is not None else r
-
-    seeds = []
-    f0_guess = fix_f0 if fix_f0 is not None else float(f[0])
-    for i, Ta in enumerate(TIME_CONSTANT_SEED_GRID):
-        for Tb in TIME_CONSTANT_SEED_GRID[i + 1 :]:
-            ba, bb = basis(Ta, Tb)
-            cols = [ba, bb] + ([np.ones_like(tau)] if fit_f0 else [])
-            target = f if fit_f0 else f - fix_f0
-            amps = _seed_amplitudes(cols, target, w)
-            seed = [amps[0], amps[1], math.log(Ta), math.log(Tb)]
-            if fit_f0:
-                seed.append(amps[2])
-            seeds.append(seed)
-
-    res = multistart_least_squares(residuals, seeds)
-    dfa, dfb, Ta, Tb, f0 = unpack(res.x)
-
-    cov = covariance_from_jacobian(res.jac, res.fun, absolute_sigma=w is not None)
-    errs = np.sqrt(np.clip(np.diag(cov), 0, None))
-    # log-T parameters back to T
-    err_Ta = Ta * errs[2]
-    err_Tb = Tb * errs[3]
-    err_f0 = errs[4] if fit_f0 else 0.0
-
-    values = {"dfa": dfa, "dfb": dfb, "Ta": Ta, "Tb": Tb, "f0": f0}
-    err_map = {"dfa": errs[0], "dfb": errs[1], "Ta": err_Ta, "Tb": err_Tb, "f0": err_f0}
-
-    # enforce fast-before-slow labeling
-    if Ta > Tb:
-        if model_kind == "charging":
-            # swapping T1<->T2 maps (df1, df2) -> (-df2, -df1)
-            values = {
-                "dfa": -values["dfb"],
-                "dfb": -values["dfa"],
-                "Ta": Tb,
-                "Tb": Ta,
-                "f0": f0,
-            }
+    def solve(log_T):
+        """Linear parameters and weighted residuals at fixed time constants."""
+        B, _ = basis(log_T)
+        if shift is None:
+            cols, target = [B[:, 0], B[:, 1]], f
         else:
-            values = {
-                "dfa": values["dfb"],
-                "dfb": values["dfa"],
-                "Ta": Tb,
-                "Tb": Ta,
-                "f0": f0,
-            }
-        err_map = {
-            "dfa": err_map["dfb"],
-            "dfb": err_map["dfa"],
-            "Ta": err_Tb,
-            "Tb": err_Ta,
-            "f0": err_f0,
-        }
-        cov = None  # labeling swapped; cross terms no longer meaningful
+            cols, target = [B[:, 0] - B[:, 1]], f + shift * B[:, 1]
+        if fix_f0 is None:
+            cols.append(ones)
+        else:
+            target = target - fix_f0
+        A = np.column_stack(cols)
+        if w is not None:
+            A, target = A * w[:, None], target * w
+        lin = np.linalg.lstsq(A, target, rcond=None)[0]
+        return lin, A @ lin - target
 
-    return values, err_map, cov, res
+    seeds = [
+        np.clip([math.log(Ta), math.log(Tb)], *bounds)
+        for i, Ta in enumerate(TIME_CONSTANT_SEED_GRID)
+        for Tb in TIME_CONSTANT_SEED_GRID[i + 1 :]
+    ]
+    res = multistart_least_squares(lambda x: solve(x)[1], seeds, bounds=bounds)
+    log_T = np.sort(res.x)
+    lin, resid = solve(log_T)
+    B, e = basis(log_T)
+    Ta, Tb = np.exp(log_T)
+    dB = -signs * e * (tau[:, None] / np.array([Ta, Tb]))  # d B / d log T
 
+    # map the free parameters onto (dfa, dfb, log Ta, log Tb[, f0])
+    n_full = 4 if fix_f0 is not None else 5
+    G = np.eye(n_full)
+    if shift is None:
+        dfa, dfb = lin[0], lin[1]
+    else:
+        dfa = lin[0]
+        dfb = -shift - dfa
+        G = np.delete(G, 1, axis=1)
+        G[1, 0] = -1.0
+    f0 = lin[-1] if fix_f0 is None else fix_f0
+    J = np.column_stack([B[:, 0], B[:, 1], dfa * dB[:, 0], dfb * dB[:, 1], ones][:n_full])
+    if w is not None:
+        J = J * w[:, None]
+    cov = G @ covariance_from_jacobian(J @ G, resid, absolute_sigma=w is not None) @ G.T
+    sd = np.sqrt(np.clip(np.diag(cov), 0, None))
 
-def _amplitude_degeneracy_flags(values, errs, keys):
-    if all(abs(values[k]) <= max(errs[k], 0.0) for k in keys):
-        return ["amplitudes-consistent-with-zero"]
-    return []
+    name_a, name_b, name_Ta, name_Tb = names
+    values = {name_a: dfa, name_b: dfb, name_Ta: Ta, name_Tb: Tb, "f0": f0}
+    errs = {
+        name_a: sd[0],
+        name_b: sd[1],
+        name_Ta: Ta * sd[2],
+        name_Tb: Tb * sd[3],
+        "f0": sd[4] if fix_f0 is None else 0.0,
+    }
+    flags = weak_parameter_flags(values, errs)
+    if abs(dfa) <= errs[name_a] and abs(dfb) <= errs[name_b]:
+        flags.append("amplitudes-consistent-with-zero")
+    for name, x in ((name_Ta, log_T[0]), (name_Tb, log_T[1])):
+        if min(x - bounds[0], bounds[1] - x) <= BOUND_TOLERANCE:
+            flags.append(f"time-constant-at-bound:{name}")
+    return values, errs, cov, resid, flags
 
 
 def fit_charging(
@@ -303,34 +300,21 @@ def fit_charging(
         if fix_f0 is None:
             raise ValueError("no pre-t_on points to fix the baseline from")
     t, f, w = _select(series, t_on, t_end)
-    values, errs, cov, res = _double_exp_fit(t, f, w, "charging", t_on, fix_f0)
-
-    params = ChargingModelParams(
-        df1=values["dfa"],
-        df2=values["dfb"],
-        T1=values["Ta"],
-        T2=values["Tb"],
-        t_on=t_on,
-        f0=values["f0"],
+    named, named_errs, cov, resid, flags = _double_exp_fit(
+        t - t_on, f, w, "charging", fix_f0, ("df1", "df2", "T1", "T2")
     )
-    named = {"df1": params.df1, "df2": params.df2, "T1": params.T1, "T2": params.T2, "f0": params.f0}
-    named_errs = {"df1": errs["dfa"], "df2": errs["dfb"], "T1": errs["Ta"], "T2": errs["Tb"], "f0": errs["f0"]}
-    offset_err = math.hypot(named_errs["df1"], named_errs["df2"])
-    if cov is not None:
-        var = cov[0, 0] + cov[1, 1] - 2 * cov[0, 1]
-        offset_err = math.sqrt(max(var, 0.0))
-    flags = weak_parameter_flags(named, named_errs)
-    flags += _amplitude_degeneracy_flags(values, errs, ("dfa", "dfb"))
+    params = ChargingModelParams(t_on=t_on, **named)
+    offset_var = cov[0, 0] + cov[1, 1] - 2 * cov[0, 1]
     report = FitReport(
         model="charging-double-exponential",
         params=named,
         param_errs=named_errs,
-        residual_rms=float(np.sqrt(np.mean((res.fun) ** 2))),
+        residual_rms=float(np.sqrt(np.mean(resid**2))),
         n_points=t.size,
         flags=flags,
         extras={
             "settled_offset": settled_offset(params),
-            "settled_offset_err": offset_err,
+            "settled_offset_err": math.sqrt(max(offset_var, 0.0)),
             "t_on": t_on,
             "f0_fixed": 0.0 if f0_mode == "fit" else 1.0,
         },
@@ -361,85 +345,22 @@ def fit_discharge(
         if fix_f0 is None:
             raise ValueError("no baseline points to fix f0 from")
     t, f, w = _select(series, t_off, t_end)
-
-    if continuity_shift is None:
-        values, errs, cov, res = _double_exp_fit(t, f, w, "discharge", t_off, fix_f0)
-    else:
-        values, errs, cov, res = _constrained_discharge_fit(
-            t, f, w, t_off, fix_f0, continuity_shift
-        )
-
-    params = DischargeModelParams(
-        df3=values["dfa"],
-        df4=values["dfb"],
-        T3=values["Ta"],
-        T4=values["Tb"],
-        t_off=t_off,
-        f0=values["f0"],
+    named, named_errs, _, resid, flags = _double_exp_fit(
+        t - t_off, f, w, "discharge", fix_f0, ("df3", "df4", "T3", "T4"), continuity_shift
     )
-    named = {"df3": params.df3, "df4": params.df4, "T3": params.T3, "T4": params.T4, "f0": params.f0}
-    named_errs = {"df3": errs["dfa"], "df4": errs["dfb"], "T3": errs["Ta"], "T4": errs["Tb"], "f0": errs["f0"]}
-    flags = weak_parameter_flags(named, named_errs)
-    flags += _amplitude_degeneracy_flags(values, errs, ("dfa", "dfb"))
+    params = DischargeModelParams(t_off=t_off, **named)
     if continuity_shift is not None:
         flags.append("continuity-constrained")
     report = FitReport(
         model="discharge-double-exponential",
         params=named,
         param_errs=named_errs,
-        residual_rms=float(np.sqrt(np.mean((res.fun) ** 2))),
+        residual_rms=float(np.sqrt(np.mean(resid**2))),
         n_points=t.size,
         flags=flags,
         extras={"t_off": t_off, "f0_fixed": 0.0 if f0_mode == "fit" else 1.0},
     )
     return params, report
-
-
-def _constrained_discharge_fit(t, f, w, t_off, fix_f0, shift):
-    """Discharge fit with df4 eliminated via df3 + df4 = -shift."""
-    if t.size < 8:
-        raise ValueError("need at least 8 points for a double-exponential fit")
-    tau = t - t_off
-    fit_f0 = fix_f0 is None
-
-    t_floor = 1e-9 * max(float(tau[-1]), 1.0)
-
-    def unpack(theta):
-        df3 = theta[0]
-        T3 = max(math.exp(theta[1]), t_floor)
-        T4 = max(math.exp(theta[2]), t_floor)
-        f0 = theta[3] if fit_f0 else fix_f0
-        return df3, -shift - df3, T3, T4, f0
-
-    def residuals(theta):
-        df3, df4, T3, T4, f0 = unpack(theta)
-        model = f0 - df3 * np.exp(-tau / T3) - df4 * np.exp(-tau / T4)
-        r = model - f
-        return r * w if w is not None else r
-
-    seeds = []
-    for i, Ta in enumerate(TIME_CONSTANT_SEED_GRID):
-        for Tb in TIME_CONSTANT_SEED_GRID[i + 1 :]:
-            seed = [-shift / 2.0, math.log(Ta), math.log(Tb)]
-            if fit_f0:
-                seed.append(float(f[-1]))
-            seeds.append(seed)
-    res = multistart_least_squares(residuals, seeds)
-    df3, df4, T3, T4, f0 = unpack(res.x)
-    cov = covariance_from_jacobian(res.jac, res.fun, absolute_sigma=w is not None)
-    errs = np.sqrt(np.clip(np.diag(cov), 0, None))
-    if T3 > T4:
-        df3, df4, T3, T4 = df4, df3, T4, T3
-        errs = np.array([errs[0], errs[2], errs[1]] + ([errs[3]] if fit_f0 else []))
-    values = {"dfa": df3, "dfb": df4, "Ta": T3, "Tb": T4, "f0": f0}
-    err_map = {
-        "dfa": errs[0],
-        "dfb": errs[0],  # df4 = -shift - df3 inherits df3's uncertainty
-        "Ta": T3 * errs[1],
-        "Tb": T4 * errs[2],
-        "f0": errs[3] if fit_f0 else 0.0,
-    }
-    return values, err_map, None, res
 
 
 def settled_window_start(params: ChargingModelParams, factor: float = SETTLED_WINDOW_FACTOR) -> float:

@@ -53,7 +53,8 @@ class FitReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        # strict JSON: a NaN or Infinity anywhere raises ValueError
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     @classmethod
     def from_dict(cls, d: dict) -> "FitReport":

@@ -29,6 +29,8 @@ class HeatingSeries:
             raise ValueError("wait_times and nbar must have equal length")
         if t.size < 3:
             raise ValueError("heating fits need at least 3 points")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(n))):
+            raise ValueError("wait_times and nbar must be finite")
         if np.any(np.diff(t) <= 0):
             raise ValueError("wait_times must be strictly increasing")
         if np.any(n < 0):
@@ -37,6 +39,8 @@ class HeatingSeries:
             e = np.asarray(self.nbar_err, dtype=float)
             if e.size != t.size:
                 raise ValueError("nbar_err length mismatch")
+            if not np.all(np.isfinite(e)):
+                raise ValueError("nbar_err values must be finite")
             if np.any(e <= 0):
                 raise ValueError("nbar_err values must be positive")
 

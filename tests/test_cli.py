@@ -144,6 +144,14 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(err)["error"] == "validation"
 
+    def test_non_finite_input(self, tmp_path, capsys):
+        bad = tmp_path / "nan.csv"
+        bad.write_text("time:s,nbar\n0.0,0.1\n1.0,nan\n2.0,0.3\n3.0,0.4\n")
+        code, out, err = run(capsys, "fit-heating", "--input", str(bad))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "validation"
+
     def test_io_error_missing_file(self, tmp_path, capsys):
         code, _, err = run(capsys, "fit-heating", "--input", str(tmp_path / "nope.csv"))
         assert code in (2, 4)
