@@ -10,9 +10,7 @@ __version__ = "0.1.0"
 
 from .units import (  # noqa: F401
     IonSpecies,
-    Quantity,
     TrapContext,
-    UnitError,
     UnknownSpeciesError,
     db_chain,
     make_trap_context,

@@ -29,8 +29,7 @@ DEFAULT_BEAMLET_WAIST = 0.9e-6  # m, sub-micron beamlets
 class GratingOutputModel:
     """Parameterized output-beam intensity along the trap axis.
 
-    emission_angle and focus_height are stored metadata; the profile is
-    evaluated directly in the along-trap coordinate.
+    The profile is evaluated directly in the along-trap coordinate.
     """
 
     mode: str
@@ -40,16 +39,12 @@ class GratingOutputModel:
     beamlet_separation: float = 0.0  # m
     beamlet_phase: float = math.pi  # rad
     beamlet_amplitude_ratio: float = 1.0
-    emission_angle: float = 66.0  # degrees from chip plane
-    focus_height: float = 20e-6  # m
 
     def __post_init__(self):
         if self.mode not in BEAM_MODES:
             raise ValueError(f"mode must be one of {BEAM_MODES}")
         if self.waist <= 0:
             raise ValueError("waist must be positive")
-        if self.focus_height <= 0:
-            raise ValueError("focus_height must be positive")
         if self.beamlet_amplitude_ratio < 0:
             raise ValueError("beamlet_amplitude_ratio must be >= 0")
 
@@ -127,6 +122,16 @@ def profile_intensity(x, model: GratingOutputModel):
         -2.0 * (x - model.center) ** 2 / (model.waist**2)
     )
     return float(out) if out.ndim == 0 else out
+
+
+def rabi_profile(x, model: GratingOutputModel, rabi_scale: float):
+    """Model Rabi frequency along the scan axis, rabi_scale * sqrt(I(x)/I_peak).
+
+    The fit's residuals and the CLI's model column both use this curve. It
+    skips rabi_from_intensity's input checks because the fit calls it on
+    every residual evaluation.
+    """
+    return rabi_scale * np.sqrt(np.asarray(profile_intensity(x, model)) / model.peak_intensity)
 
 
 def rabi_from_intensity(intensity, reference: tuple[float, float]):
@@ -271,11 +276,7 @@ def fit_profile(
         )
 
     def residuals(theta):
-        model, scale = unpack(theta)
-        pred = scale * np.sqrt(
-            np.asarray(profile_intensity(x, model)) / model.peak_intensity
-        )
-        resid = pred - r
+        resid = rabi_profile(x, *unpack(theta)) - r
         return resid * w if w is not None else resid
 
     res = multistart_least_squares(residuals, seeds, max_keep=3)
@@ -283,32 +284,17 @@ def fit_profile(
 
     cov = covariance_from_jacobian(res.jac, res.fun, absolute_sigma=w is not None)
     raw_errs = np.sqrt(np.clip(np.diag(cov), 0, None))
-    params: dict[str, float] = {}
-    errs: dict[str, float] = {}
-    if mode == "single-gaussian":
-        params = {"center": model.center, "waist": model.waist, "rabi_scale": scale}
-        errs = {
-            "center": raw_errs[0],
-            "waist": model.waist * raw_errs[1],
-            "rabi_scale": raw_errs[2],
-        }
-    else:
-        params = {
-            "center": model.center,
-            "separation": model.beamlet_separation,
-            "waist": model.waist,
-            "phase": model.beamlet_phase,
-            "amplitude_ratio": model.beamlet_amplitude_ratio,
-            "rabi_scale": scale,
-        }
-        errs = {
-            "center": raw_errs[0],
-            "separation": raw_errs[1],
-            "waist": model.waist * raw_errs[2],
-            "phase": raw_errs[3],
-            "amplitude_ratio": raw_errs[4],
-            "rabi_scale": raw_errs[5],
-        }
+    fitted = {
+        "center": model.center,
+        "separation": model.beamlet_separation,
+        "waist": model.waist,
+        "phase": model.beamlet_phase,
+        "amplitude_ratio": model.beamlet_amplitude_ratio,
+        "rabi_scale": scale,
+    }
+    params = {name: fitted[name] for name in param_names}
+    errs = dict(zip(param_names, raw_errs))
+    errs["waist"] = model.waist * errs["waist"]  # the fit searches log(waist)
 
     peaks, dip_depth = profile_extrema(model)
     flags = []

@@ -11,12 +11,13 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, beam, charging, datasets, heating, simulate, thermometry
-from .datasets import Dataset, DatasetError, _atomic_write, file_digest
+from .datasets import DatasetError, _atomic_write, file_digest
 from .fitting import FitConvergenceError, FitReport
 from .units import TWO_PI, SPECIES_TABLE, ATOMIC_MASS_KG, ELEMENTARY_CHARGE, IonSpecies, get_species, make_trap_context
 
@@ -125,51 +126,28 @@ def cmd_fit_heating(args):
     ds = datasets.load_dataset(args.input, "heating")
     series = datasets.to_heating_series(ds)
     result = heating.fit_heating_rate(series)
-    report = FitReport(
-        model="heating-linear",
-        params={"ndot": result.ndot, "intercept": result.intercept},
-        param_errs={"ndot": result.ndot_err, "intercept": 0.0},
-        residual_rms=float(
-            np.sqrt(
-                np.mean(
-                    (
-                        np.asarray(series.nbar)
-                        - (result.intercept + result.ndot * np.asarray(series.wait_times))
-                    )
-                    ** 2
-                )
-            )
-        ),
-        n_points=len(series.wait_times),
-        extras={"ndot_q_per_ms": result.ndot / 1e3},
-        provenance=_provenance(args, args.input),
-    )
-    t = np.asarray(series.wait_times)
-    rows = zip(t, series.nbar, result.intercept + result.ndot * t)
+    report = heating.heating_report(series, result)
+    report.provenance = _provenance(args, args.input)
+    rows = zip(series.wait_times, series.nbar, result.nbar(series.wait_times))
     _emit(args, report, rows, ("time:s", "nbar", "model"), Path(args.input).stem + "_heating")
     return 0
 
 
-def _t_on_from(args, series):
-    if args.t_on is not None:
-        return args.t_on
+def _light_edge(series, given, edge):
+    """given if set, else the start (edge 0) or end (edge 1) of the first
+    light_on interval in the input."""
+    if given is not None:
+        return given
     if series.light_on_intervals:
-        return series.light_on_intervals[0][0]
-    raise DatasetError("no --t-on flag and no light_on metadata in the input")
-
-
-def _t_off_from(args, series):
-    if args.t_off is not None:
-        return args.t_off
-    if series.light_on_intervals:
-        return series.light_on_intervals[0][1]
-    raise DatasetError("no --t-off flag and no light_on metadata in the input")
+        return series.light_on_intervals[0][edge]
+    flag = ("--t-on", "--t-off")[edge]
+    raise DatasetError(f"no {flag} flag and no light_on metadata in the input")
 
 
 def cmd_fit_charging(args):
     ds = datasets.load_dataset(args.input, "charging")
     series = datasets.to_frequency_series(ds)
-    t_on = _t_on_from(args, series)
+    t_on = _light_edge(series, args.t_on, 0)
     t_end = series.light_on_intervals[0][1] if series.light_on_intervals else None
     params, report = charging.fit_charging(series, t_on, t_end=t_end, f0_mode=args.f0_mode)
     report.provenance = _provenance(args, args.input)
@@ -183,7 +161,7 @@ def cmd_fit_charging(args):
 def cmd_fit_discharge(args):
     ds = datasets.load_dataset(args.input, "charging")
     series = datasets.to_frequency_series(ds)
-    t_off = _t_off_from(args, series)
+    t_off = _light_edge(series, args.t_off, 1)
     params, report = charging.fit_discharge(series, t_off, f0_mode=args.f0_mode)
     report.provenance = _provenance(args, args.input)
     t = np.asarray(series.times)
@@ -219,10 +197,7 @@ def cmd_beam_profile(args):
     scan = datasets.to_position_scan(ds)
     model, report = beam.fit_profile(scan, mode=args.mode)
     report.provenance = _provenance(args, args.input)
-    x = np.asarray(scan.positions)
-    scale = report.params["rabi_scale"]
-    pred = scale * np.sqrt(np.asarray(beam.profile_intensity(x, model)) / model.peak_intensity)
-    rows = zip(x, scan.rabi, pred)
+    rows = zip(scan.positions, scan.rabi, beam.rabi_profile(scan.positions, model, report.params["rabi_scale"]))
     _emit(args, report, rows, ("pos:m", "rabi:rad/s", "model:rad/s"), Path(args.input).stem + "_profile")
     return 0
 
@@ -238,13 +213,18 @@ def cmd_normalize(args):
     )
     result = heating.HeatingRateResult(ndot=args.rate, ndot_err=args.rate_err, intercept=0.0)
     ref = get_species(args.ref_species, table)
-    norm = heating.normalize_rate(result, ctx, ref, TWO_PI * args.ref_freq)
-    s_e = heating.spectral_density_from_rate(result, ctx)
-    scale = norm / result.ndot if result.ndot else 0.0
+
+    def convert(rate):
+        return {
+            "ndot_normalized": heating.normalize_rate(rate, ctx, ref, TWO_PI * args.ref_freq),
+            "spectral_density": heating.spectral_density_from_rate(rate, ctx),
+        }
+
+    # both conversions are linear in the rate, so its error converts alike
     report = FitReport(
         model="rate-normalization",
-        params={"ndot_normalized": norm, "spectral_density": s_e},
-        param_errs={"ndot_normalized": args.rate_err * scale, "spectral_density": 0.0},
+        params=convert(result),
+        param_errs=convert(replace(result, ndot=result.ndot_err)),
         residual_rms=0.0,
         n_points=1,
         extras={"ndot_input": args.rate},

@@ -106,27 +106,31 @@ def load_dataset(path, kind: str) -> Dataset:
     metadata: dict[str, str] = {}
     header = None
     rows: list[list[float]] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line.lstrip("#").partition(":")
-                metadata[key.strip()] = value.strip()
-                continue
-            if header is None:
-                header = _parse_header(line, kind)
-                continue
-            parts = line.split(",")
-            if len(parts) != len(header):
-                raise DatasetError(
-                    f"line {lineno}: expected {len(header)} fields, got {len(parts)}"
-                )
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError as exc:
-                raise DatasetError(f"line {lineno}: {exc}") from None
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not UTF-8 text ({exc})") from None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            key, _, value = line.lstrip("#").partition(":")
+            metadata[key.strip()] = value.strip()
+            continue
+        if header is None:
+            header = _parse_header(line, kind)
+            continue
+        parts = line.split(",")
+        if len(parts) != len(header):
+            raise DatasetError(
+                f"line {lineno}: expected {len(header)} fields, got {len(parts)}"
+            )
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError as exc:
+            raise DatasetError(f"line {lineno}: {exc}") from None
     if header is None:
         raise DatasetError(f"{path}: no header row found")
     if not rows:
@@ -138,7 +142,7 @@ def load_dataset(path, kind: str) -> Dataset:
     axis = _TIME_LIKE.get(kind)
     if axis is not None and axis in columns:
         diffs = np.diff(columns[axis])
-        bad = np.nonzero(diffs <= 0)[0]
+        bad = np.nonzero(~(diffs > 0))[0]  # a NaN fails this test too
         if bad.size:
             raise DatasetError(
                 f"column {axis!r} not strictly increasing at data row {int(bad[0]) + 2}"

@@ -162,12 +162,20 @@ def multistart_least_squares(
 def covariance_from_jacobian(jac: np.ndarray, residuals: np.ndarray, absolute_sigma: bool):
     """Parameter covariance from the weighted Jacobian at the solution.
 
-    Uses the pseudo-inverse so rank-deficient (weakly identified) fits give
-    large but finite variances where possible.
+    Takes the SVD of J with its columns scaled to unit norm, not the
+    pseudo-inverse of J^T J: forming J^T J squares the condition number,
+    and the pseudo-inverse then drops a weakly identified direction and
+    reports near-zero errors along it. Singular values below
+    eps*max(n, p)*s_max are truncated; what remains gives large but finite
+    variances to weakly identified parameters.
     """
     n, p = jac.shape
-    jtj = jac.T @ jac
-    cov = np.linalg.pinv(jtj)
+    norms = np.linalg.norm(jac, axis=0)
+    norms[norms == 0] = 1.0
+    _, s, vt = np.linalg.svd(jac / norms, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(n, p) * s[0]
+    v = vt[keep].T / s[keep]
+    cov = (v @ v.T) / np.outer(norms, norms)
     if not absolute_sigma:
         dof = max(n - p, 1)
         cov = cov * float(residuals @ residuals) / dof

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import chi2
 
-from .fitting import weighted_linear_fit
+from .fitting import FitReport, weighted_linear_fit
 from .units import HBAR, IonSpecies, TrapContext
 
 
@@ -50,10 +50,15 @@ class HeatingRateResult:
     ndot: float  # quanta/s
     ndot_err: float
     intercept: float  # quanta
+    intercept_err: float = 0.0
 
     def __post_init__(self):
         if self.ndot_err < 0:
             raise ValueError("ndot_err must be >= 0")
+
+    def nbar(self, t):
+        """The fitted line intercept + ndot*t at wait times t (s)."""
+        return self.intercept + self.ndot * np.asarray(t, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -75,7 +80,22 @@ class PowerLawFit:
 def fit_heating_rate(series: HeatingSeries) -> HeatingRateResult:
     """Weighted linear fit nbar(t) = intercept + ndot*t."""
     a, b, cov = weighted_linear_fit(series.wait_times, series.nbar, series.nbar_err)
-    return HeatingRateResult(ndot=b, ndot_err=math.sqrt(cov[1, 1]), intercept=a)
+    return HeatingRateResult(
+        ndot=b, ndot_err=math.sqrt(cov[1, 1]), intercept=a, intercept_err=math.sqrt(cov[0, 0])
+    )
+
+
+def heating_report(series: HeatingSeries, result: HeatingRateResult) -> FitReport:
+    """The 'heating-linear' fit report of a heating-rate fit to series."""
+    resid = np.asarray(series.nbar) - result.nbar(series.wait_times)
+    return FitReport(
+        model="heating-linear",
+        params={"ndot": result.ndot, "intercept": result.intercept},
+        param_errs={"ndot": result.ndot_err, "intercept": result.intercept_err},
+        residual_rms=float(np.sqrt(np.mean(resid**2))),
+        n_points=len(series.wait_times),
+        extras={"ndot_q_per_ms": result.ndot / 1e3},
+    )
 
 
 def spectral_density_from_rate(result: HeatingRateResult, ctx: TrapContext) -> float:

@@ -88,35 +88,26 @@ class SimConfig:
         return math.pi / (self.rabi.base_rabi * self.rabi.lamb_dicke)
 
 
-def simulate_sideband_scan(cfg: SimConfig, wait_time: float, index: int = 0) -> SidebandObservation:
-    """One red/blue sideband probe after the given heating wait."""
-    if wait_time < 0:
-        raise ValueError("wait_time must be >= 0")
-    nbar = cfg.initial_nbar + cfg.heating_rate * wait_time
+def _expected_observation(cfg: SimConfig, nbar: float) -> SidebandObservation:
+    """Noise-free red/blue sideband probe of a thermal state of mean nbar."""
     state = ThermalMotionalState(nbar)
     t = cfg.probe_time
     p_blue = thermometry.sideband_excitation(state, cfg.rabi, t, +1)
     p_red = thermometry.sideband_excitation(state, cfg.rabi, t, -1)
+    return SidebandObservation(t, p_red, p_blue, shots=cfg.shots_per_point)
+
+
+def simulate_sideband_scan(cfg: SimConfig, wait_time: float, index: int = 0) -> SidebandObservation:
+    """One red/blue sideband probe after the given heating wait."""
+    if wait_time < 0:
+        raise ValueError("wait_time must be >= 0")
+    expected = _expected_observation(cfg, cfg.initial_nbar + cfg.heating_rate * wait_time)
     if cfg.shots_per_point is None:
-        return SidebandObservation(t, p_red, p_blue, shots=None)
+        return expected
     shots = cfg.shots_per_point
-    k_red = point_rng(cfg.seed, STREAM_SIDEBAND_RED, index).binomial(shots, p_red)
-    k_blue = point_rng(cfg.seed, STREAM_SIDEBAND_BLUE, index).binomial(shots, p_blue)
-    return SidebandObservation(t, k_red / shots, k_blue / shots, shots=shots)
-
-
-def _expected_nbar_error(cfg: SimConfig, nbar: float) -> float:
-    """Shot-noise error of the asymmetry estimate at a given true nbar."""
-    state = ThermalMotionalState(max(nbar, 0.0))
-    t = cfg.probe_time
-    shots = cfg.shots_per_point
-    p_blue = thermometry.sideband_excitation(state, cfg.rabi, t, +1)
-    p_red = thermometry.sideband_excitation(state, cfg.rabi, t, -1)
-    ratio = p_red / p_blue
-    s_red = math.sqrt(max(p_red * (1 - p_red), 0.25 / shots) / shots)
-    s_blue = math.sqrt(max(p_blue * (1 - p_blue), 0.25 / shots) / shots)
-    sigma_ratio = math.hypot(s_red / p_blue, p_red * s_blue / p_blue**2)
-    return sigma_ratio / (1.0 - ratio) ** 2
+    k_red = point_rng(cfg.seed, STREAM_SIDEBAND_RED, index).binomial(shots, expected.p_red)
+    k_blue = point_rng(cfg.seed, STREAM_SIDEBAND_BLUE, index).binomial(shots, expected.p_blue)
+    return SidebandObservation(expected.probe_time, k_red / shots, k_blue / shots, shots=shots)
 
 
 def simulate_heating_series(cfg: SimConfig, wait_times) -> HeatingSeries:
@@ -143,7 +134,7 @@ def simulate_heating_series(cfg: SimConfig, wait_times) -> HeatingSeries:
     t = np.asarray(wait_times)
     coeffs = np.polyfit(t, np.asarray(nbars), 1)
     predicted = np.clip(np.polyval(coeffs, t), 1e-3, None)
-    errs = [_expected_nbar_error(cfg, p) for p in predicted]
+    errs = [thermometry.nbar_with_uncertainty(_expected_observation(cfg, p))[1] for p in predicted]
     return HeatingSeries(
         wait_times=tuple(wait_times),
         nbar=tuple(nbars),

@@ -18,64 +18,8 @@ HBAR = 1.054571817e-34
 TWO_PI = 2.0 * math.pi
 
 
-class UnitError(ValueError):
-    """Arithmetic attempted across mismatched physical dimensions."""
-
-
 class UnknownSpeciesError(ValueError):
     """Species name not present in the species table."""
-
-
-DIMENSIONS = frozenset(
-    {"frequency", "time", "length", "field", "dB", "quanta_per_time", "dimensionless"}
-)
-
-
-@dataclass(frozen=True)
-class Quantity:
-    """A scalar tagged with one of the dimensions this toolkit uses.
-
-    Addition and subtraction require matching dimensions; multiplication
-    and division by bare numbers rescale the value. This is deliberately
-    not a general units library.
-    """
-
-    value: float
-    unit: str
-
-    def __post_init__(self):
-        if self.unit not in DIMENSIONS:
-            raise UnitError(f"unknown dimension tag {self.unit!r}")
-
-    def _check(self, other: "Quantity") -> None:
-        if not isinstance(other, Quantity):
-            raise UnitError("can only combine Quantity with Quantity")
-        if other.unit != self.unit:
-            raise UnitError(f"dimension mismatch: {self.unit!r} vs {other.unit!r}")
-
-    def __add__(self, other):
-        self._check(other)
-        return Quantity(self.value + other.value, self.unit)
-
-    def __sub__(self, other):
-        self._check(other)
-        return Quantity(self.value - other.value, self.unit)
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, Quantity):
-            raise UnitError("Quantity*Quantity products are not supported")
-        return Quantity(self.value * float(scalar), self.unit)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        if isinstance(scalar, Quantity):
-            self._check(scalar)
-            return self.value / scalar.value
-        return Quantity(self.value / float(scalar), self.unit)
-
-    def __neg__(self):
-        return Quantity(-self.value, self.unit)
 
 
 @dataclass(frozen=True)

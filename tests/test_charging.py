@@ -224,6 +224,7 @@ class TestDischargeFit:
                 at_bound += 1
                 assert p.T4 == pytest.approx(ceiling, rel=1e-3)
                 assert "weakly-identified:T4" in report.flags
+                assert "weakly-identified:df4" in report.flags
             else:
                 assert p.T4 < 0.99 * ceiling
             assert "time-constant-at-bound:T3" not in report.flags

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -121,6 +122,49 @@ class TestDirectCommands:
         )
         assert code == 0
         assert json.loads(out)["params"]["ndot_normalized"] == pytest.approx(100.0)
+
+
+class TestReportedErrors:
+    """Every reported uncertainty comes from a computed covariance: none is
+    a placeholder 0 or non-finite."""
+
+    @pytest.mark.parametrize(
+        "simulate, command",
+        [
+            (("heating", "--seed", "3", "--points", "10"), "fit-heating"),
+            (("charging", "--seed", "0", "--noise", "500", "--total", "2400"), "fit-charging"),
+            (
+                ("charging", "--seed", "1", "--noise", "200", "--total", "92400", "--interval", "120"),
+                "fit-discharge",
+            ),
+            (("position", "--seed", "2", "--points", "41"), "beam-profile"),
+        ],
+    )
+    def test_fit_errors_positive(self, tmp_path, capsys, simulate, command):
+        path = tmp_path / "data.csv"
+        code, _, _ = run(capsys, "simulate", *simulate, "--out", str(path))
+        assert code == 0
+        code, out, _ = run(capsys, command, "--input", str(path))
+        assert code == 0
+        report = json.loads(out)
+        fixed = {"f0"} if report["extras"].get("f0_fixed") == 1 else set()
+        assert set(report["param_errs"]) == set(report["params"])
+        for name, err in report["param_errs"].items():
+            if name not in fixed:
+                assert math.isfinite(err) and err > 0, (name, err)
+
+    def test_normalize_errors_scale_with_rate_err(self, capsys):
+        # normalize_rate and spectral_density_from_rate are linear in the
+        # rate, so the errors are those formulas applied to --rate-err
+        code, out, _ = run(
+            capsys, "normalize", "--rate", "0", "--rate-err", "50", "--freq", "5.329e6",
+        )
+        assert code == 0
+        errs = json.loads(out)["param_errs"]
+        assert errs == {
+            "ndot_normalized": 6073.470114325753,
+            "spectral_density": 7.80896708138876e-12,
+        }
 
 
 class TestDeterminism:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from trapkit.charging import FrequencySeries
 from trapkit.datasets import (
+    DATASET_KINDS,
     Dataset,
     DatasetError,
     file_digest,
@@ -88,6 +90,54 @@ class TestLoad:
         p = write_text(tmp_path, "h.csv", "time:s,nbar\n0.0,0.1\n")
         with pytest.raises(DatasetError):
             load_dataset(p, "beam-scan")
+
+
+# every kind's column names plus one of none; AXIS is each kind's strictly increasing column
+FUZZ_COLUMNS = ("time", "nbar", "nbar_err", "freq", "err", "wait", "p_red", "p_blue", "shots", "pos", "rabi", "bogus")
+FUZZ_UNITS = ("", "s", "ms", "us", "Hz", "kHz", "MHz", "m", "um", "rad/s", "1", "furlongs")
+AXIS = {"heating": "time", "charging": "time", "position-scan": "pos"}
+
+fuzz_cells = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(("nan", "inf", "-inf", "1e400", "", "abc")),
+    st.text(max_size=4),
+)
+fuzz_header = st.lists(
+    st.tuples(st.sampled_from(FUZZ_COLUMNS), st.sampled_from(FUZZ_UNITS)), min_size=1, max_size=4
+).map(lambda cols: ",".join(f"{name}:{unit}" if unit else name for name, unit in cols))
+fuzz_rows = st.lists(st.lists(fuzz_cells, min_size=1, max_size=4).map(",".join), max_size=6)
+
+
+def load_or_reject(path, kind):
+    """load_dataset either raises DatasetError or returns a valid Dataset."""
+    try:
+        ds = load_dataset(path, kind)
+    except DatasetError:
+        return
+    assert isinstance(ds, Dataset) and ds.kind == kind
+    assert ds.n_rows >= 1
+    assert {col.shape for col in ds.columns.values()} == {(ds.n_rows,)}
+    if AXIS.get(kind) in ds.columns:
+        assert np.all(np.diff(ds.columns[AXIS[kind]]) > 0)
+
+
+class TestFuzz:
+    @settings(deadline=None)
+    @given(data=st.binary(max_size=200), kind=st.sampled_from(DATASET_KINDS))
+    @example(data=b"time:s,nbar\n0.0,0.1\n\xff\xfe,0.2\n", kind="heating")
+    def test_random_bytes(self, tmp_path_factory, data, kind):
+        path = tmp_path_factory.mktemp("fuzz") / "d.csv"
+        path.write_bytes(data)
+        load_or_reject(path, kind)
+
+    @settings(deadline=None)
+    @given(header=fuzz_header, rows=fuzz_rows, kind=st.sampled_from(DATASET_KINDS))
+    @example(header="time:s,nbar", rows=["0.0,0.1", "nan,0.2", "2.0,0.3"], kind="heating")
+    @example(header="pos:um,rabi:Hz", rows=["1.0,5.0", "nan,6.0"], kind="position-scan")
+    def test_random_tables(self, tmp_path_factory, header, rows, kind):
+        path = tmp_path_factory.mktemp("fuzz") / "d.csv"
+        path.write_text("# kind: fuzz\n" + "\n".join([header, *rows]) + "\n", encoding="utf-8")
+        load_or_reject(path, kind)
 
 
 class TestRoundTrip:

@@ -1,14 +1,9 @@
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
 from trapkit.units import (
     AXIAL_FREQ_WINDOW,
-    DIMENSIONS,
-    Quantity,
     TWO_PI,
-    UnitError,
     UnknownSpeciesError,
     db_chain,
     get_species,
@@ -73,38 +68,3 @@ class TestDbChain:
         shuffled = list(losses)
         rnd.shuffle(shuffled)
         assert db_chain(shuffled) == pytest.approx(db_chain(losses), abs=1e-12)
-
-
-class TestQuantity:
-    @given(
-        st.sampled_from(sorted(DIMENSIONS)),
-        st.sampled_from(sorted(DIMENSIONS)),
-        st.floats(-1e6, 1e6),
-        st.floats(-1e6, 1e6),
-    )
-    def test_mismatch_always_rejected(self, dim_a, dim_b, a, b):
-        qa, qb = Quantity(a, dim_a), Quantity(b, dim_b)
-        if dim_a == dim_b:
-            assert (qa + qb).value == pytest.approx(a + b)
-        else:
-            with pytest.raises(UnitError):
-                qa + qb
-            with pytest.raises(UnitError):
-                qa - qb
-
-    def test_scalar_ops(self):
-        q = Quantity(2.0, "frequency")
-        assert (3 * q).value == 6.0
-        assert (q / 2).value == 1.0
-        assert (-q).value == -2.0
-
-    def test_same_dimension_division_is_dimensionless(self):
-        assert Quantity(6.0, "time") / Quantity(2.0, "time") == 3.0
-
-    def test_unknown_dimension(self):
-        with pytest.raises(UnitError):
-            Quantity(1.0, "furlongs")
-
-    def test_product_of_quantities_rejected(self):
-        with pytest.raises(UnitError):
-            Quantity(1.0, "time") * Quantity(1.0, "time")
