@@ -3,7 +3,8 @@
 Library layers: units/constants, sideband thermometry, heating-rate and
 field-noise analysis, photo-induced charging dynamics, grating beam
 profiles, and a seeded simulator for closed-loop fit validation. The CLI
-entry point lives in trapkit.cli.
+entry point lives in trapkit.cli. Submodules import scipy only inside the
+functions that use it, so importing the package costs numpy and no scipy.
 """
 
 __version__ = "0.1.0"

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .fitting import (
     FitReport,
@@ -177,6 +176,8 @@ def profile_extrema(model: GratingOutputModel, span: float | None = None, n_grid
     interior = np.arange(1, n_grid - 1)
     is_max = (ys[interior] > ys[interior - 1]) & (ys[interior] >= ys[interior + 1])
     peak_idx = interior[is_max]
+    from scipy.optimize import minimize_scalar
+
     peaks = []
     for i in peak_idx:
         res = minimize_scalar(

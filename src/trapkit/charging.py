@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import normaltest
 
 from .fitting import (
     FitReport,
@@ -398,6 +397,8 @@ def settled_stability(
     flags = []
     p_norm = float("nan")
     if t.size >= 20:
+        from scipy.stats import normaltest
+
         if sigma == 0:
             p_norm = 1.0
         else:

@@ -30,8 +30,13 @@ def _load_config(path):
         cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DatasetError(f"config parse failure: {exc}") from None
+    species = cfg.get("species", {}) if isinstance(cfg, dict) else None
+    if not isinstance(species, dict):
+        raise DatasetError(f"config {path}: expected a JSON object whose 'species' entry is an object")
     table = dict(SPECIES_TABLE)
-    for name, entry in cfg.get("species", {}).items():
+    for name, entry in species.items():
+        if not isinstance(entry, dict) or "mass_u" not in entry:
+            raise DatasetError(f"config {path}: species {name!r} needs an object with a 'mass_u' entry")
         table[name] = IonSpecies(
             name=name,
             mass=float(entry["mass_u"]) * ATOMIC_MASS_KG,
@@ -81,6 +86,8 @@ def _sim_config(args) -> simulate.SimConfig:
 
 
 def cmd_simulate(args):
+    if args.points < 2:
+        raise ValueError(f"--points must be at least 2, got {args.points}")
     cfg = _sim_config(args)
     if args.kind == "heating":
         waits = np.linspace(0.0, args.span, args.points)

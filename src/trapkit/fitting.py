@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 # Relative parameter uncertainty above which a parameter is reported as
 # weakly identified by the data.
@@ -58,6 +57,11 @@ class FitReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FitReport":
+        if not isinstance(d, dict):
+            raise ValueError("a fit report must be a JSON object")
+        for key in ("model", "params", "param_errs", "residual_rms", "n_points", "flags"):
+            if key not in d:
+                raise ValueError(f"not a fit report: missing key {key!r}")
         return cls(
             model=d["model"],
             params=dict(d["params"]),
@@ -104,6 +108,15 @@ def weighted_linear_fit(x, y, yerr=None):
         dof = x.size - 2
         cov = cov * (resid @ resid / dof if dof > 0 else np.nan)
     return beta[0], beta[1], cov
+
+
+def least_squares(*args, **kwargs):
+    """scipy.optimize.least_squares, imported at the first call rather than
+    with this module, so that a CLI call that fits nothing does not pay for
+    importing scipy.optimize."""
+    from scipy.optimize import least_squares as scipy_least_squares
+
+    return scipy_least_squares(*args, **kwargs)
 
 
 def multistart_least_squares(

@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
 
 from .fitting import FitReport, weighted_linear_fit
 from .units import HBAR, IonSpecies, TrapContext
@@ -177,5 +176,8 @@ def position_scan_summary(rates):
     mean_err = float(1.0 / math.sqrt(np.sum(w)))
     chisq = float(np.sum(w * (vals - mean) ** 2))
     dof = len(rates) - 1
-    p_value = float(chi2.sf(chisq, dof))
+    # chdtrc is the chi-square survival function that scipy.stats.chi2.sf calls
+    from scipy.special import chdtrc
+
+    p_value = float(chdtrc(dof, chisq))
     return mean, mean_err, p_value

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_genlaguerre
 
 FOCK_TAIL = 1e-12
 
@@ -116,6 +115,8 @@ def _sideband_rabi_low(params: RabiParams, n_low: np.ndarray) -> np.ndarray:
     if params.matrix_element_model == "first-order-LD":
         return params.base_rabi * eta * np.sqrt(n_low + 1.0)
     # exact generalized-Laguerre matrix element, first sideband
+    from scipy.special import eval_genlaguerre
+
     x = eta * eta
     return (
         params.base_rabi

@@ -1,9 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import trapkit.fitting
 from trapkit.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -205,3 +212,56 @@ class TestExitCodes:
         code, _, err = run(capsys, "thermometry", "--p-red", "0.6", "--p-blue", "0.5")
         assert code == 2
         assert json.loads(err)["error"] == "validation"
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"species": {"Ba-138": {"charge_e": 1}}}, [{"species": {}}]],
+        ids=["species-without-mass", "top-level-array"],
+    )
+    def test_malformed_config(self, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run(
+            capsys, "normalize", "--rate", "100", "--freq", "1e6", "--config", str(cfg),
+        )
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "validation"
+        assert "cfg.json" in json.loads(err)["detail"]
+
+    def test_report_of_non_report_json(self, tmp_path, capsys):
+        bad = tmp_path / "not_a_report.json"
+        bad.write_text(json.dumps({"params": {"nbar": 0.1}, "flags": []}))
+        code, out, err = run(capsys, "report", "--input", str(bad))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "validation"
+        assert "'model'" in json.loads(err)["detail"]
+
+    @pytest.mark.parametrize(
+        "kind, points",
+        [("heating", "0"), ("heating", "1"), ("sideband", "0"), ("position", "1")],
+    )
+    def test_simulate_too_few_points(self, tmp_path, capsys, kind, points):
+        data = tmp_path / "sim.csv"
+        code, out, err = run(capsys, "simulate", kind, "--out", str(data), "--points", points)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "validation"
+        assert "--points" in json.loads(err)["detail"]
+        assert not data.exists()
+
+
+class TestImportCost:
+    def test_cli_import_loads_no_scipy(self):
+        # scipy is imported inside the functions that call it; a top-level
+        # import would add ~1 s to every CLI call, fitting or not
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        code = "import sys, trapkit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_least_squares_is_a_module_attribute(self):
+        # tracers wrap the optimizer by replacing this module attribute
+        assert callable(trapkit.fitting.least_squares)

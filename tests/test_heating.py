@@ -207,3 +207,16 @@ class TestPositionScanSummary:
     def test_needs_two_positions(self):
         with pytest.raises(ValueError):
             position_scan_summary([(0.0, HeatingRateResult(0.78, 0.05, 0.1))])
+
+    @pytest.mark.parametrize(
+        "vals",
+        [[0.78, 0.80], [0.7, 0.75, 0.8, 0.85, 0.9], [0.78] * 8 + [1.28], [0.1, 5.0, 0.2, 9.0]],
+    )
+    def test_p_value_equals_chi2_sf(self, vals):
+        from scipy.stats import chi2
+
+        rates = [(i * 10e-6, HeatingRateResult(v, 0.05, 0.1)) for i, v in enumerate(vals)]
+        mean, _, p = position_scan_summary(rates)
+        w = 1.0 / np.full(len(vals), 0.05) ** 2
+        chisq = float(np.sum(w * (np.array(vals) - mean) ** 2))
+        assert p == float(chi2.sf(chisq, len(vals) - 1))
