@@ -15,6 +15,7 @@ import numpy as np
 
 from .fitting import (
     FitReport,
+    check_series,
     covariance_from_jacobian,
     multistart_least_squares,
 )
@@ -55,22 +56,7 @@ class RabiPositionScan:
     rabi_err: tuple | None = None
 
     def __post_init__(self):
-        x = np.asarray(self.positions, dtype=float)
-        r = np.asarray(self.rabi, dtype=float)
-        if x.size != r.size:
-            raise ValueError("positions and rabi must have equal length")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(r))):
-            raise ValueError("positions and rabi must be finite")
-        if np.any(np.diff(x) <= 0):
-            raise ValueError("positions must be strictly increasing")
-        if self.rabi_err is not None:
-            e = np.asarray(self.rabi_err, dtype=float)
-            if e.size != x.size:
-                raise ValueError("rabi_err length mismatch")
-            if not np.all(np.isfinite(e)):
-                raise ValueError("rabi_err must be finite")
-            if np.any(e <= 0):
-                raise ValueError("rabi_err must be positive")
+        check_series(self.positions, self.rabi, self.rabi_err, ("positions", "rabi", "rabi_err"))
 
 
 def gaussian_intensity(r, z, waist: float, wavelength: float, peak: float):
@@ -162,18 +148,17 @@ def rabi_to_pi_time(rabi: float) -> float:
     return math.pi / rabi
 
 
-def profile_extrema(model: GratingOutputModel, span: float | None = None, n_grid: int = 4001):
+def profile_extrema(model: GratingOutputModel):
     """Locate the intensity maxima (and the dip between them, if any).
 
     Returns (peak_positions, dip_depth) where dip_depth is 1 - I_dip/I_peak
     for a double-peaked profile and 0.0 otherwise. Grid search refined by
     bounded scalar minimization.
     """
-    if span is None:
-        span = 4.0 * model.waist + abs(model.beamlet_separation)
-    xs = np.linspace(model.center - span, model.center + span, n_grid)
+    span = 4.0 * model.waist + abs(model.beamlet_separation)
+    xs = np.linspace(model.center - span, model.center + span, 4001)
     ys = np.asarray(profile_intensity(xs, model))
-    interior = np.arange(1, n_grid - 1)
+    interior = np.arange(1, xs.size - 1)
     is_max = (ys[interior] > ys[interior - 1]) & (ys[interior] >= ys[interior + 1])
     peak_idx = interior[is_max]
     from scipy.optimize import minimize_scalar

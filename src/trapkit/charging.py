@@ -21,6 +21,7 @@ import numpy as np
 
 from .fitting import (
     FitReport,
+    check_series,
     covariance_from_jacobian,
     multistart_least_squares,
     weak_parameter_flags,
@@ -90,24 +91,9 @@ class FrequencySeries:
     light_on_intervals: tuple = ()
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        f = np.asarray(self.freqs, dtype=float)
-        if t.size != f.size:
-            raise ValueError("times and freqs must have equal length")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(f))):
-            raise ValueError("times and freqs must be finite")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("times must be strictly increasing")
+        _, f = check_series(self.times, self.freqs, self.freq_errs, ("times", "freqs", "freq_errs"))
         if np.any(f <= 0):
             raise ValueError("frequencies must be positive")
-        if self.freq_errs is not None:
-            e = np.asarray(self.freq_errs, dtype=float)
-            if e.size != t.size:
-                raise ValueError("freq_errs length mismatch")
-            if not np.all(np.isfinite(e)):
-                raise ValueError("freq_errs must be finite")
-            if np.any(e <= 0):
-                raise ValueError("freq_errs must be positive")
         for start, end in self.light_on_intervals:
             if not (math.isfinite(start) and math.isfinite(end)):
                 raise ValueError("light_on interval bounds must be finite")
@@ -184,13 +170,6 @@ def _select(series: FrequencySeries, t_start, t_end):
     if series.freq_errs is not None:
         w = 1.0 / np.asarray(series.freq_errs, dtype=float)[mask]
     return t[mask], f[mask], w
-
-
-def _baseline_f0(series: FrequencySeries, t_on: float):
-    t = np.asarray(series.times, dtype=float)
-    f = np.asarray(series.freqs, dtype=float)
-    pre = f[t < t_on]
-    return float(np.mean(pre)) if pre.size else None
 
 
 def _double_exp_fit(tau, f, w, kind, fix_f0, names, shift=None):
@@ -279,6 +258,35 @@ def _double_exp_fit(tau, f, w, kind, fix_f0, names, shift=None):
     return values, errs, cov, resid, flags
 
 
+def _fit_window(series, t_start, t_end, f0_mode, kind, names, shift=None):
+    """The double-exponential fit of one kind to the points in [t_start,
+    t_end] and its report, before the caller adds its own extras.
+
+    f0_mode: 'fit' floats the baseline, 'baseline' fixes it to the mean of
+    the points before t_start. Returns (values, cov, report).
+    """
+    if f0_mode not in ("fit", "baseline"):
+        raise ValueError("f0_mode must be 'fit' or 'baseline'")
+    fix_f0 = None
+    if f0_mode == "baseline":
+        before = np.asarray(series.freqs, dtype=float)[np.asarray(series.times, dtype=float) < t_start]
+        if not before.size:
+            raise ValueError(f"no points before t = {t_start} s to fix the baseline f0 from")
+        fix_f0 = float(np.mean(before))
+    t, f, w = _select(series, t_start, t_end)
+    values, errs, cov, resid, flags = _double_exp_fit(t - t_start, f, w, kind, fix_f0, names, shift)
+    report = FitReport(
+        model=f"{kind}-double-exponential",
+        params=values,
+        param_errs=errs,
+        residual_rms=float(np.sqrt(np.mean(resid**2))),
+        n_points=t.size,
+        flags=flags,
+        extras={"f0_fixed": 0.0 if f0_mode == "fit" else 1.0},
+    )
+    return values, cov, report
+
+
 def fit_charging(
     series: FrequencySeries,
     t_on: float,
@@ -291,32 +299,13 @@ def fit_charging(
     the pre-t_on points. Raises FitConvergenceError with best-so-far
     diagnostics if no start converges.
     """
-    if f0_mode not in ("fit", "baseline"):
-        raise ValueError("f0_mode must be 'fit' or 'baseline'")
-    fix_f0 = None
-    if f0_mode == "baseline":
-        fix_f0 = _baseline_f0(series, t_on)
-        if fix_f0 is None:
-            raise ValueError("no pre-t_on points to fix the baseline from")
-    t, f, w = _select(series, t_on, t_end)
-    named, named_errs, cov, resid, flags = _double_exp_fit(
-        t - t_on, f, w, "charging", fix_f0, ("df1", "df2", "T1", "T2")
-    )
-    params = ChargingModelParams(t_on=t_on, **named)
+    values, cov, report = _fit_window(series, t_on, t_end, f0_mode, "charging", ("df1", "df2", "T1", "T2"))
+    params = ChargingModelParams(t_on=t_on, **values)
     offset_var = cov[0, 0] + cov[1, 1] - 2 * cov[0, 1]
-    report = FitReport(
-        model="charging-double-exponential",
-        params=named,
-        param_errs=named_errs,
-        residual_rms=float(np.sqrt(np.mean(resid**2))),
-        n_points=t.size,
-        flags=flags,
-        extras={
-            "settled_offset": settled_offset(params),
-            "settled_offset_err": math.sqrt(max(offset_var, 0.0)),
-            "t_on": t_on,
-            "f0_fixed": 0.0 if f0_mode == "fit" else 1.0,
-        },
+    report.extras.update(
+        settled_offset=settled_offset(params),
+        settled_offset_err=math.sqrt(max(offset_var, 0.0)),
+        t_on=t_on,
     )
     return params, report
 
@@ -326,45 +315,27 @@ def fit_discharge(
     t_off: float,
     t_end: float | None = None,
     f0_mode: str = "fit",
-    f0_baseline_before: float | None = None,
     continuity_shift: float | None = None,
 ) -> tuple[DischargeModelParams, FitReport]:
     """Fit the light-off discharge model to the points in [t_off, t_end].
 
-    With continuity_shift set (the charging model's shift above f0 at
-    t_off), the amplitude sum is constrained by df3 + df4 = -shift so the
-    two curves join continuously; this removes one free parameter.
+    f0_mode 'baseline' fixes f0 to the mean of the pre-t_off points. With
+    continuity_shift set (the charging model's shift above f0 at t_off),
+    the amplitude sum is constrained by df3 + df4 = -shift so the two
+    curves join continuously; this removes one free parameter.
     """
-    if f0_mode not in ("fit", "baseline"):
-        raise ValueError("f0_mode must be 'fit' or 'baseline'")
-    fix_f0 = None
-    if f0_mode == "baseline":
-        ref = f0_baseline_before if f0_baseline_before is not None else t_off
-        fix_f0 = _baseline_f0(series, ref)
-        if fix_f0 is None:
-            raise ValueError("no baseline points to fix f0 from")
-    t, f, w = _select(series, t_off, t_end)
-    named, named_errs, _, resid, flags = _double_exp_fit(
-        t - t_off, f, w, "discharge", fix_f0, ("df3", "df4", "T3", "T4"), continuity_shift
+    values, _, report = _fit_window(
+        series, t_off, t_end, f0_mode, "discharge", ("df3", "df4", "T3", "T4"), continuity_shift
     )
-    params = DischargeModelParams(t_off=t_off, **named)
     if continuity_shift is not None:
-        flags.append("continuity-constrained")
-    report = FitReport(
-        model="discharge-double-exponential",
-        params=named,
-        param_errs=named_errs,
-        residual_rms=float(np.sqrt(np.mean(resid**2))),
-        n_points=t.size,
-        flags=flags,
-        extras={"t_off": t_off, "f0_fixed": 0.0 if f0_mode == "fit" else 1.0},
-    )
-    return params, report
+        report.flags.append("continuity-constrained")
+    report.extras["t_off"] = t_off
+    return DischargeModelParams(t_off=t_off, **values), report
 
 
-def settled_window_start(params: ChargingModelParams, factor: float = SETTLED_WINDOW_FACTOR) -> float:
+def settled_window_start(params: ChargingModelParams) -> float:
     """Default start of the settled region: several slow time constants in."""
-    return params.t_on + factor * params.T2
+    return params.t_on + SETTLED_WINDOW_FACTOR * params.T2
 
 
 @dataclass(frozen=True)
@@ -381,7 +352,6 @@ def settled_stability(
     series: FrequencySeries,
     predict,
     window: tuple[float, float],
-    n_bins: int = 20,
 ) -> SettledStability:
     """Residual scatter of the settled region against a fitted model.
 
@@ -393,7 +363,7 @@ def settled_stability(
         raise ValueError("settled window contains fewer than 3 points")
     resid = f - np.asarray(predict(t), dtype=float)
     sigma = float(np.std(resid, ddof=1))
-    counts, edges = np.histogram(resid, bins=n_bins)
+    counts, edges = np.histogram(resid, bins=20)
     flags = []
     p_norm = float("nan")
     if t.size >= 20:

@@ -88,6 +88,8 @@ def _sim_config(args) -> simulate.SimConfig:
 def cmd_simulate(args):
     if args.points < 2:
         raise ValueError(f"--points must be at least 2, got {args.points}")
+    if args.kind == "heating" and not args.span > 0:
+        raise ValueError(f"--span must be positive for heating, got {args.span}")
     cfg = _sim_config(args)
     if args.kind == "heating":
         waits = np.linspace(0.0, args.span, args.points)
@@ -158,9 +160,8 @@ def cmd_fit_charging(args):
     t_end = series.light_on_intervals[0][1] if series.light_on_intervals else None
     params, report = charging.fit_charging(series, t_on, t_end=t_end, f0_mode=args.f0_mode)
     report.provenance = _provenance(args, args.input)
-    t = np.asarray(series.times)
-    mask = (t >= t_on) & (t <= (t_end if t_end is not None else t[-1]))
-    rows = zip(t[mask], np.asarray(series.freqs)[mask], charging.charging_freq(t[mask], params))
+    t, f, _ = charging._select(series, t_on, t_end)
+    rows = zip(t, f, charging.charging_freq(t, params))
     _emit(args, report, rows, ("time:s", "freq:Hz", "model:Hz"), Path(args.input).stem + "_charging")
     return 0
 
@@ -169,11 +170,12 @@ def cmd_fit_discharge(args):
     ds = datasets.load_dataset(args.input, "charging")
     series = datasets.to_frequency_series(ds)
     t_off = _light_edge(series, args.t_off, 1)
-    params, report = charging.fit_discharge(series, t_off, f0_mode=args.f0_mode)
+    # the discharge ends where the light next comes on
+    t_end = min((start for start, _ in series.light_on_intervals if start > t_off), default=None)
+    params, report = charging.fit_discharge(series, t_off, t_end=t_end, f0_mode=args.f0_mode)
     report.provenance = _provenance(args, args.input)
-    t = np.asarray(series.times)
-    mask = t >= t_off
-    rows = zip(t[mask], np.asarray(series.freqs)[mask], charging.discharge_freq(t[mask], params))
+    t, f, _ = charging._select(series, t_off, t_end)
+    rows = zip(t, f, charging.discharge_freq(t, params))
     _emit(args, report, rows, ("time:s", "freq:Hz", "model:Hz"), Path(args.input).stem + "_discharge")
     return 0
 

@@ -190,7 +190,7 @@ def file_digest(path) -> str:
 # dataset <-> domain object adapters
 
 
-def to_heating_series(ds: Dataset, context=None) -> HeatingSeries:
+def to_heating_series(ds: Dataset) -> HeatingSeries:
     if ds.kind != "heating":
         raise DatasetError(f"expected heating dataset, got {ds.kind!r}")
     err = ds.columns.get("nbar_err")
@@ -198,7 +198,6 @@ def to_heating_series(ds: Dataset, context=None) -> HeatingSeries:
         wait_times=tuple(ds.columns["time"].tolist()),
         nbar=tuple(ds.columns["nbar"].tolist()),
         nbar_err=tuple(err.tolist()) if err is not None else None,
-        context=context,
     )
 
 

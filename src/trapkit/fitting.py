@@ -57,17 +57,37 @@ class FitReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FitReport":
+        """The report a to_dict() output describes; ValueError on any other
+        shape or on a value of the wrong type."""
         if not isinstance(d, dict):
             raise ValueError("a fit report must be a JSON object")
         for key in ("model", "params", "param_errs", "residual_rms", "n_points", "flags"):
             if key not in d:
                 raise ValueError(f"not a fit report: missing key {key!r}")
+        if not isinstance(d["model"], str):
+            raise ValueError("fit report 'model' must be a string")
+        for key, valid, kind in (
+            ("params", _is_finite_number, "finite numbers"),
+            ("param_errs", _is_finite_number, "finite numbers"),
+            ("extras", _is_finite_number, "finite numbers"),
+            ("provenance", lambda v: isinstance(v, str), "strings"),
+        ):
+            value = d.get(key, {})
+            if not (isinstance(value, dict) and all(isinstance(k, str) and valid(v) for k, v in value.items())):
+                raise ValueError(f"fit report {key!r} must map names to {kind}")
+        if not _is_finite_number(d["residual_rms"]):
+            raise ValueError("fit report 'residual_rms' must be a finite number")
+        n = d["n_points"]
+        if not (isinstance(n, int) and not isinstance(n, bool) and n >= 0):
+            raise ValueError("fit report 'n_points' must be an integer >= 0")
+        if not (isinstance(d["flags"], list) and all(isinstance(f, str) for f in d["flags"])):
+            raise ValueError("fit report 'flags' must be a list of strings")
         return cls(
             model=d["model"],
             params=dict(d["params"]),
             param_errs=dict(d["param_errs"]),
             residual_rms=d["residual_rms"],
-            n_points=d["n_points"],
+            n_points=n,
             flags=list(d["flags"]),
             extras=dict(d.get("extras", {})),
             provenance=dict(d.get("provenance", {})),
@@ -76,6 +96,35 @@ class FitReport:
     @classmethod
     def from_json(cls, text: str) -> "FitReport":
         return cls.from_dict(json.loads(text))
+
+
+def _is_finite_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def check_series(x, y, err, names: tuple[str, str, str]):
+    """The contract every measured series keeps: x and y finite and of equal
+    length, x strictly increasing, and err, if given, of the same length,
+    finite and > 0. names labels (x, y, err) in the error messages.
+    Returns x and y as float arrays."""
+    x_name, y_name, err_name = names
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.size != y.size:
+        raise ValueError(f"{x_name} and {y_name} must have equal length")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError(f"{x_name} and {y_name} must be finite")
+    if np.any(np.diff(x) <= 0):
+        raise ValueError(f"{x_name} must be strictly increasing")
+    if err is not None:
+        e = np.asarray(err, dtype=float)
+        if e.size != x.size:
+            raise ValueError(f"{err_name} length mismatch")
+        if not np.all(np.isfinite(e)):
+            raise ValueError(f"{err_name} must be finite")
+        if np.any(e <= 0):
+            raise ValueError(f"{err_name} must be positive")
+    return x, y
 
 
 def weighted_linear_fit(x, y, yerr=None):
@@ -124,7 +173,6 @@ def multistart_least_squares(
     seeds,
     bounds=(-np.inf, np.inf),
     max_keep=4,
-    x_scale="jac",
 ):
     """Run scipy damped least squares from several seeds; keep the best.
 
@@ -149,7 +197,7 @@ def multistart_least_squares(
                 s,
                 bounds=bounds,
                 method="trf",
-                x_scale=x_scale,
+                x_scale="jac",
                 ftol=1e-12,
                 xtol=1e-12,
                 gtol=1e-12,

@@ -8,40 +8,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fitting import FitReport, weighted_linear_fit
+from .fitting import FitReport, check_series, weighted_linear_fit
 from .units import HBAR, IonSpecies, TrapContext
 
 
 @dataclass(frozen=True)
 class HeatingSeries:
-    """A record of mean occupation vs wait time in one trap context."""
+    """A record of mean occupation vs wait time."""
 
     wait_times: tuple  # s, strictly increasing
     nbar: tuple
     nbar_err: tuple | None
-    context: TrapContext | None = None
 
     def __post_init__(self):
-        t = np.asarray(self.wait_times, dtype=float)
-        n = np.asarray(self.nbar, dtype=float)
-        if t.size != n.size:
-            raise ValueError("wait_times and nbar must have equal length")
-        if t.size < 3:
+        _, n = check_series(self.wait_times, self.nbar, self.nbar_err, ("wait_times", "nbar", "nbar_err"))
+        if n.size < 3:
             raise ValueError("heating fits need at least 3 points")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(n))):
-            raise ValueError("wait_times and nbar must be finite")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("wait_times must be strictly increasing")
         if np.any(n < 0):
             raise ValueError("nbar values must be >= 0")
-        if self.nbar_err is not None:
-            e = np.asarray(self.nbar_err, dtype=float)
-            if e.size != t.size:
-                raise ValueError("nbar_err length mismatch")
-            if not np.all(np.isfinite(e)):
-                raise ValueError("nbar_err values must be finite")
-            if np.any(e <= 0):
-                raise ValueError("nbar_err values must be positive")
 
 
 @dataclass(frozen=True)

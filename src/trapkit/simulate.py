@@ -8,7 +8,7 @@ independently of evaluation order and safe to generate concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -124,23 +124,15 @@ def simulate_heating_series(cfg: SimConfig, wait_times) -> HeatingSeries:
         obs = simulate_sideband_scan(cfg, wt, index=i)
         nbar, _ = thermometry.nbar_with_uncertainty(obs)
         nbars.append(nbar)
+    # validated before the line fit, which a degenerate design would break
+    series = HeatingSeries(wait_times=tuple(wait_times), nbar=tuple(nbars), nbar_err=None)
     if cfg.shots_per_point is None:
-        return HeatingSeries(
-            wait_times=tuple(wait_times),
-            nbar=tuple(nbars),
-            nbar_err=None,
-            context=cfg.trap,
-        )
+        return series
     t = np.asarray(wait_times)
     coeffs = np.polyfit(t, np.asarray(nbars), 1)
     predicted = np.clip(np.polyval(coeffs, t), 1e-3, None)
     errs = [thermometry.nbar_with_uncertainty(_expected_observation(cfg, p))[1] for p in predicted]
-    return HeatingSeries(
-        wait_times=tuple(wait_times),
-        nbar=tuple(nbars),
-        nbar_err=tuple(errs),
-        context=cfg.trap,
-    )
+    return replace(series, nbar_err=tuple(errs))
 
 
 def simulate_charging_series(
@@ -156,31 +148,21 @@ def simulate_charging_series(
     if not (0 <= t_on <= t_off <= total):
         raise ValueError("on_window must lie within [0, total]")
     times = np.arange(0.0, total + 0.5 * sample_interval, sample_interval)
-    charge_p = ChargingModelParams(
-        df1=cfg.charging.df1, df2=cfg.charging.df2,
-        T1=cfg.charging.T1, T2=cfg.charging.T2,
-        t_on=t_on, f0=cfg.charging.f0,
-    )
-    freqs = np.full_like(times, cfg.charging.f0)
+    charge_p = replace(cfg.charging, t_on=t_on)
+    freqs = np.full_like(times, charge_p.f0)
     on = (times >= t_on) & (times < t_off)
     if np.any(on):
         freqs[on] = charging_freq(times[on], charge_p)
     after = times >= t_off
-    if np.any(after) and t_off > t_on:
-        shift = charging_freq(t_off, charge_p) - charge_p.f0
-        total_amp = cfg.discharge.df3 + cfg.discharge.df4
+    total_amp = cfg.discharge.df3 + cfg.discharge.df4
+    if np.any(after) and t_off > t_on and total_amp != 0:
         # rescale the configured amplitude split so the curves join at t_off
-        if total_amp != 0:
-            scale = -shift / total_amp
-        else:
-            scale = 0.0
-        dis_p = DischargeModelParams(
-            df3=cfg.discharge.df3 * scale, df4=cfg.discharge.df4 * scale,
-            T3=cfg.discharge.T3, T4=cfg.discharge.T4,
-            t_off=t_off, f0=cfg.charging.f0,
-        ) if scale != 0 else None
-        if dis_p is not None:
-            freqs[after] = discharge_freq(times[after], dis_p)
+        scale = -(charging_freq(t_off, charge_p) - charge_p.f0) / total_amp
+        dis_p = replace(
+            cfg.discharge, df3=cfg.discharge.df3 * scale, df4=cfg.discharge.df4 * scale,
+            t_off=t_off, f0=charge_p.f0,
+        )
+        freqs[after] = discharge_freq(times[after], dis_p)
     if cfg.noise_floor > 0:
         noise = point_rng(cfg.seed, STREAM_CHARGING).normal(0.0, cfg.noise_floor, times.size)
         freqs = freqs + noise
@@ -194,20 +176,12 @@ def simulate_charging_series(
     )
 
 
-def simulate_position_scan(
-    cfg: SimConfig,
-    beam: GratingOutputModel,
-    positions,
-    reference: tuple[float, float] | None = None,
-) -> RabiPositionScan:
-    """Rabi frequency sampled across the beam with multiplicative noise."""
+def simulate_position_scan(cfg: SimConfig, beam: GratingOutputModel, positions) -> RabiPositionScan:
+    """Rabi frequency sampled across the beam with multiplicative noise;
+    the beam's peak intensity drives a 2*pi x 121.1 kHz Rabi frequency."""
     x = np.asarray(list(positions), dtype=float)
-    if np.any(np.diff(x) <= 0):
-        raise ValueError("positions must be strictly increasing")
-    if reference is None:
-        reference = (TWO_PI * 121.1e3, beam.peak_intensity)
     intensity = np.asarray(profile_intensity(x, beam), dtype=float)
-    rabi = np.asarray(rabi_from_intensity(intensity, reference), dtype=float)
+    rabi = np.asarray(rabi_from_intensity(intensity, (TWO_PI * 121.1e3, beam.peak_intensity)), dtype=float)
     frac = cfg.rabi_noise_frac
     if frac > 0:
         rng = point_rng(cfg.seed, STREAM_POSITION)

@@ -63,12 +63,12 @@ class SidebandObservation:
             raise ValueError("shots must be >= 1")
 
 
-def fock_cutoff(nbar: float, tail: float = FOCK_TAIL) -> int:
-    """Smallest N such that the thermal weight above N-1 is <= tail."""
+def fock_cutoff(nbar: float) -> int:
+    """Smallest N such that the thermal weight above N-1 is <= FOCK_TAIL."""
     if nbar <= 0:
         return 1
     r = nbar / (nbar + 1.0)
-    return max(1, math.ceil(math.log(tail) / math.log(r)))
+    return max(1, math.ceil(math.log(FOCK_TAIL) / math.log(r)))
 
 
 def fock_probability(state: ThermalMotionalState, n: int) -> float:

@@ -64,10 +64,9 @@ class TrapContext:
     axial_freq: float  # rad/s
     radial_freq: float  # rad/s
     ion_surface_distance: float  # m
-    rf_drive_freq: float = 74.5e6  # Hz
 
     def __post_init__(self):
-        for name in ("axial_freq", "radial_freq", "rf_drive_freq", "ion_surface_distance"):
+        for name in ("axial_freq", "radial_freq", "ion_surface_distance"):
             v = getattr(self, name)
             if not (v > 0 and math.isfinite(v)):
                 raise ValueError(f"{name} must be positive and finite, got {v}")
@@ -82,18 +81,16 @@ def make_trap_context(
     axial_freq: float,
     radial_freq: float,
     distance: float,
-    rf_drive_freq: float = 74.5e6,
     species_table: dict[str, IonSpecies] | None = None,
-    axial_window: tuple[float, float] = AXIAL_FREQ_WINDOW,
 ) -> TrapContext:
     """Build a validated TrapContext from a species name and trap frequencies.
 
-    Frequencies are angular (rad/s). The axial frequency must fall inside the
-    configured plausibility window (default 2*pi x 0.1..20 MHz).
+    Frequencies are angular (rad/s). The axial frequency must fall inside
+    AXIAL_FREQ_WINDOW (2*pi x 0.1..20 MHz).
     """
     species = get_species(species_name, species_table)
-    ctx = TrapContext(species, axial_freq, radial_freq, distance, rf_drive_freq)
-    lo, hi = axial_window
+    ctx = TrapContext(species, axial_freq, radial_freq, distance)
+    lo, hi = AXIAL_FREQ_WINDOW
     if not (lo <= axial_freq <= hi):
         raise ValueError(
             f"axial_freq {axial_freq:.4g} rad/s outside plausibility window "

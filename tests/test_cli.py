@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -5,12 +6,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import trapkit.fitting
+from trapkit.charging import FrequencySeries, fit_discharge
 from trapkit.cli import main
+from trapkit.datasets import from_frequency_series, write_dataset
+from trapkit.simulate import SimConfig, simulate_charging_series
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def run(capsys, *argv):
@@ -67,6 +73,26 @@ class TestSimulateAndFit:
         assert code == 0
         report = json.loads(out)
         assert report["params"]["T3"] == pytest.approx(360.0, rel=0.3)
+
+    def test_discharge_stops_at_next_light_on(self, tmp_path, capsys):
+        # a second light pulse from 4000 s shifts the frequency by +60 kHz;
+        # the discharge fit must not run into it
+        series = simulate_charging_series(SimConfig(seed=0), 15.0, (400.0, 2400.0), 5000.0)
+        t = np.asarray(series.times)
+        freqs = np.asarray(series.freqs) + np.where(t > 4000.0, 60e3, 0.0)
+        two_pulses = FrequencySeries(
+            series.times, tuple(freqs.tolist()), series.freq_errs, ((400.0, 2400.0), (4000.0, 5000.0))
+        )
+        data = tmp_path / "two_pulses.csv"
+        write_dataset(data, from_frequency_series(two_pulses))
+        code, out, _ = run(capsys, "fit-discharge", "--input", str(data))
+        assert code == 0
+        _, want = fit_discharge(two_pulses, 2400.0, t_end=4000.0)
+        assert json.loads(out)["params"] == want.params
+        code, out, _ = run(capsys, "fit-discharge", "--input", str(data), "--format", "table")
+        assert code == 0
+        times = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
+        assert times == [x for x in series.times if 2400.0 <= x <= 4000.0]
 
     def test_position_pipeline(self, tmp_path, capsys):
         data = tmp_path / "scan.csv"
@@ -237,6 +263,29 @@ class TestExitCodes:
         assert out == ""
         assert json.loads(err)["error"] == "validation"
         assert "'model'" in json.loads(err)["detail"]
+        # every key present, one value of the wrong type: (changes, key named)
+        valid = {"model": "m", "params": {"a": 1.0}, "param_errs": {"a": 0.1},
+                 "residual_rms": 0.5, "n_points": 3, "flags": []}
+        cases = [
+            ({"params": 5}, "'params'"),
+            ({"params": {"a": "b"}, "residual_rms": "NaN"}, "'params'"),
+            ({"params": {"a": True}}, "'params'"),
+            ({"param_errs": {"a": float("nan")}}, "'param_errs'"),
+            ({"extras": {"x": None}}, "'extras'"),
+            ({"provenance": {"seed": 3}}, "'provenance'"),
+            ({"model": 5}, "'model'"),
+            ({"residual_rms": "NaN"}, "'residual_rms'"),
+            ({"n_points": -1}, "'n_points'"),
+            ({"n_points": 2.5}, "'n_points'"),
+            ({"flags": "none"}, "'flags'"),
+            ({"flags": [1]}, "'flags'"),
+        ]
+        for changes, key in cases:
+            bad.write_text(json.dumps({**valid, **changes}))
+            code, out, err = run(capsys, "report", "--input", str(bad))
+            assert (code, out) == (2, ""), changes
+            assert json.loads(err)["error"] == "validation"
+            assert key in json.loads(err)["detail"], changes
 
     @pytest.mark.parametrize(
         "kind, points",
@@ -249,6 +298,17 @@ class TestExitCodes:
         assert out == ""
         assert json.loads(err)["error"] == "validation"
         assert "--points" in json.loads(err)["detail"]
+        assert not data.exists()
+
+    def test_simulate_heating_zero_span(self, tmp_path, capfd):
+        # capfd, not capsys: LAPACK would write its complaint below sys.stdout
+        data = tmp_path / "sim.csv"
+        code = main(["simulate", "heating", "--out", str(data), "--span", "0"])
+        out, err = capfd.readouterr()
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "validation"
+        assert "--span" in json.loads(err)["detail"]
         assert not data.exists()
 
 
@@ -265,3 +325,26 @@ class TestImportCost:
     def test_least_squares_is_a_module_attribute(self):
         # tracers wrap the optimizer by replacing this module attribute
         assert callable(trapkit.fitting.least_squares)
+
+
+def _tracer_targets():
+    """Every module attribute the benchmark tracer replaces, besides
+    trapkit.fitting.least_squares."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        from tracing import SPANNED
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return [
+        *SPANNED,
+        ("trapkit.charging", "multistart_least_squares"),
+        ("trapkit.beam", "multistart_least_squares"),
+        ("trapkit.datasets", "write_dataset"),
+    ]
+
+
+@pytest.mark.parametrize("module, attr", _tracer_targets(), ids=lambda v: v)
+def test_tracer_target_is_a_module_attribute(module, attr):
+    # a traced run replaces these names; one that moved or was renamed
+    # would break the benchmark's traced pass
+    assert callable(getattr(importlib.import_module(module), attr))

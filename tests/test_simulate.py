@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,13 @@ class TestHeatingSeries:
         )
         assert series.nbar_err is None
 
+    def test_repeated_wait_times_rejected_before_line_fit(self, capfd):
+        # the preliminary line fit through equal wait times would make
+        # LAPACK print to file descriptor 1 and fail with an SVD error
+        with pytest.raises(ValueError, match="wait_times must be strictly increasing"):
+            simulate_heating_series(SimConfig(seed=0), [0.0, 0.0, 0.0])
+        assert capfd.readouterr().out == ""
+
 
 class TestChargingSeries:
     def test_noiseless_matches_models(self):
@@ -114,6 +123,13 @@ class TestChargingSeries:
         # discharge segment is continuous with the charging curve at t_off
         i_off = int(np.argmax(t >= 2400.0))
         assert f[i_off] == pytest.approx(charging_freq(2400.0, cfg.charging), rel=1e-9)
+
+    def test_zero_discharge_amplitudes_relax_to_f0(self):
+        p = SimConfig().discharge
+        cfg = SimConfig(noise_floor=0.0, discharge=replace(p, df3=0.0, df4=0.0))
+        series = simulate_charging_series(cfg, 30.0, (400.0, 2400.0), 4000.0)
+        after = np.asarray(series.times) >= 2400.0
+        assert set(np.asarray(series.freqs)[after]) == {cfg.charging.f0}
 
     def test_discharge_segment_round_trip(self):
         cfg = SimConfig(seed=0, noise_floor=0.0)
@@ -161,7 +177,7 @@ class TestPositionScan:
 
     def test_non_monotonic_positions_rejected(self):
         beam = GratingOutputModel(mode="single-gaussian", waist=2.5e-6)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="positions must be strictly increasing"):
             simulate_position_scan(SimConfig(), beam, [0.0, 2e-6, 1e-6])
 
 
