@@ -7,13 +7,16 @@ projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)): the
 nonlinear search runs over (log Ta, log Tb) only, multi-started from
 decade-spaced pairs, and the amplitudes and a free f0 are solved by linear
 least squares at every step. The discharge continuity constraint is one
-more design column. Time constants are bounded to 1e-9..1e3 times the fit
-window's span; one the data cannot identify runs to the ceiling and is
-flagged as sitting at the bound.
+more design column. The optimizer gets Kaufman's Jacobian of the projected
+residuals (BIT 15, 49 (1975)) from the SVD that solves the linear part, and
+stops polishing starts once two reach the same cost. Time constants are
+bounded to 1e-9..1e3 times the fit window's span; one the data cannot
+identify runs to the ceiling and is flagged as sitting at the bound.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,6 +36,9 @@ TIME_CONSTANT_SEED_GRID = (1.0, 10.0, 100.0, 1e3, 1e4)
 # Time-constant search range as multiples of the fit window's span
 TIME_CONSTANT_FLOOR = 1e-9
 TIME_CONSTANT_CEILING = 1e3
+
+# Polishing stops once a start's cost is this close (relative) to the best
+AGREE_RTOL = 1e-9
 
 # A fitted time constant within this relative distance of a bound is
 # reported as sitting at it: its value is then the bound, not a measurement
@@ -172,6 +178,41 @@ def _select(series: FrequencySeries, t_start, t_end):
     return t[mask], f[mask], w
 
 
+def _projector(tau, f, w, kind, fix_f0=None, shift=None):
+    """step(log_T) -> (lin, resid, jac, B, dB) for the model of
+    _double_exp_fit at fixed time constants: the linear parameters (dfa,
+    then dfb unless shift is set, then f0 if free), the weighted residuals,
+    Kaufman's Jacobian of the residuals in log T, and the unweighted basis B
+    and its derivative dB in log T. One SVD of the weighted design matrix A
+    gives them all; singular values below eps*max(A.shape)*s0 are dropped,
+    as np.linalg.lstsq(rcond=None) does. The last step is cached, so the
+    Jacobian at the point just evaluated costs no second solve."""
+    level = 1.0 if kind == "charging" else 0.0
+    signs = np.array([1.0, -1.0] if kind == "charging" else [1.0, 1.0])
+    wcol = (np.ones_like(tau) if w is None else w)[:, None]
+
+    @functools.lru_cache(maxsize=1)
+    def step(log_T):
+        T = np.exp(log_T)
+        e = np.exp(-tau[:, None] / T)
+        B, dB = signs * (level - e), -signs * e * (tau[:, None] / T)
+        A, target = (B, f) if shift is None else (B[:, :1] - B[:, 1:], f + shift * B[:, 1])
+        if fix_f0 is None:
+            A = np.column_stack([A, np.ones_like(tau)])
+        else:
+            target = target - fix_f0
+        A, target = A * wcol, target * wcol[:, 0]
+        U, sv, Vt = np.linalg.svd(A, full_matrices=False)
+        keep = sv > np.finfo(float).eps * max(A.shape) * sv[0]
+        U = U[:, keep]
+        lin = Vt[keep].T @ ((U.T @ target) / sv[keep])
+        # with the shift, dfb = -shift - dfa: one rule for both models and every f0 mode
+        D = dB * wcol * [lin[0], lin[1] if shift is None else -shift - lin[0]]
+        return lin, A @ lin - target, D - U @ (U.T @ D), B, dB
+
+    return lambda log_T: step(tuple(log_T))
+
+
 def _double_exp_fit(tau, f, w, kind, fix_f0, names, shift=None):
     """Variable-projection fit of f0 + dfa*ba(tau; Ta) + dfb*bb(tau; Tb).
 
@@ -184,57 +225,32 @@ def _double_exp_fit(tau, f, w, kind, fix_f0, names, shift=None):
     """
     if tau.size < 8:
         raise ValueError("need at least 8 points for a double-exponential fit")
-    level = 1.0 if kind == "charging" else 0.0
-    signs = np.array([1.0, -1.0] if kind == "charging" else [1.0, 1.0])
     span = max(float(tau[-1]), 1.0)
     bounds = (math.log(TIME_CONSTANT_FLOOR * span), math.log(TIME_CONSTANT_CEILING * span))
-    ones = np.ones_like(tau)
-
-    def basis(log_T):
-        e = np.exp(-tau[:, None] / np.exp(log_T))
-        return signs * (level - e), e
-
-    def solve(log_T):
-        """Linear parameters and weighted residuals at fixed time constants."""
-        B, _ = basis(log_T)
-        if shift is None:
-            cols, target = [B[:, 0], B[:, 1]], f
-        else:
-            cols, target = [B[:, 0] - B[:, 1]], f + shift * B[:, 1]
-        if fix_f0 is None:
-            cols.append(ones)
-        else:
-            target = target - fix_f0
-        A = np.column_stack(cols)
-        if w is not None:
-            A, target = A * w[:, None], target * w
-        lin = np.linalg.lstsq(A, target, rcond=None)[0]
-        return lin, A @ lin - target
+    step = _projector(tau, f, w, kind, fix_f0, shift)
 
     seeds = [
         np.clip([math.log(Ta), math.log(Tb)], *bounds)
         for i, Ta in enumerate(TIME_CONSTANT_SEED_GRID)
         for Tb in TIME_CONSTANT_SEED_GRID[i + 1 :]
     ]
-    res = multistart_least_squares(lambda x: solve(x)[1], seeds, bounds=bounds)
+    res = multistart_least_squares(
+        lambda x: step(x)[1], seeds, bounds=bounds, jac=lambda x: step(x)[2], agree_rtol=AGREE_RTOL
+    )
     log_T = np.sort(res.x)
-    lin, resid = solve(log_T)
-    B, e = basis(log_T)
+    lin, resid, _, B, dB = step(log_T)
     Ta, Tb = np.exp(log_T)
-    dB = -signs * e * (tau[:, None] / np.array([Ta, Tb]))  # d B / d log T
 
     # map the free parameters onto (dfa, dfb, log Ta, log Tb[, f0])
     n_full = 4 if fix_f0 is not None else 5
     G = np.eye(n_full)
-    if shift is None:
-        dfa, dfb = lin[0], lin[1]
-    else:
-        dfa = lin[0]
-        dfb = -shift - dfa
+    dfa = lin[0]
+    dfb = lin[1] if shift is None else -shift - dfa
+    if shift is not None:
         G = np.delete(G, 1, axis=1)
         G[1, 0] = -1.0
     f0 = lin[-1] if fix_f0 is None else fix_f0
-    J = np.column_stack([B[:, 0], B[:, 1], dfa * dB[:, 0], dfb * dB[:, 1], ones][:n_full])
+    J = np.column_stack([B[:, 0], B[:, 1], dfa * dB[:, 0], dfb * dB[:, 1], np.ones_like(tau)][:n_full])
     if w is not None:
         J = J * w[:, None]
     cov = G @ covariance_from_jacobian(J @ G, resid, absolute_sigma=w is not None) @ G.T

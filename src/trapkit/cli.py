@@ -157,7 +157,8 @@ def cmd_fit_charging(args):
     ds = datasets.load_dataset(args.input, "charging")
     series = datasets.to_frequency_series(ds)
     t_on = _light_edge(series, args.t_on, 0)
-    t_end = series.light_on_intervals[0][1] if series.light_on_intervals else None
+    # the window ends with the first light_on interval that ends after t_on
+    t_end = next((end for _, end in series.light_on_intervals if end > t_on), None)
     params, report = charging.fit_charging(series, t_on, t_end=t_end, f0_mode=args.f0_mode)
     report.provenance = _provenance(args, args.input)
     t, f, _ = charging._select(series, t_on, t_end)

@@ -17,13 +17,16 @@ WEAK_IDENTIFIABILITY_THRESHOLD = 0.15
 class FitConvergenceError(RuntimeError):
     """Nonlinear fit failed to converge within the bounded restarts.
 
-    Carries the best parameter vector and cost seen, for diagnostics.
+    Carries the best parameter vector and cost seen, and starts: one
+    (initial_cost, final_cost or None, nfev or None, status or error text)
+    per polished start, for diagnostics.
     """
 
-    def __init__(self, message, best_params=None, best_cost=None):
+    def __init__(self, message, best_params=None, best_cost=None, starts=()):
         super().__init__(message)
         self.best_params = best_params
         self.best_cost = best_cost
+        self.starts = list(starts)
 
 
 @dataclass
@@ -173,12 +176,18 @@ def multistart_least_squares(
     seeds,
     bounds=(-np.inf, np.inf),
     max_keep=4,
+    jac="2-point",
+    agree_rtol=None,
 ):
     """Run scipy damped least squares from several seeds; keep the best.
 
     seeds: iterable of parameter vectors. The seeds are prescreened by
-    initial cost and only the most promising max_keep are polished. Raises
-    FitConvergenceError (with best-so-far attached) if nothing converges.
+    initial cost and only the most promising max_keep are polished, in
+    order of initial cost. jac is passed to scipy (a callable or a
+    finite-difference scheme). With agree_rtol set, polishing stops as soon
+    as a polished cost is within agree_rtol (relative) of the best cost so
+    far. Raises FitConvergenceError (with best-so-far and every polished
+    start's outcome attached) if nothing converges.
     """
     seeds = [np.asarray(s, dtype=float) for s in seeds]
     if not seeds:
@@ -190,25 +199,25 @@ def multistart_least_squares(
         scored.append((c, s))
     scored.sort(key=lambda t: t[0])
     best = None
-    for _, s in scored[:max_keep]:
+    starts = []
+    for c, s in scored[:max_keep]:
         try:
             res = least_squares(
-                residual_fn,
-                s,
-                bounds=bounds,
-                method="trf",
-                x_scale="jac",
-                ftol=1e-12,
-                xtol=1e-12,
-                gtol=1e-12,
-                max_nfev=1000,
+                residual_fn, s, jac=jac, bounds=bounds, method="trf", x_scale="jac",
+                ftol=1e-12, xtol=1e-12, gtol=1e-12, max_nfev=1000,
             )
-        except Exception:
+        except Exception as exc:
+            starts.append((c, None, None, f"{type(exc).__name__}: {exc}"))
             continue
+        final = 2 * res.cost if math.isfinite(res.cost) else None
+        starts.append((c, final, res.nfev, res.status))
         if not np.all(np.isfinite(res.x)):
             continue
+        agree = agree_rtol is not None and best is not None and abs(res.cost - best.cost) <= agree_rtol * best.cost
         if best is None or res.cost < best.cost:
             best = res
+        if agree:
+            break
     if best is None or not np.all(np.isfinite(best.fun)):
         bp = scored[0][1] if best is None else best.x
         bc = scored[0][0] if best is None else 2 * best.cost
@@ -216,6 +225,7 @@ def multistart_least_squares(
             "nonlinear fit failed to converge from all seeds",
             best_params=bp,
             best_cost=bc,
+            starts=starts,
         )
     return best
 

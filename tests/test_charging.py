@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from trapkit import charging
 from trapkit.charging import (
     ChargingModelParams,
     DischargeModelParams,
@@ -35,6 +36,16 @@ def series_from_model(times, freqs, errs=None, intervals=()):
         tuple(errs) if errs is not None else None,
         tuple(intervals),
     )
+
+
+def criterion7_series(seed):
+    """Acceptance criterion 7's series for one seed, and its part from
+    light-off on."""
+    series = simulate_charging_series(SimConfig(seed=seed, noise_floor=1e3), 15.0, (400.0, 2400.0), 5000.0)
+    t = np.asarray(series.times)
+    off = t >= 2400.0
+    sub = series_from_model(t[off], np.asarray(series.freqs)[off], np.asarray(series.freq_errs)[off])
+    return series, sub
 
 
 class TestModelCurves:
@@ -210,16 +221,9 @@ class TestDischargeFit:
         # turn-off cannot pin T4 = 18000 s, so it often runs to the ceiling
         at_bound = 0
         for seed in range(10):
-            series = simulate_charging_series(
-                SimConfig(seed=seed, noise_floor=1e3), 15.0, (400.0, 2400.0), 5000.0
-            )
-            t = np.asarray(series.times)
-            off = t >= 2400.0
-            sub = series_from_model(
-                t[off], np.asarray(series.freqs)[off], np.asarray(series.freq_errs)[off]
-            )
+            _, sub = criterion7_series(seed)
             p, report = fit_discharge(sub, 2400.0)
-            ceiling = 1e3 * (t[-1] - 2400.0)
+            ceiling = 1e3 * (sub.times[-1] - 2400.0)
             if "time-constant-at-bound:T4" in report.flags:
                 at_bound += 1
                 assert p.T4 == pytest.approx(ceiling, rel=1e-3)
@@ -250,6 +254,55 @@ class TestDischargeFit:
             charging_freq(2400.0, PAPER_CHARGING), rel=1e-6
         )
         assert p.df3 + p.df4 == pytest.approx(-shift, rel=1e-9)
+
+
+class TestProjection:
+    """charging._projector's Jacobian and the multistart stop rule."""
+
+    # (kind, truth as (dfa, dfb, Ta, Tb, f0), fix_f0, shift); noiseless
+    # data at the true time constants, where Kaufman's Jacobian is exact
+    SETUPS = {
+        "charging-f0-free": ("charging", (151e3, 50e3, 21.0, 900.0, 5.329e6), None, None),
+        "charging-f0-fixed": ("charging", (151e3, 50e3, 21.0, 900.0, 5.329e6), 5.329e6, None),
+        "discharge": ("discharge", (-80e3, -26.4e3, 360.0, 18000.0, 5.329e6), None, None),
+        "discharge-shift": ("discharge", (-80e3, -26.4e3, 360.0, 18000.0, 5.329e6), None, 106.4e3),
+    }
+
+    @pytest.mark.parametrize("setup", list(SETUPS))
+    def test_jacobian_matches_finite_difference(self, setup):
+        kind, (dfa, dfb, Ta, Tb, f0), fix_f0, shift = self.SETUPS[setup]
+        tau = np.arange(0.0, 5 * Tb, Tb / 100)
+        if kind == "charging":
+            f = f0 + dfa * (1 - np.exp(-tau / Ta)) - dfb * (1 - np.exp(-tau / Tb))
+        else:
+            f = f0 - dfa * np.exp(-tau / Ta) - dfb * np.exp(-tau / Tb)
+        step = charging._projector(tau, f, np.full(tau.size, 1e-3), kind, fix_f0, shift)
+        log_T = np.log([Ta, Tb])
+        lin, resid, jac, _, _ = step(log_T)
+        assert lin[0] == pytest.approx(dfa, rel=1e-9)
+        assert np.max(np.abs(resid)) < 1e-6
+        h = 1e-5
+        fd = np.column_stack([
+            (step(log_T + h * np.eye(2)[k])[1] - step(log_T - h * np.eye(2)[k])[1]) / (2 * h)
+            for k in range(2)
+        ])
+        assert np.linalg.norm(jac - fd) <= 1e-5 * np.linalg.norm(fd)
+
+    def test_stop_rule_keeps_the_best_cost(self, monkeypatch):
+        # criterion 7's seeds 0-19: the fits that stop once two starts agree
+        # reach the cost of the fits that polish all four kept starts
+        def costs():
+            out = []
+            for seed in range(20):
+                series, sub = criterion7_series(seed)
+                _, c = fit_charging(series, 400.0, t_end=2400.0, f0_mode="baseline")
+                _, d = fit_discharge(sub, 2400.0)
+                out += [c.residual_rms**2, d.residual_rms**2]
+            return np.array(out)
+
+        with_rule = costs()
+        monkeypatch.setattr(charging, "AGREE_RTOL", None)
+        np.testing.assert_allclose(with_rule, costs(), rtol=1e-9, atol=0)
 
 
 class TestSettledStability:

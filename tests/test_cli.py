@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import trapkit.fitting
-from trapkit.charging import FrequencySeries, fit_discharge
+from trapkit.charging import FrequencySeries, fit_charging, fit_discharge
 from trapkit.cli import main
 from trapkit.datasets import from_frequency_series, write_dataset
 from trapkit.simulate import SimConfig, simulate_charging_series
@@ -93,6 +93,24 @@ class TestSimulateAndFit:
         assert code == 0
         times = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
         assert times == [x for x in series.times if 2400.0 <= x <= 4000.0]
+
+    def test_charging_window_ends_with_its_interval(self, tmp_path, capsys):
+        # --t-on names the second light pulse; its window ends at 5000 s,
+        # not at the end of the first pulse
+        series = simulate_charging_series(SimConfig(seed=0, noise_floor=1e3), 15.0, (400.0, 2400.0), 6000.0)
+        two_pulses = FrequencySeries(
+            series.times, series.freqs, series.freq_errs, ((400.0, 2400.0), (4000.0, 5000.0))
+        )
+        data = tmp_path / "two_pulses.csv"
+        write_dataset(data, from_frequency_series(two_pulses))
+        code, out, _ = run(capsys, "fit-charging", "--input", str(data), "--t-on", "4000")
+        assert code == 0
+        _, want = fit_charging(two_pulses, 4000.0, t_end=5000.0)
+        assert json.loads(out)["params"] == want.params
+        code, out, _ = run(capsys, "fit-charging", "--input", str(data), "--t-on", "4000", "--format", "table")
+        assert code == 0
+        times = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
+        assert times == [x for x in series.times if 4000.0 <= x <= 5000.0]
 
     def test_position_pipeline(self, tmp_path, capsys):
         data = tmp_path / "scan.csv"
