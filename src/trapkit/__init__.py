@@ -55,10 +55,8 @@ from .beam import (  # noqa: F401
     GratingOutputModel,
     RabiPositionScan,
     fit_profile,
-    gaussian_intensity,
     pi_time_to_rabi,
     rabi_from_intensity,
-    rabi_to_pi_time,
     two_beamlet_intensity,
 )
 from .simulate import (  # noqa: F401

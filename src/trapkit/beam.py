@@ -59,22 +59,6 @@ class RabiPositionScan:
         check_series(self.positions, self.rabi, self.rabi_err, ("positions", "rabi", "rabi_err"))
 
 
-def gaussian_intensity(r, z, waist: float, wavelength: float, peak: float):
-    """Gaussian-beam irradiance at transverse radius r, axial distance z."""
-    if waist <= wavelength / math.pi:
-        raise ValueError("waist must exceed wavelength/pi (paraxial model)")
-    r = np.asarray(r, dtype=float)
-    z = np.asarray(z, dtype=float)
-    z_r = math.pi * waist * waist / wavelength
-    w = waist * np.sqrt(1.0 + (z / z_r) ** 2)
-    out = peak * (waist / w) ** 2 * np.exp(-2.0 * r * r / (w * w))
-    return float(out) if out.ndim == 0 else out
-
-
-def rayleigh_range(waist: float, wavelength: float) -> float:
-    return math.pi * waist * waist / wavelength
-
-
 def two_beamlet_intensity(x, model: GratingOutputModel):
     """Coherent two-beamlet interference profile along the scan axis.
 
@@ -140,12 +124,6 @@ def pi_time_to_rabi(t_pi: float) -> float:
     if t_pi <= 0:
         raise ValueError("pi-time must be positive")
     return math.pi / t_pi
-
-
-def rabi_to_pi_time(rabi: float) -> float:
-    if rabi <= 0:
-        raise ValueError("Rabi frequency must be positive")
-    return math.pi / rabi
 
 
 def profile_extrema(model: GratingOutputModel):
@@ -289,6 +267,8 @@ def fit_profile(
         or errs["amplitude_ratio"] > 10 * max(model.beamlet_amplitude_ratio, 1e-12)
     ):
         flags.append("degenerate-two-beamlet-fit")
+    if res.status == 0:
+        flags.append("max-nfev-reached")
     extras = {"dip_depth": dip_depth, "n_peaks": float(len(peaks))}
     for i, p in enumerate(peaks[:2]):
         extras[f"peak_{i}"] = p

@@ -7,9 +7,10 @@ projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)): the
 nonlinear search runs over (log Ta, log Tb) only, multi-started from
 decade-spaced pairs, and the amplitudes and a free f0 are solved by linear
 least squares at every step. The discharge continuity constraint is one
-more design column. The optimizer gets Kaufman's Jacobian of the projected
+more design column. The optimizer, fitting's numpy Levenberg-Marquardt (so
+these fits load no scipy.optimize), gets Kaufman's Jacobian of the projected
 residuals (BIT 15, 49 (1975)) from the SVD that solves the linear part, and
-stops polishing starts once two reach the same cost. Time constants are
+polishing stops once two starts reach the same cost. Time constants are
 bounded to 1e-9..1e3 times the fit window's span; one the data cannot
 identify runs to the ceiling and is flagged as sitting at the bound.
 """
@@ -271,6 +272,8 @@ def _double_exp_fit(tau, f, w, kind, fix_f0, names, shift=None):
     for name, x in ((name_Ta, log_T[0]), (name_Tb, log_T[1])):
         if min(x - bounds[0], bounds[1] - x) <= BOUND_TOLERANCE:
             flags.append(f"time-constant-at-bound:{name}")
+    if res.status == 0:
+        flags.append("max-nfev-reached")
     return values, errs, cov, resid, flags
 
 

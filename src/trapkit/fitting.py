@@ -1,11 +1,17 @@
 """Shared fit machinery: weighted linear regression, multi-start nonlinear
-least squares, and the structured fit report emitted by every pipeline."""
+least squares, and the structured fit report emitted by every pipeline.
+
+Fits with an analytic Jacobian are polished by a numpy Levenberg-Marquardt,
+so they load no scipy.optimize. The beam fit still differentiates by finite
+differences and, until it has an analytic Jacobian, goes to scipy's
+trust-region reflective solver."""
 
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -162,13 +168,84 @@ def weighted_linear_fit(x, y, yerr=None):
     return beta[0], beta[1], cov
 
 
-def least_squares(*args, **kwargs):
-    """scipy.optimize.least_squares, imported at the first call rather than
-    with this module, so that a CLI call that fits nothing does not pay for
-    importing scipy.optimize."""
+def least_squares(fun, x0, jac="2-point", bounds=(-np.inf, np.inf), tol=1e-12, max_nfev=1000):
+    """Minimise 0.5*|fun(x)|^2 over the box bounds, starting from x0.
+
+    A callable jac (the Jacobian of fun) selects the numpy
+    Levenberg-Marquardt below. "2-point" hands the problem to scipy's
+    trust-region reflective solver with finite differences, imported here
+    so that a call that never takes this branch loads no scipy.optimize.
+    That branch is temporary: only the beam fit takes it, and it goes once
+    fit_profile has an analytic Jacobian (finite differences in the numpy
+    solver lose criterion 9's peak recovery). tol is the ftol, xtol and
+    gtol of both. The result has x, fun, jac, cost = 0.5*fun@fun, nfev and
+    scipy's status codes: 0 max_nfev reached, 1 gtol, 2 ftol, 3 xtol,
+    4 ftol and xtol.
+    """
+    if callable(jac):
+        return _levenberg_marquardt(fun, jac, x0, bounds, tol, max_nfev)
     from scipy.optimize import least_squares as scipy_least_squares
 
-    return scipy_least_squares(*args, **kwargs)
+    return scipy_least_squares(
+        fun, x0, jac=jac, bounds=bounds, method="trf", x_scale="jac",
+        ftol=tol, xtol=tol, gtol=tol, max_nfev=max_nfev,
+    )
+
+
+def _levenberg_marquardt(fun, jac, x0, bounds, tol, max_nfev):
+    """Bounded Levenberg-Marquardt with Nielsen's damping update (Madsen,
+    Nielsen & Tingleff, Methods for non-linear least squares problems,
+    2004), damping each parameter in units of its Jacobian column's current
+    norm (Marquardt 1963). A running maximum of the norms, as in scipy's
+    x_scale="jac", sent criterion 7 seed 50's first discharge start into
+    the swapped (Tb, Ta) basin. Steps are clipped to the box, and a
+    parameter on a bound whose gradient points out of the box is held for
+    that step. The ftol and xtol tests and the status codes follow scipy's;
+    gtol bounds the scaled gradient of the free parameters."""
+    lb, ub = (np.broadcast_to(np.asarray(b, dtype=float), np.shape(x0)) for b in bounds)
+    x = np.clip(np.asarray(x0, dtype=float), lb, ub)
+    r = np.asarray(fun(x), dtype=float)
+    if not np.all(np.isfinite(r)):
+        raise ValueError("Residuals are not finite in the initial point.")
+    nfev, cost, J = 1, 0.5 * float(r @ r), jac(x)
+    mu, nu = 1.0, 2.0  # mu: the largest diagonal entry of the scaled J^T J
+    status = None
+    while status is None:
+        g = J.T @ r
+        norms = np.linalg.norm(J, axis=0)
+        norms[norms == 0] = 1.0
+        free = ~(((x <= lb) & (g > 0)) | ((x >= ub) & (g < 0)))
+        if np.max(np.abs(g[free] / norms[free]), initial=0.0) < tol:
+            status = 1
+            break
+        U, s, Vt = np.linalg.svd(J[:, free] / norms[free], full_matrices=False)
+        ur = U.T @ r
+        while status is None:
+            if nfev == max_nfev:
+                status = 0
+                break
+            h = np.zeros_like(x)
+            h[free] = -(Vt.T @ (s * ur / (s * s + mu))) / norms[free]
+            x_new = np.clip(x + h, lb, ub)
+            step = x_new - x
+            r_new = np.asarray(fun(x_new), dtype=float)
+            nfev += 1
+            cost_new = 0.5 * float(r_new @ r_new) if np.all(np.isfinite(r_new)) else np.inf
+            actual = cost - cost_new
+            predicted = cost - 0.5 * float(np.sum((r + J @ step) ** 2))
+            ratio = actual / predicted if predicted > 0 else 0.0
+            ftol_met = actual < tol * cost and ratio > 0.25
+            xtol_met = np.linalg.norm(step) < tol * (tol + np.linalg.norm(x))
+            if ftol_met or xtol_met:
+                status = 4 if ftol_met and xtol_met else 2 if ftol_met else 3
+            if actual > 0:
+                x, r, cost, J = x_new, r_new, cost_new, jac(x_new)
+                mu *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
+                nu = 2.0
+                break
+            mu *= nu
+            nu *= 2.0
+    return SimpleNamespace(x=x, fun=r, jac=J, cost=cost, nfev=nfev, status=status)
 
 
 def multistart_least_squares(
@@ -179,15 +256,16 @@ def multistart_least_squares(
     jac="2-point",
     agree_rtol=None,
 ):
-    """Run scipy damped least squares from several seeds; keep the best.
+    """Polish the best few of several seeds by least squares; keep the best.
 
     seeds: iterable of parameter vectors. The seeds are prescreened by
     initial cost and only the most promising max_keep are polished, in
-    order of initial cost. jac is passed to scipy (a callable or a
-    finite-difference scheme). With agree_rtol set, polishing stops as soon
-    as a polished cost is within agree_rtol (relative) of the best cost so
-    far. Raises FitConvergenceError (with best-so-far and every polished
-    start's outcome attached) if nothing converges.
+    order of initial cost, by least_squares: the numpy Levenberg-Marquardt
+    when jac is a callable, scipy's finite-difference solver for
+    "2-point". With agree_rtol set, polishing stops as soon as a polished
+    cost is within agree_rtol (relative) of the best cost so far. Raises
+    FitConvergenceError (with best-so-far and every polished start's
+    outcome attached) if nothing converges.
     """
     seeds = [np.asarray(s, dtype=float) for s in seeds]
     if not seeds:
@@ -202,10 +280,7 @@ def multistart_least_squares(
     starts = []
     for c, s in scored[:max_keep]:
         try:
-            res = least_squares(
-                residual_fn, s, jac=jac, bounds=bounds, method="trf", x_scale="jac",
-                ftol=1e-12, xtol=1e-12, gtol=1e-12, max_nfev=1000,
-            )
+            res = least_squares(residual_fn, s, jac=jac, bounds=bounds)
         except Exception as exc:
             starts.append((c, None, None, f"{type(exc).__name__}: {exc}"))
             continue

@@ -340,6 +340,32 @@ class TestImportCost:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    @pytest.mark.parametrize("fit_argv", [
+        ["fit-charging", "--f0-mode", "fit"],
+        ["fit-charging", "--f0-mode", "baseline"],
+        ["fit-discharge"],
+    ], ids=lambda argv: "-".join(argv))
+    def test_fit_commands_load_no_scipy(self, tmp_path, capsys, fit_argv):
+        """The charging and discharge fits have an analytic Jacobian and run
+        on the numpy Levenberg-Marquardt, so they load no scipy module, and
+        importing scipy.optimize would be most of their wall time.
+        beam-profile is exempt: its fit still differentiates by finite
+        differences in scipy's solver, and profile_extrema refines the peaks
+        with scipy's bounded scalar minimiser."""
+        data = tmp_path / "charging.csv"
+        code, _, _ = run(capsys, "simulate", "charging", "--out", str(data), "--seed", "3", "--noise", "1000")
+        assert code == 0
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        argv = [*fit_argv, "--input", str(data), "--out-dir", str(tmp_path)]
+        script = (
+            "import sys; from trapkit.cli import main; "
+            f"assert main({argv!r}) == 0; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"  # after the report
+
     def test_least_squares_is_a_module_attribute(self):
         # tracers wrap the optimizer by replacing this module attribute
         assert callable(trapkit.fitting.least_squares)

@@ -1,5 +1,6 @@
-"""The series contract that every measured series keeps (fitting.check_series)
-and the multistart's stop rule and diagnostics."""
+"""The series contract that every measured series keeps (fitting.check_series),
+the numpy Levenberg-Marquardt behind fitting.least_squares, and the
+multistart's stop rule and diagnostics."""
 
 import math
 
@@ -7,9 +8,10 @@ import numpy as np
 import pytest
 
 import trapkit.fitting
+from test_charging import criterion7_series
 from trapkit.beam import RabiPositionScan
-from trapkit.charging import FrequencySeries
-from trapkit.fitting import FitConvergenceError, multistart_least_squares
+from trapkit.charging import FrequencySeries, fit_charging, fit_discharge
+from trapkit.fitting import FitConvergenceError, least_squares, multistart_least_squares
 from trapkit.heating import HeatingSeries
 
 # a valid (x, y, err) triple for each series type
@@ -93,3 +95,75 @@ def test_convergence_error_carries_every_start():
         assert initial == math.inf
         assert final is None and nfev is None
         assert "not finite" in status
+
+
+def _rosenbrock(x):
+    return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+
+def _rosenbrock_jac(x):
+    return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+
+
+class TestLevenbergMarquardt:
+    def test_converges_and_stops_at_max_nfev(self):
+        res = least_squares(_rosenbrock, [-1.2, 1.0], jac=_rosenbrock_jac)
+        assert res.status in (1, 2, 3, 4)
+        np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-8)
+        assert res.cost == pytest.approx(0.5 * res.fun @ res.fun)
+        cut = least_squares(_rosenbrock, [-1.2, 1.0], jac=_rosenbrock_jac, max_nfev=5)
+        assert cut.status == 0 and cut.nfev == 5
+
+    def test_minimum_outside_the_box_ends_on_the_bound(self):
+        # unbounded minimum at (2, 0.5); the box caps x0 at 1
+        res = least_squares(
+            lambda x: np.array([x[0] - 2.0, x[1] - 0.5]), [0.0, 0.0],
+            jac=lambda x: np.eye(2), bounds=([-1.0, -1.0], [1.0, 1.0]),
+        )
+        assert res.x[0] == 1.0
+        assert res.x[1] == pytest.approx(0.5, abs=1e-9)
+        gradient = res.jac.T @ res.fun
+        assert gradient[0] < 0  # descent would leave the box through x0 = 1
+
+    def test_nan_initial_residual_raises(self):
+        with pytest.raises(ValueError, match="not finite"):
+            least_squares(lambda x: np.array([np.nan, x[0]]), [0.0], jac=lambda x: np.array([[0.0], [1.0]]))
+
+    def test_non_finite_trial_step_is_rejected(self):
+        calls = []
+
+        def fun(x):
+            calls.append(x.copy())
+            r = _rosenbrock(x)
+            return np.full(2, np.inf) if len(calls) == 2 else r
+
+        res = least_squares(fun, [-1.2, 1.0], jac=_rosenbrock_jac)
+        assert res.status in (1, 2, 3, 4)
+        np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-8)
+        # the next trial starts again from x0, with more damping
+        assert np.linalg.norm(calls[2] - calls[0]) < np.linalg.norm(calls[1] - calls[0])
+
+    def test_charging_fits_match_scipy_trf(self, monkeypatch):
+        # criterion 7's seeds 0-19: the numpy solver reaches the costs of
+        # scipy's trust-region reflective solver with the same Jacobian
+        def costs():
+            out = []
+            for seed in range(20):
+                series, sub = criterion7_series(seed)
+                for f0_mode in ("baseline", "fit"):
+                    _, c = fit_charging(series, 400.0, t_end=2400.0, f0_mode=f0_mode)
+                    out.append(c.residual_rms**2)
+                _, d = fit_discharge(sub, 2400.0)
+                out.append(d.residual_rms**2)
+            return np.array(out)
+
+        numpy_lm = costs()
+
+        def scipy_trf(fun, x0, jac, bounds):
+            from scipy.optimize import least_squares as trf
+
+            return trf(fun, x0, jac=jac, bounds=bounds, method="trf", x_scale="jac",
+                       ftol=1e-12, xtol=1e-12, gtol=1e-12, max_nfev=1000)
+
+        monkeypatch.setattr(trapkit.fitting, "least_squares", scipy_trf)
+        np.testing.assert_allclose(numpy_lm, costs(), rtol=1e-9, atol=0)
