@@ -130,8 +130,10 @@ def profile_extrema(model: GratingOutputModel):
     """Locate the intensity maxima (and the dip between them, if any).
 
     Returns (peak_positions, dip_depth) where dip_depth is 1 - I_dip/I_peak
-    for a double-peaked profile and 0.0 otherwise. Grid search refined by
-    bounded scalar minimization.
+    for a double-peaked profile and 0.0 otherwise. A grid search, with each
+    grid maximum, and the lowest grid point between the outer peaks,
+    refined inside its grid bracket by golden-section search to 1e-6 of the
+    grid's half-span.
     """
     span = 4.0 * model.waist + abs(model.beamlet_separation)
     xs = np.linspace(model.center - span, model.center + span, 4001)
@@ -139,31 +141,100 @@ def profile_extrema(model: GratingOutputModel):
     interior = np.arange(1, xs.size - 1)
     is_max = (ys[interior] > ys[interior - 1]) & (ys[interior] >= ys[interior + 1])
     peak_idx = interior[is_max]
-    from scipy.optimize import minimize_scalar
+    tol = 1e-6 * span
+    peaks = sorted(
+        _golden_section_min(lambda u: -profile_intensity(u, model), xs[i - 1], xs[i + 1], tol)
+        for i in peak_idx
+    )
+    if len(peaks) < 2:
+        return peaks, 0.0
+    j = peak_idx[0] + int(np.argmin(ys[peak_idx[0] : peak_idx[-1] + 1]))
+    dip = _golden_section_min(lambda u: profile_intensity(u, model), xs[j - 1], xs[j + 1], tol)
+    i_peak = max(profile_intensity(peaks[0], model), profile_intensity(peaks[-1], model))
+    return peaks, float(1.0 - profile_intensity(dip, model) / i_peak)
 
-    peaks = []
-    for i in peak_idx:
-        res = minimize_scalar(
-            lambda u: -profile_intensity(u, model),
-            bounds=(xs[i - 1], xs[i + 1]),
-            method="bounded",
-            options={"xatol": 1e-6 * span},
-        )
-        peaks.append(float(res.x))
-    peaks.sort()
-    if len(peaks) >= 2:
-        lo, hi = peaks[0], peaks[-1]
-        res = minimize_scalar(
-            lambda u: profile_intensity(u, model),
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": 1e-6 * span},
-        )
-        i_peak = max(profile_intensity(lo, model), profile_intensity(hi, model))
-        dip_depth = 1.0 - profile_intensity(float(res.x), model) / i_peak
-    else:
-        dip_depth = 0.0
-    return peaks, float(dip_depth)
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_section_min(f, a, b, tol):
+    """The minimiser of f, unimodal on [a, b], to within tol/2."""
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(d)
+    return float(0.5 * (a + b))
+
+
+def _unpack(theta, mode):
+    """The model and rabi_scale that fit_profile's parameters describe:
+    (center, log waist, rabi_scale) for a single Gaussian, and (center,
+    separation, log waist, phase, amplitude ratio, rabi_scale) for two
+    beamlets, whose separation and ratio enter as their absolute values."""
+    if mode == "single-gaussian":
+        return GratingOutputModel(mode=mode, waist=math.exp(theta[1]), center=theta[0]), theta[2]
+    return GratingOutputModel(
+        mode=mode,
+        waist=math.exp(theta[2]),
+        center=theta[0],
+        beamlet_separation=abs(theta[1]),
+        beamlet_phase=theta[3],
+        beamlet_amplitude_ratio=abs(theta[4]),
+    ), theta[5]
+
+
+def _rabi_jacobian(x, theta, mode):
+    """The derivative of rabi_profile(x, *_unpack(theta, mode)) in theta.
+
+    With f = sqrt(I) = |E|, df/dtheta = rabi_scale * (dI/dtheta) / (2f) and
+    df/drabi_scale = f. Where f is 0 exactly, at a kink of |E|, the entries
+    are the one-sided slopes rabi_scale * |dE/dtheta|, the limit of a
+    forward difference. A zero row there would hide the kink from the
+    solver, and a start that puts E = 0 on a sample could not leave it.
+    """
+    model, scale = _unpack(theta, mode)
+    f = np.asarray(rabi_profile(x, model, 1.0))
+    if mode == "single-gaussian":
+        u = x - model.center
+        w2 = model.waist**2
+        return np.column_stack([scale * f * 2.0 * u / w2, scale * f * 2.0 * u * u / w2, f])
+    re, im, d_re, d_im = _field(x, theta)
+    kink = np.sqrt(d_re * d_re + d_im * d_im)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        df = np.where(f[:, None] > 0, (re[:, None] * d_re + im[:, None] * d_im) / f[:, None], kink)
+    return np.column_stack([scale * df, f])
+
+
+def _field(x, theta):
+    """The two-beamlet field E = g1 + g2 exp(i phase) at x, whose modulus is
+    rabi_profile / rabi_scale, as (Re E, Im E, dRe E, dIm E): the derivatives
+    in the first five of fit_profile's parameters, one column each, with
+    the signs of separation and ratio, which enter as absolute values."""
+    model, _ = _unpack(theta, "two-beamlet")
+    w2 = model.waist**2
+    # dg/du = -2u g / w^2
+    u1 = x - model.center + 0.5 * model.beamlet_separation
+    u2 = u1 - model.beamlet_separation
+    g1 = np.exp(-u1 * u1 / w2)
+    e2 = np.exp(-u2 * u2 / w2)
+    g2 = model.beamlet_amplitude_ratio * e2
+    cos, sin = math.cos(model.beamlet_phase), math.sin(model.beamlet_phase)
+    zero = np.zeros_like(x)
+    dg1 = np.column_stack([2.0 * g1 * u1 / w2, -g1 * u1 / w2, 2.0 * g1 * u1 * u1 / w2, zero, zero])
+    dg2 = np.column_stack([2.0 * g2 * u2 / w2, g2 * u2 / w2, 2.0 * g2 * u2 * u2 / w2, zero, e2])
+    d_re = dg1 + cos * dg2
+    d_im = sin * dg2
+    d_re[:, 3], d_im[:, 3] = -sin * g2, cos * g2
+    signs = np.ones(5)
+    signs[[1, 4]] = np.sign([theta[1], theta[4]])
+    return g1 + cos * g2, sin * g2, d_re * signs, d_im * signs
 
 
 def fit_profile(
@@ -172,8 +243,10 @@ def fit_profile(
 ) -> tuple[GratingOutputModel, FitReport]:
     """Least-squares fit of an intensity model to a Rabi-vs-position scan.
 
-    The model Rabi curve is rabi_scale * sqrt(I_rel(x)). Reports peak
-    positions, separation, and dip depth of the fitted profile.
+    The model Rabi curve is rabi_scale * sqrt(I_rel(x)), polished from the
+    best 3 of several seeds by the numpy trust region on the analytic
+    Jacobian. Reports peak positions, separation, and dip depth of the
+    fitted profile.
     """
     if mode not in BEAM_MODES:
         raise ValueError(f"mode must be one of {BEAM_MODES}")
@@ -190,14 +263,6 @@ def fit_profile(
     span = float(np.ptp(x))
 
     if mode == "single-gaussian":
-
-        def unpack(theta):
-            return GratingOutputModel(
-                mode="single-gaussian",
-                waist=math.exp(theta[1]),
-                center=theta[0],
-            ), theta[2]
-
         seeds = [
             [x_peak, math.log(wg), r_max]
             for wg in (0.25 * span, 0.1 * span, DEFAULT_BEAMLET_WAIST)
@@ -214,21 +279,12 @@ def fit_profile(
                 break
         sep_guess = abs(x_second - x_peak) or 0.2 * span
         center_guess = 0.5 * (x_peak + x_second)
-
-        def unpack(theta):
-            return GratingOutputModel(
-                mode="two-beamlet",
-                waist=math.exp(theta[2]),
-                center=theta[0],
-                beamlet_separation=abs(theta[1]),
-                beamlet_phase=theta[3],
-                beamlet_amplitude_ratio=abs(theta[4]),
-            ), theta[5]
-
         seeds = [
             [center_guess, sep_guess, math.log(wg), phase, 1.0, r_max]
             for wg in (0.5 * sep_guess, DEFAULT_BEAMLET_WAIST)
-            for phase in (math.pi, 0.5 * math.pi, 2.0)
+            # not at phase pi, where dI/dphase = 0: the trust region's
+            # column scaling would then fling the phase, and the start stall
+            for phase in (0.9 * math.pi, 0.5 * math.pi, 2.0)
         ]
         param_names = (
             "center",
@@ -239,14 +295,33 @@ def fit_profile(
             "rabi_scale",
         )
 
+    # A sample measured at zero asks for E = 0 there, and its residual
+    # rabi_scale * |E| has a cone at the solution: the solver stalls at its
+    # tip. It enters as rabi_scale * (Re E, Im E), the same cost, smooth.
+    on = r != 0 if mode == "two-beamlet" else np.ones(x.size, dtype=bool)
+    x_on, r_on, x_off = x[on], r[on], x[~on]
+    w_rows = None if w is None else np.concatenate([w[on], w[~on], w[~on]])
+
     def residuals(theta):
-        resid = rabi_profile(x, *unpack(theta)) - r
-        return resid * w if w is not None else resid
+        resid = rabi_profile(x_on, *_unpack(theta, mode)) - r_on
+        if x_off.size:
+            re, im, _, _ = _field(x_off, theta)
+            resid = np.concatenate([resid, theta[5] * re, theta[5] * im])
+        return resid * w_rows if w is not None else resid
 
-    res = multistart_least_squares(residuals, seeds, max_keep=3)
-    model, scale = unpack(res.x)
+    def jacobian(theta):
+        jac = _rabi_jacobian(x_on, theta, mode)
+        if x_off.size:
+            re, im, d_re, d_im = _field(x_off, theta)
+            jac = np.vstack([jac, np.column_stack([theta[5] * d_re, re]), np.column_stack([theta[5] * d_im, im])])
+        return jac * w_rows[:, None] if w is not None else jac
 
-    cov = covariance_from_jacobian(res.jac, res.fun, absolute_sigma=w is not None)
+    res = multistart_least_squares(residuals, seeds, jac=jacobian, max_keep=3, method="trf")
+    model, scale = _unpack(res.x, mode)
+
+    cov = covariance_from_jacobian(res.jac, res.fun, absolute_sigma=True)
+    if w is None:  # scaled by the residual variance over the samples, not the rows
+        cov = cov * 2.0 * res.cost / max(x.size - len(param_names), 1)
     raw_errs = np.sqrt(np.clip(np.diag(cov), 0, None))
     fitted = {
         "center": model.center,
@@ -262,9 +337,11 @@ def fit_profile(
 
     peaks, dip_depth = profile_extrema(model)
     flags = []
+    # a vanishing second beamlet, or two beamlets that coincide
     if mode == "two-beamlet" and (
         model.beamlet_amplitude_ratio < 1e-3
         or errs["amplitude_ratio"] > 10 * max(model.beamlet_amplitude_ratio, 1e-12)
+        or model.beamlet_separation < 1e-3 * model.waist
     ):
         flags.append("degenerate-two-beamlet-fit")
     if res.status == 0:
@@ -278,7 +355,7 @@ def fit_profile(
         model=f"beam-profile-{mode}",
         params=params,
         param_errs=errs,
-        residual_rms=float(np.sqrt(np.mean(res.fun**2))),
+        residual_rms=float(np.sqrt(2.0 * res.cost / x.size)),
         n_points=x.size,
         flags=flags,
         extras=extras,

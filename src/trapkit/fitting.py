@@ -1,10 +1,9 @@
 """Shared fit machinery: weighted linear regression, multi-start nonlinear
 least squares, and the structured fit report emitted by every pipeline.
 
-Fits with an analytic Jacobian are polished by a numpy Levenberg-Marquardt,
-so they load no scipy.optimize. The beam fit still differentiates by finite
-differences and, until it has an analytic Jacobian, goes to scipy's
-trust-region reflective solver."""
+Every nonlinear fit has an analytic Jacobian and is polished by a numpy
+solver: a bounded Levenberg-Marquardt for the charging fits, an unbounded
+trust region for the beam fit. No subcommand imports scipy.optimize."""
 
 from __future__ import annotations
 
@@ -168,28 +167,21 @@ def weighted_linear_fit(x, y, yerr=None):
     return beta[0], beta[1], cov
 
 
-def least_squares(fun, x0, jac="2-point", bounds=(-np.inf, np.inf), tol=1e-12, max_nfev=1000):
+def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf), tol=1e-12, max_nfev=1000, method="lm"):
     """Minimise 0.5*|fun(x)|^2 over the box bounds, starting from x0.
 
-    A callable jac (the Jacobian of fun) selects the numpy
-    Levenberg-Marquardt below. "2-point" hands the problem to scipy's
-    trust-region reflective solver with finite differences, imported here
-    so that a call that never takes this branch loads no scipy.optimize.
-    That branch is temporary: only the beam fit takes it, and it goes once
-    fit_profile has an analytic Jacobian (finite differences in the numpy
-    solver lose criterion 9's peak recovery). tol is the ftol, xtol and
-    gtol of both. The result has x, fun, jac, cost = 0.5*fun@fun, nfev and
-    scipy's status codes: 0 max_nfev reached, 1 gtol, 2 ftol, 3 xtol,
-    4 ftol and xtol.
+    jac is the Jacobian of fun, a callable. method "lm" runs the bounded
+    Levenberg-Marquardt below; "trf" runs the unbounded trust region below
+    and ignores bounds. The beam fit needs the trust region: polished by
+    the Levenberg-Marquardt, about half of criterion 9's noisy fits find
+    both peaks. The charging fits stay on the Levenberg-Marquardt, which
+    is faster there. tol is the ftol, xtol and gtol of both. The result
+    has x, fun, jac, cost = 0.5*fun@fun, nfev and scipy's status codes:
+    0 max_nfev reached, 1 gtol, 2 ftol, 3 xtol, 4 ftol and xtol.
     """
-    if callable(jac):
-        return _levenberg_marquardt(fun, jac, x0, bounds, tol, max_nfev)
-    from scipy.optimize import least_squares as scipy_least_squares
-
-    return scipy_least_squares(
-        fun, x0, jac=jac, bounds=bounds, method="trf", x_scale="jac",
-        ftol=tol, xtol=tol, gtol=tol, max_nfev=max_nfev,
-    )
+    if method == "trf":
+        return _trust_region(fun, jac, x0, tol, max_nfev)
+    return _levenberg_marquardt(fun, jac, x0, bounds, tol, max_nfev)
 
 
 def _levenberg_marquardt(fun, jac, x0, bounds, tol, max_nfev):
@@ -248,24 +240,126 @@ def _levenberg_marquardt(fun, jac, x0, bounds, tol, max_nfev):
     return SimpleNamespace(x=x, fun=r, jac=J, cost=cost, nfev=nfev, status=status)
 
 
+def _trust_region(fun, jac, x0, tol, max_nfev):
+    """Unbounded trust-region least squares: a numpy port of scipy's
+    trf_no_bounds with tr_solver="exact" and x_scale="jac" (Branch, Coleman
+    & Li, SIAM J. Sci. Comput. 21, 1 (1999)). Parameters are scaled by the
+    running maximum of the Jacobian's column norms, and the radius starts
+    at the norm of the scaled x0. One SVD of the scaled Jacobian per
+    iteration serves every trial step, each solved exactly by _more_step.
+    The ftol and xtol tests, the gtol test on the unscaled gradient and the
+    status codes are scipy's."""
+    x = np.asarray(x0, dtype=float)
+    r = np.asarray(fun(x), dtype=float)
+    if not np.all(np.isfinite(r)):
+        raise ValueError("Residuals are not finite in the initial point.")
+    nfev, cost, J = 1, 0.5 * float(r @ r), jac(x)
+    scale_inv = np.sum(J**2, axis=0) ** 0.5
+    scale_inv[scale_inv == 0] = 1.0
+    radius = float(np.linalg.norm(x * scale_inv)) or 1.0
+    alpha, status = 0.0, None
+    while True:
+        g = J.T @ r
+        if np.max(np.abs(g)) < tol:
+            status = 1
+        if status is not None or nfev == max_nfev:
+            break
+        d = 1.0 / scale_inv
+        Jh = J * d
+        U, s, Vt = np.linalg.svd(Jh, full_matrices=False)
+        ur = U.T @ r
+        actual = -1.0
+        while actual <= 0 and nfev < max_nfev:
+            h, alpha = _more_step(ur, s, Vt, r.size, radius, alpha)
+            Jh_h = Jh @ h
+            predicted = -(0.5 * float(Jh_h @ Jh_h) + float(h @ (d * g)))
+            step = d * h
+            x_new = x + step
+            r_new = np.asarray(fun(x_new), dtype=float)
+            nfev += 1
+            h_norm = float(np.linalg.norm(h))
+            if not np.all(np.isfinite(r_new)):
+                radius = 0.25 * h_norm
+                continue
+            cost_new = 0.5 * float(r_new @ r_new)
+            actual = cost - cost_new
+            ratio = actual / predicted if predicted > 0 else 1.0 if predicted == actual == 0 else 0.0
+            new_radius = radius
+            if ratio < 0.25:
+                new_radius = 0.25 * h_norm
+            elif ratio > 0.75 and h_norm > 0.95 * radius:
+                new_radius = 2.0 * radius
+            ftol_met = actual < tol * cost and ratio > 0.25
+            xtol_met = np.linalg.norm(step) < tol * (tol + np.linalg.norm(x))
+            if ftol_met or xtol_met:
+                status = 4 if ftol_met and xtol_met else 2 if ftol_met else 3
+                break
+            alpha *= radius / new_radius
+            radius = new_radius
+        if actual > 0:
+            x, r, cost, J = x_new, r_new, cost_new, jac(x_new)
+            scale_inv = np.maximum(scale_inv, np.sum(J**2, axis=0) ** 0.5)
+    return SimpleNamespace(x=x, fun=r, jac=J, cost=cost, nfev=nfev, status=0 if status is None else status)
+
+
+def _more_step(ur, s, Vt, m, radius, alpha):
+    """The step h minimising |J h + r| subject to |h| <= radius, from the SVD
+    J = U diag(s) Vt with ur = U^T r and m residuals (Moré, Lecture Notes in
+    Math. 630, 105 (1978); scipy's solve_lsq_trust_region). The Gauss-Newton
+    step if it is inside the radius; otherwise h = -V (s ur / (s^2 + alpha))
+    with the Levenberg-Marquardt parameter alpha found by safeguarded Newton
+    steps on |h(alpha)| - radius, from the previous alpha, to 1% of the
+    radius. Returns (h, alpha)."""
+    su = s * ur
+    full_rank = m >= Vt.shape[1] and s[-1] > np.finfo(float).eps * m * s[0]
+    if full_rank:
+        h = -Vt.T @ (ur / s)
+        if np.linalg.norm(h) <= radius:
+            return h, 0.0
+
+    def phi(a):
+        denom = s * s + a
+        p_norm = np.linalg.norm(su / denom)
+        return p_norm - radius, -np.sum(su * su / denom**3) / p_norm
+
+    upper, lower = np.linalg.norm(su) / radius, 0.0
+    if full_rank:
+        value, slope = phi(0.0)
+        lower = -value / slope
+    elif alpha == 0:
+        alpha = max(1e-3 * upper, (lower * upper) ** 0.5)
+    for _ in range(10):
+        if not lower <= alpha <= upper:
+            alpha = max(1e-3 * upper, (lower * upper) ** 0.5)
+        value, slope = phi(alpha)
+        if value < 0:
+            upper = alpha
+        lower = max(lower, alpha - value / slope)
+        alpha -= (value + radius) * (value / slope) / radius
+        if abs(value) < 0.01 * radius:
+            break
+    h = -Vt.T @ (su / (s * s + alpha))
+    return h * (radius / np.linalg.norm(h)), alpha
+
+
 def multistart_least_squares(
     residual_fn,
     seeds,
+    jac,
     bounds=(-np.inf, np.inf),
     max_keep=4,
-    jac="2-point",
     agree_rtol=None,
+    method="lm",
 ):
     """Polish the best few of several seeds by least squares; keep the best.
 
     seeds: iterable of parameter vectors. The seeds are prescreened by
     initial cost and only the most promising max_keep are polished, in
-    order of initial cost, by least_squares: the numpy Levenberg-Marquardt
-    when jac is a callable, scipy's finite-difference solver for
-    "2-point". With agree_rtol set, polishing stops as soon as a polished
-    cost is within agree_rtol (relative) of the best cost so far. Raises
-    FitConvergenceError (with best-so-far and every polished start's
-    outcome attached) if nothing converges.
+    order of initial cost, by least_squares with the Jacobian jac, the
+    bounds and the method. With agree_rtol set, polishing stops as soon as
+    a polished cost is within agree_rtol (relative) of the best cost so
+    far. Raises FitConvergenceError (with best-so-far and every polished
+    start's outcome attached) if nothing converges.
     """
     seeds = [np.asarray(s, dtype=float) for s in seeds]
     if not seeds:
@@ -280,7 +374,7 @@ def multistart_least_squares(
     starts = []
     for c, s in scored[:max_keep]:
         try:
-            res = least_squares(residual_fn, s, jac=jac, bounds=bounds)
+            res = least_squares(residual_fn, s, jac=jac, bounds=bounds, method=method)
         except Exception as exc:
             starts.append((c, None, None, f"{type(exc).__name__}: {exc}"))
             continue

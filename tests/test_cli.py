@@ -344,16 +344,17 @@ class TestImportCost:
         ["fit-charging", "--f0-mode", "fit"],
         ["fit-charging", "--f0-mode", "baseline"],
         ["fit-discharge"],
+        ["beam-profile", "--mode", "two-beamlet"],
+        ["beam-profile", "--mode", "single-gaussian"],
     ], ids=lambda argv: "-".join(argv))
     def test_fit_commands_load_no_scipy(self, tmp_path, capsys, fit_argv):
-        """The charging and discharge fits have an analytic Jacobian and run
-        on the numpy Levenberg-Marquardt, so they load no scipy module, and
-        importing scipy.optimize would be most of their wall time.
-        beam-profile is exempt: its fit still differentiates by finite
-        differences in scipy's solver, and profile_extrema refines the peaks
-        with scipy's bounded scalar minimiser."""
-        data = tmp_path / "charging.csv"
-        code, _, _ = run(capsys, "simulate", "charging", "--out", str(data), "--seed", "3", "--noise", "1000")
+        """Every fit has an analytic Jacobian and runs on a numpy solver,
+        and profile_extrema refines the peaks in numpy, so no fit command
+        loads a scipy module; importing scipy.optimize would be most of
+        their wall time."""
+        simulate = ["position"] if fit_argv[0] == "beam-profile" else ["charging", "--noise", "1000"]
+        data = tmp_path / "data.csv"
+        code, _, _ = run(capsys, "simulate", *simulate, "--out", str(data), "--seed", "3")
         assert code == 0
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
         argv = [*fit_argv, "--input", str(data), "--out-dir", str(tmp_path)]

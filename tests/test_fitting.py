@@ -1,6 +1,6 @@
 """The series contract that every measured series keeps (fitting.check_series),
-the numpy Levenberg-Marquardt behind fitting.least_squares, and the
-multistart's stop rule and diagnostics."""
+the numpy Levenberg-Marquardt and trust region behind fitting.least_squares,
+and the multistart's stop rule and diagnostics."""
 
 import math
 
@@ -51,6 +51,10 @@ def _two_minima(x):
     return np.array([x[0] ** 2 - 1.0, 0.2 * x[0] + 0.5])
 
 
+def _two_minima_jac(x):
+    return np.array([[2.0 * x[0]], [0.2]])
+
+
 @pytest.fixture
 def polishes(monkeypatch):
     """The list of seeds that trapkit.fitting.least_squares polishes."""
@@ -67,28 +71,32 @@ def polishes(monkeypatch):
 
 def test_multistart_stops_when_two_starts_agree(polishes):
     # both +1-basin seeds have lower initial cost than the -1-basin seed
-    res = multistart_least_squares(_two_minima, [[1.0], [0.98], [-1.35]], max_keep=3, agree_rtol=1e-9)
+    res = multistart_least_squares(
+        _two_minima, [[1.0], [0.98], [-1.35]], jac=_two_minima_jac, max_keep=3, agree_rtol=1e-9
+    )
     assert polishes == [0.98, 1.0]
     assert res.x[0] > 0
 
 
 def test_multistart_keeps_the_lower_minimum_after_disagreement(polishes):
     seeds = [[0.98], [-1.35], [-1.3], [1.5]]
-    res = multistart_least_squares(_two_minima, seeds, max_keep=4, agree_rtol=1e-9)
+    res = multistart_least_squares(_two_minima, seeds, jac=_two_minima_jac, max_keep=4, agree_rtol=1e-9)
     assert polishes == [0.98, -1.3, -1.35]
     assert res.x[0] < 0
     assert 2 * res.cost < 0.1
 
 
 def test_multistart_without_the_rule_polishes_every_kept_start(polishes):
-    res = multistart_least_squares(_two_minima, [[1.0], [0.98], [-1.35]], max_keep=3)
+    res = multistart_least_squares(_two_minima, [[1.0], [0.98], [-1.35]], jac=_two_minima_jac, max_keep=3)
     assert polishes == [0.98, 1.0, -1.35]
     assert res.x[0] < 0
 
 
 def test_convergence_error_carries_every_start():
     with pytest.raises(FitConvergenceError) as info:
-        multistart_least_squares(lambda x: np.full(3, np.nan), [[0.0], [1.0], [2.0]], max_keep=2)
+        multistart_least_squares(
+            lambda x: np.full(3, np.nan), [[0.0], [1.0], [2.0]], jac=lambda x: np.zeros((3, 1)), max_keep=2
+        )
     starts = info.value.starts
     assert len(starts) == 2
     for initial, final, nfev, status in starts:
@@ -159,7 +167,7 @@ class TestLevenbergMarquardt:
 
         numpy_lm = costs()
 
-        def scipy_trf(fun, x0, jac, bounds):
+        def scipy_trf(fun, x0, jac, bounds, method):
             from scipy.optimize import least_squares as trf
 
             return trf(fun, x0, jac=jac, bounds=bounds, method="trf", x_scale="jac",
@@ -167,3 +175,41 @@ class TestLevenbergMarquardt:
 
         monkeypatch.setattr(trapkit.fitting, "least_squares", scipy_trf)
         np.testing.assert_allclose(numpy_lm, costs(), rtol=1e-9, atol=0)
+
+
+class TestTrustRegion:
+    def test_converges_and_stops_at_max_nfev(self):
+        res = least_squares(_rosenbrock, [-1.2, 1.0], jac=_rosenbrock_jac, method="trf")
+        assert res.status in (1, 2, 3, 4)
+        np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-8)
+        assert res.cost == pytest.approx(0.5 * res.fun @ res.fun)
+        cut = least_squares(_rosenbrock, [-1.2, 1.0], jac=_rosenbrock_jac, method="trf", max_nfev=5)
+        assert cut.status == 0 and cut.nfev == 5
+
+    def test_follows_scipy_trf(self):
+        # a port of scipy's unbounded trust region: the same evaluations
+        # and the same minimum on a problem without rounding-level chaos
+        from scipy.optimize import least_squares as trf
+
+        res = least_squares(_rosenbrock, [-1.2, 1.0], jac=_rosenbrock_jac, method="trf")
+        ref = trf(_rosenbrock, [-1.2, 1.0], jac=_rosenbrock_jac, method="trf", x_scale="jac",
+                  ftol=1e-12, xtol=1e-12, gtol=1e-12, max_nfev=1000)
+        assert (res.nfev, res.status) == (ref.nfev, ref.status)
+        np.testing.assert_allclose(res.x, ref.x, rtol=1e-12)
+
+    def test_nan_initial_residual_raises(self):
+        with pytest.raises(ValueError, match="not finite"):
+            least_squares(
+                lambda x: np.array([np.nan, x[0]]), [0.0], jac=lambda x: np.array([[0.0], [1.0]]), method="trf"
+            )
+
+    def test_non_finite_trial_step_shrinks_the_radius(self):
+        calls = []
+
+        def fun(x):
+            calls.append(x.copy())
+            return np.full(2, np.inf) if len(calls) == 2 else _rosenbrock(x)
+
+        res = least_squares(fun, [-1.2, 1.0], jac=_rosenbrock_jac, method="trf")
+        np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-8)
+        assert np.linalg.norm(calls[2] - calls[0]) < np.linalg.norm(calls[1] - calls[0])
