@@ -12,7 +12,8 @@ these fits load no scipy.optimize), gets Kaufman's Jacobian of the projected
 residuals (BIT 15, 49 (1975)) from the SVD that solves the linear part, and
 polishing stops once two starts reach the same cost. Time constants are
 bounded to 1e-9..1e3 times the fit window's span; one the data cannot
-identify runs to the ceiling and is flagged as sitting at the bound.
+identify runs to the ceiling and is flagged as sitting at the bound, and
+two that meet are flagged as coinciding.
 """
 
 from __future__ import annotations
@@ -41,8 +42,9 @@ TIME_CONSTANT_CEILING = 1e3
 # Polishing stops once a start's cost is this close (relative) to the best
 AGREE_RTOL = 1e-9
 
-# A fitted time constant within this relative distance of a bound is
-# reported as sitting at it: its value is then the bound, not a measurement
+# A fitted time constant within this relative distance of a bound, or of
+# the other time constant, is reported as sitting at it: its value is then
+# the bound, not a measurement, or the fit holds one exponential, not two
 BOUND_TOLERANCE = 1e-3
 
 # Default settled-window start: this many slow time constants after turn-on
@@ -180,38 +182,50 @@ def _select(series: FrequencySeries, t_start, t_end):
 
 
 def _projector(tau, f, w, kind, fix_f0=None, shift=None):
-    """step(log_T) -> (lin, resid, jac, B, dB) for the model of
-    _double_exp_fit at fixed time constants: the linear parameters (dfa,
-    then dfb unless shift is set, then f0 if free), the weighted residuals,
-    Kaufman's Jacobian of the residuals in log T, and the unweighted basis B
-    and its derivative dB in log T. One SVD of the weighted design matrix A
-    gives them all; singular values below eps*max(A.shape)*s0 are dropped,
-    as np.linalg.lstsq(rcond=None) does. The last step is cached, so the
-    Jacobian at the point just evaluated costs no second solve."""
+    """(core, resid, jac) for the model of _double_exp_fit at fixed time
+    constants log_T. core(log_T) -> (lin, resid, U, B, dB): the linear
+    parameters (dfa, then dfb unless shift is set, then f0 if free), the
+    weighted residuals, U of the SVD of the weighted design matrix A that
+    gives lin (singular values below eps*max(A.shape)*s0 dropped, as by
+    np.linalg.lstsq(rcond=None)), and the unweighted basis B and its
+    derivative dB in log T. core caches its last point; resid returns its
+    residuals, and jac builds Kaufman's Jacobian D - U(U^T D) only when asked."""
     level = 1.0 if kind == "charging" else 0.0
     signs = np.array([1.0, -1.0] if kind == "charging" else [1.0, 1.0])
+    tcol = tau[:, None]
     wcol = (np.ones_like(tau) if w is None else w)[:, None]
+    target = wcol[:, 0] * (f if fix_f0 is None else f - fix_f0)
+    A = np.empty((tau.size, (2 if shift is None else 1) + (fix_f0 is None)))
+    if fix_f0 is None:
+        A[:, -1] = wcol[:, 0]
+    cutoff = np.finfo(float).eps * max(A.shape)
 
     @functools.lru_cache(maxsize=1)
-    def step(log_T):
-        T = np.exp(log_T)
-        e = np.exp(-tau[:, None] / T)
-        B, dB = signs * (level - e), -signs * e * (tau[:, None] / T)
-        A, target = (B, f) if shift is None else (B[:, :1] - B[:, 1:], f + shift * B[:, 1])
-        if fix_f0 is None:
-            A = np.column_stack([A, np.ones_like(tau)])
+    def solve(log_T):
+        x = tcol / np.exp(log_T)
+        e = np.exp(-x)
+        B, dB = signs * (level - e), -signs * e * x
+        Bw = B * wcol
+        if shift is None:
+            A[:, :2], y = Bw, target
         else:
-            target = target - fix_f0
-        A, target = A * wcol, target * wcol[:, 0]
+            A[:, 0], y = Bw[:, 0] - Bw[:, 1], target + shift * Bw[:, 1]
         U, sv, Vt = np.linalg.svd(A, full_matrices=False)
-        keep = sv > np.finfo(float).eps * max(A.shape) * sv[0]
-        U = U[:, keep]
-        lin = Vt[keep].T @ ((U.T @ target) / sv[keep])
+        k = np.count_nonzero(sv > cutoff * sv[0])  # sv is sorted: keep a prefix
+        U = U[:, :k]
+        lin = Vt[:k].T @ ((U.T @ y) / sv[:k])
+        return lin, A @ lin - y, U, B, dB
+
+    def core(log_T):
+        return solve(tuple(log_T))
+
+    def jac(log_T):
+        lin, _, U, _, dB = core(log_T)
         # with the shift, dfb = -shift - dfa: one rule for both models and every f0 mode
         D = dB * wcol * [lin[0], lin[1] if shift is None else -shift - lin[0]]
-        return lin, A @ lin - target, D - U @ (U.T @ D), B, dB
+        return D - U @ (U.T @ D)
 
-    return lambda log_T: step(tuple(log_T))
+    return core, lambda log_T: core(log_T)[1], jac
 
 
 def _double_exp_fit(tau, f, w, kind, fix_f0, names, shift=None):
@@ -228,18 +242,16 @@ def _double_exp_fit(tau, f, w, kind, fix_f0, names, shift=None):
         raise ValueError("need at least 8 points for a double-exponential fit")
     span = max(float(tau[-1]), 1.0)
     bounds = (math.log(TIME_CONSTANT_FLOOR * span), math.log(TIME_CONSTANT_CEILING * span))
-    step = _projector(tau, f, w, kind, fix_f0, shift)
+    core, resid_fn, jac = _projector(tau, f, w, kind, fix_f0, shift)
 
     seeds = [
         np.clip([math.log(Ta), math.log(Tb)], *bounds)
         for i, Ta in enumerate(TIME_CONSTANT_SEED_GRID)
         for Tb in TIME_CONSTANT_SEED_GRID[i + 1 :]
     ]
-    res = multistart_least_squares(
-        lambda x: step(x)[1], seeds, bounds=bounds, jac=lambda x: step(x)[2], agree_rtol=AGREE_RTOL
-    )
+    res = multistart_least_squares(resid_fn, seeds, bounds=bounds, jac=jac, agree_rtol=AGREE_RTOL)
     log_T = np.sort(res.x)
-    lin, resid, _, B, dB = step(log_T)
+    lin, resid, _, B, dB = core(log_T)
     Ta, Tb = np.exp(log_T)
 
     # map the free parameters onto (dfa, dfb, log Ta, log Tb[, f0])
@@ -272,6 +284,10 @@ def _double_exp_fit(tau, f, w, kind, fix_f0, names, shift=None):
     for name, x in ((name_Ta, log_T[0]), (name_Tb, log_T[1])):
         if min(x - bounds[0], bounds[1] - x) <= BOUND_TOLERANCE:
             flags.append(f"time-constant-at-bound:{name}")
+    # Ta = Tb is stationary (swapping them leaves the cost unchanged), so
+    # starts can stop and agree there
+    if log_T[1] - log_T[0] <= BOUND_TOLERANCE:
+        flags.append("time-constants-coincide")
     if res.status == 0:
         flags.append("max-nfev-reached")
     return values, errs, cov, resid, flags

@@ -192,8 +192,9 @@ def _levenberg_marquardt(fun, jac, x0, bounds, tol, max_nfev):
     x_scale="jac", sent criterion 7 seed 50's first discharge start into
     the swapped (Tb, Ta) basin. Steps are clipped to the box, and a
     parameter on a bound whose gradient points out of the box is held for
-    that step. The ftol and xtol tests and the status codes follow scipy's;
-    gtol bounds the scaled gradient of the free parameters."""
+    that step. One SVD per iteration serves every trial step, and jac is
+    called only at accepted points. The ftol and xtol tests and the status
+    codes follow scipy's; gtol bounds the free parameters' scaled gradient."""
     lb, ub = (np.broadcast_to(np.asarray(b, dtype=float), np.shape(x0)) for b in bounds)
     x = np.clip(np.asarray(x0, dtype=float), lb, ub)
     r = np.asarray(fun(x), dtype=float)
@@ -204,30 +205,30 @@ def _levenberg_marquardt(fun, jac, x0, bounds, tol, max_nfev):
     status = None
     while status is None:
         g = J.T @ r
-        norms = np.linalg.norm(J, axis=0)
+        norms = np.sqrt(np.einsum("ij,ij->j", J, J))
         norms[norms == 0] = 1.0
         free = ~(((x <= lb) & (g > 0)) | ((x >= ub) & (g < 0)))
-        if np.max(np.abs(g[free] / norms[free]), initial=0.0) < tol:
+        scale = free / norms  # 0 holds a parameter: its column and its step vanish
+        if np.max(np.abs(g * scale)) < tol:
             status = 1
             break
-        U, s, Vt = np.linalg.svd(J[:, free] / norms[free], full_matrices=False)
-        ur = U.T @ r
+        U, s, Vt = np.linalg.svd(J * scale, full_matrices=False)
+        su = s * (U.T @ r)
         while status is None:
             if nfev == max_nfev:
                 status = 0
                 break
-            h = np.zeros_like(x)
-            h[free] = -(Vt.T @ (s * ur / (s * s + mu))) / norms[free]
-            x_new = np.clip(x + h, lb, ub)
+            h = -(Vt.T @ (su / (s * s + mu))) * scale
+            x_new = np.minimum(np.maximum(x + h, lb), ub)
             step = x_new - x
             r_new = np.asarray(fun(x_new), dtype=float)
             nfev += 1
-            cost_new = 0.5 * float(r_new @ r_new) if np.all(np.isfinite(r_new)) else np.inf
+            cost_new = 0.5 * float(r_new @ r_new)  # a non-finite cost fails every test below
             actual = cost - cost_new
-            predicted = cost - 0.5 * float(np.sum((r + J @ step) ** 2))
+            predicted = _predicted_reduction(J, g, step)
             ratio = actual / predicted if predicted > 0 else 0.0
             ftol_met = actual < tol * cost and ratio > 0.25
-            xtol_met = np.linalg.norm(step) < tol * (tol + np.linalg.norm(x))
+            xtol_met = math.sqrt(step @ step) < tol * (tol + math.sqrt(x @ x))
             if ftol_met or xtol_met:
                 status = 4 if ftol_met and xtol_met else 2 if ftol_met else 3
             if actual > 0:
@@ -238,6 +239,14 @@ def _levenberg_marquardt(fun, jac, x0, bounds, tol, max_nfev):
             mu *= nu
             nu *= 2.0
     return SimpleNamespace(x=x, fun=r, jac=J, cost=cost, nfev=nfev, status=status)
+
+
+def _predicted_reduction(J, g, h):
+    """cost - 0.5*|r + J h|^2, the reduction the linear model predicts for
+    the step h, as -h.g - 0.5*|J h|^2 with g = J^T r: near a minimum with a
+    large residual, the difference of the two costs keeps no digits."""
+    Jh = J @ h
+    return -float(h @ g) - 0.5 * float(Jh @ Jh)
 
 
 def _trust_region(fun, jac, x0, tol, max_nfev):
@@ -271,8 +280,7 @@ def _trust_region(fun, jac, x0, tol, max_nfev):
         actual = -1.0
         while actual <= 0 and nfev < max_nfev:
             h, alpha = _more_step(ur, s, Vt, r.size, radius, alpha)
-            Jh_h = Jh @ h
-            predicted = -(0.5 * float(Jh_h @ Jh_h) + float(h @ (d * g)))
+            predicted = _predicted_reduction(Jh, d * g, h)
             step = d * h
             x_new = x + step
             r_new = np.asarray(fun(x_new), dtype=float)

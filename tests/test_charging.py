@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from trapkit import charging
+from trapkit import charging, fitting
 from trapkit.charging import (
     ChargingModelParams,
     DischargeModelParams,
@@ -257,7 +257,8 @@ class TestDischargeFit:
 
 
 class TestProjection:
-    """charging._projector's Jacobian and the multistart stop rule."""
+    """charging._projector's linear solve, its Jacobian and cache, and the
+    multistart stop rule."""
 
     # (kind, truth as (dfa, dfb, Ta, Tb, f0), fix_f0, shift); noiseless
     # data at the true time constants, where Kaufman's Jacobian is exact
@@ -276,17 +277,74 @@ class TestProjection:
             f = f0 + dfa * (1 - np.exp(-tau / Ta)) - dfb * (1 - np.exp(-tau / Tb))
         else:
             f = f0 - dfa * np.exp(-tau / Ta) - dfb * np.exp(-tau / Tb)
-        step = charging._projector(tau, f, np.full(tau.size, 1e-3), kind, fix_f0, shift)
+        core, resid_fn, jac = charging._projector(tau, f, np.full(tau.size, 1e-3), kind, fix_f0, shift)
         log_T = np.log([Ta, Tb])
-        lin, resid, jac, _, _ = step(log_T)
+        lin, resid = core(log_T)[:2]
         assert lin[0] == pytest.approx(dfa, rel=1e-9)
         assert np.max(np.abs(resid)) < 1e-6
         h = 1e-5
         fd = np.column_stack([
-            (step(log_T + h * np.eye(2)[k])[1] - step(log_T - h * np.eye(2)[k])[1]) / (2 * h)
+            (resid_fn(log_T + h * np.eye(2)[k]) - resid_fn(log_T - h * np.eye(2)[k])) / (2 * h)
             for k in range(2)
         ])
-        assert np.linalg.norm(jac - fd) <= 1e-5 * np.linalg.norm(fd)
+        assert np.linalg.norm(jac(log_T) - fd) <= 1e-5 * np.linalg.norm(fd)
+
+    @pytest.mark.parametrize("kind", ["charging", "discharge"])
+    @pytest.mark.parametrize("Tb, rank", [(900.0, 3), (21.0, 2)])
+    def test_linear_solve_matches_lstsq(self, kind, Tb, rank):
+        # with Ta == Tb the two basis columns coincide and one singular value
+        # is dropped; both paths give np.linalg.lstsq's minimum-norm solution
+        tau = np.arange(0.0, 4500.0, 15.0)
+        f = 5.329e6 + 1e5 * (1 - np.exp(-tau / 300.0)) + np.random.default_rng(5).normal(0, 1e3, tau.size)
+        w = np.full(tau.size, 1e-3)
+        core, resid_fn, _ = charging._projector(tau, f, w, kind)
+        log_T = np.log([21.0, Tb])
+        lin, resid, U, _, _ = core(log_T)
+        e = np.exp(-tau[:, None] / np.array([21.0, Tb]))
+        basis = [1 - e[:, 0], e[:, 1] - 1] if kind == "charging" else [-e[:, 0], -e[:, 1]]
+        A = w[:, None] * np.column_stack(basis + [np.ones_like(tau)])
+        want = np.linalg.lstsq(A, w * f, rcond=None)[0]
+        assert U.shape[1] == np.linalg.matrix_rank(A) == rank
+        np.testing.assert_allclose(lin, want, rtol=1e-9)
+        np.testing.assert_allclose(resid_fn(log_T), A @ want - w * f, rtol=0, atol=1e-6)
+
+    def test_one_solve_per_point(self, monkeypatch):
+        # the residual at a new point costs one SVD; the Jacobian there, none
+        svd, calls = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a) or svd(*a, **k))
+        tau = np.arange(0.0, 4500.0, 15.0)
+        f = 5.329e6 + 151e3 * (1 - np.exp(-tau / 21.0)) - 50e3 * (1 - np.exp(-tau / 900.0))
+        _, resid_fn, jac = charging._projector(tau, f, None, "charging")
+        for k, log_T in enumerate((np.log([21.0, 900.0]), np.log([30.0, 800.0])), start=1):
+            resid_fn(log_T)
+            assert len(calls) == k
+            jac(log_T)
+            assert len(calls) == k
+
+    def test_starts_agreeing_at_coinciding_time_constants_are_flagged(self, monkeypatch):
+        # every start polished along the ridge Ta = Tb, where the cost is
+        # stationary, and stopped a hair off it as the real starts stop: two
+        # starts reach the same cost and stop polishing, and the fit that
+        # holds one exponential says so
+        lm, starts = fitting.least_squares, []
+
+        def on_ridge(fun, x0, jac, bounds, method):
+            starts.append(x0)
+            res = lm(
+                lambda z: fun(np.repeat(z, 2)),
+                [np.mean(x0)],
+                jac=lambda z: jac(np.repeat(z, 2)).sum(axis=1, keepdims=True),
+                bounds=bounds,
+                method=method,
+            )
+            res.x = res.x + [-1e-7, 1e-7]
+            return res
+
+        monkeypatch.setattr(fitting, "least_squares", on_ridge)
+        _, report = fit_discharge(criterion7_series(2)[1], 2400.0)
+        assert len(starts) == 2
+        assert report.params["T3"] == pytest.approx(report.params["T4"], rel=1e-6)
+        assert "time-constants-coincide" in report.flags
 
     def test_stop_rule_keeps_the_best_cost(self, monkeypatch):
         # criterion 7's seeds 0-19: the fits that stop once two starts agree

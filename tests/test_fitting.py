@@ -3,6 +3,7 @@ the numpy Levenberg-Marquardt and trust region behind fitting.least_squares,
 and the multistart's stop rule and diagnostics."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -175,6 +176,21 @@ class TestLevenbergMarquardt:
 
         monkeypatch.setattr(trapkit.fitting, "least_squares", scipy_trf)
         np.testing.assert_allclose(numpy_lm, costs(), rtol=1e-9, atol=0)
+
+
+def test_predicted_reduction_beside_a_large_irreducible_residual():
+    # two residuals the step moves and 100 at 1e6 that no parameter reaches:
+    # the cost is 5e13, the reduction 2.82e-4, below the cost's last digit
+    J = np.zeros((102, 2))
+    J[0, 0], J[1, 1] = 1.0, 2.0
+    r = np.full(102, 1e6)
+    r[:2] = [3e-2, -1e-2]
+    h = np.array([-1e-2, 2e-3])
+    r_new = [Fraction(v) + Fraction(a) * Fraction(h[0]) + Fraction(b) * Fraction(h[1]) for v, (a, b) in zip(r, J)]
+    exact = float((sum(Fraction(v) ** 2 for v in r) - sum(v**2 for v in r_new)) / 2)
+    assert trapkit.fitting._predicted_reduction(J, J.T @ r, h) == pytest.approx(exact, rel=1e-12)
+    difference_of_costs = 0.5 * float(r @ r) - 0.5 * float(np.sum((r + J @ h) ** 2))
+    assert abs(difference_of_costs - exact) > 0.1 * exact
 
 
 class TestTrustRegion:
