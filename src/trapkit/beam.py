@@ -13,14 +13,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fitting import (
-    FitReport,
-    check_series,
-    covariance_from_jacobian,
-    multistart_least_squares,
-)
-
-BEAM_MODES = ("single-gaussian", "two-beamlet")
+from .fitting import check_series, covariance_from_jacobian, multistart_least_squares
+from .reports import FitReport
+from .units import BEAM_MODES
 
 DEFAULT_BEAMLET_WAIST = 0.9e-6  # m, sub-micron beamlets
 

@@ -24,13 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fitting import (
-    FitReport,
-    check_series,
-    covariance_from_jacobian,
-    multistart_least_squares,
-    weak_parameter_flags,
-)
+from .fitting import check_series, covariance_from_jacobian, multistart_least_squares, weak_parameter_flags
+from .reports import FitReport
 
 # Decade grid for time-constant seeding, seconds
 TIME_CONSTANT_SEED_GRID = (1.0, 10.0, 100.0, 1e3, 1e4)
@@ -66,8 +61,9 @@ class ChargingModelParams:
     def __post_init__(self):
         if self.T1 <= 0 or self.T2 <= 0:
             raise ValueError("time constants must be positive")
-        if self.T1 >= self.T2:
-            raise ValueError("expected T1 < T2 (fast metal effect, slow dielectric)")
+        # equal is allowed: a fit whose time constants coincide is flagged
+        if self.T1 > self.T2:
+            raise ValueError("expected T1 <= T2 (fast metal effect, slow dielectric)")
         if self.f0 <= 0:
             raise ValueError("f0 must be positive")
 
@@ -84,8 +80,8 @@ class DischargeModelParams:
     def __post_init__(self):
         if self.T3 <= 0 or self.T4 <= 0:
             raise ValueError("time constants must be positive")
-        if self.T3 >= self.T4:
-            raise ValueError("expected T3 < T4")
+        if self.T3 > self.T4:
+            raise ValueError("expected T3 <= T4")
         if self.f0 <= 0:
             raise ValueError("f0 must be positive")
 

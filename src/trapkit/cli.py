@@ -3,6 +3,11 @@ plot-ready tables plus structured fit reports.
 
 Exit codes: 0 success, 2 validation error, 3 fit non-convergence, 4 I/O
 error. All outputs are deterministic for fixed inputs, flags, and seed.
+
+Each subcommand imports the domain module it computes with, and a command
+that reads a dataset does so only after the loader has accepted the file:
+`report`, `thermometry`, `--help` and every rejected input run without
+numpy.
 """
 
 from __future__ import annotations
@@ -14,12 +19,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, beam, charging, datasets, heating, simulate, thermometry
+from . import __version__, datasets
 from .datasets import DatasetError, _atomic_write, file_digest
-from .fitting import FitConvergenceError, FitReport
-from .units import TWO_PI, SPECIES_TABLE, ATOMIC_MASS_KG, ELEMENTARY_CHARGE, IonSpecies, get_species, make_trap_context
+from .reports import FitConvergenceError, FitReport
+from .units import ATOMIC_MASS_KG, BEAM_MODES, ELEMENTARY_CHARGE, SPECIES_TABLE, TWO_PI, IonSpecies, get_species, make_trap_context
 
 
 def _load_config(path):
@@ -73,7 +76,8 @@ def _emit(args, report: FitReport, table_rows, table_header, stem: str):
 # simulate
 
 
-def _sim_config(args) -> simulate.SimConfig:
+def _sim_kwargs(args) -> dict:
+    """simulate.SimConfig's arguments from the command line."""
     shots = None if args.shots == 0 else args.shots
     kwargs = {"seed": args.seed, "shots_per_point": shots}
     if getattr(args, "rate", None) is not None:
@@ -82,7 +86,7 @@ def _sim_config(args) -> simulate.SimConfig:
         kwargs["initial_nbar"] = args.initial_nbar
     if getattr(args, "noise", None) is not None:
         kwargs["noise_floor"] = args.noise
-    return simulate.SimConfig(**kwargs)
+    return kwargs
 
 
 def cmd_simulate(args):
@@ -90,7 +94,11 @@ def cmd_simulate(args):
         raise ValueError(f"--points must be at least 2, got {args.points}")
     if args.kind == "heating" and not args.span > 0:
         raise ValueError(f"--span must be positive for heating, got {args.span}")
-    cfg = _sim_config(args)
+    import numpy as np
+
+    from . import beam, simulate
+
+    cfg = simulate.SimConfig(**_sim_kwargs(args))
     if args.kind == "heating":
         waits = np.linspace(0.0, args.span, args.points)
         series = simulate.simulate_heating_series(cfg, waits.tolist())
@@ -133,6 +141,8 @@ def cmd_simulate(args):
 
 def cmd_fit_heating(args):
     ds = datasets.load_dataset(args.input, "heating")
+    from . import heating
+
     series = datasets.to_heating_series(ds)
     result = heating.fit_heating_rate(series)
     report = heating.heating_report(series, result)
@@ -155,6 +165,8 @@ def _light_edge(series, given, edge):
 
 def cmd_fit_charging(args):
     ds = datasets.load_dataset(args.input, "charging")
+    from . import charging
+
     series = datasets.to_frequency_series(ds)
     t_on = _light_edge(series, args.t_on, 0)
     # the window ends with the first light_on interval that ends after t_on
@@ -169,6 +181,8 @@ def cmd_fit_charging(args):
 
 def cmd_fit_discharge(args):
     ds = datasets.load_dataset(args.input, "charging")
+    from . import charging
+
     series = datasets.to_frequency_series(ds)
     t_off = _light_edge(series, args.t_off, 1)
     # the discharge ends where the light next comes on
@@ -182,6 +196,8 @@ def cmd_fit_discharge(args):
 
 
 def cmd_thermometry(args):
+    from . import thermometry
+
     obs = thermometry.SidebandObservation(
         probe_time=0.0,
         p_red=args.p_red,
@@ -204,6 +220,8 @@ def cmd_thermometry(args):
 
 def cmd_beam_profile(args):
     ds = datasets.load_dataset(args.input, "position-scan")
+    from . import beam
+
     scan = datasets.to_position_scan(ds)
     model, report = beam.fit_profile(scan, mode=args.mode)
     report.provenance = _provenance(args, args.input)
@@ -213,6 +231,8 @@ def cmd_beam_profile(args):
 
 
 def cmd_normalize(args):
+    from . import heating
+
     table = _load_config(args.config)
     ctx = make_trap_context(
         args.species,
@@ -312,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("beam-profile", parents=[common], help="fit a Rabi position scan")
     p.add_argument("--input", required=True)
-    p.add_argument("--mode", choices=beam.BEAM_MODES, default="two-beamlet")
+    p.add_argument("--mode", choices=BEAM_MODES, default="two-beamlet")
     p.set_defaults(func=cmd_beam_profile)
 
     p = sub.add_parser("normalize", parents=[common], help="rescale a heating rate to a reference")

@@ -3,24 +3,22 @@
 Files are plain comma-separated text. Metadata lines start with '#'
 (`# key: value`), followed by a mandatory header row whose column names
 carry unit declarations (`time:s,freq:Hz,err:Hz`). Values are normalized
-to SI on load. Writes are atomic (temp file + rename) and floats are
-serialized with repr so a write/read round trip is lossless.
+to SI on load, and a value that is not finite, a shots count that is
+neither whole nor inf, or a time or position axis that is not strictly
+increasing is rejected there, before any domain module or numpy loads.
+Writes are atomic (temp file + rename) and floats are serialized with repr
+so a write/read round trip is lossless.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
-from .beam import RabiPositionScan
-from .charging import FrequencySeries
-from .heating import HeatingSeries
-from .thermometry import SidebandObservation
 from .units import TWO_PI
 
 DATASET_KINDS = ("heating", "charging", "sideband-scan", "position-scan")
@@ -56,7 +54,7 @@ _SCHEMAS = {
 @dataclass
 class Dataset:
     kind: str
-    columns: dict[str, np.ndarray]
+    columns: dict[str, tuple[float, ...]]  # SI values, one per row
     metadata: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -105,7 +103,7 @@ def load_dataset(path, kind: str) -> Dataset:
     path = Path(path)
     metadata: dict[str, str] = {}
     header = None
-    rows: list[list[float]] = []
+    rows: list[tuple[float, ...]] = []
     try:
         with path.open("r", encoding="utf-8") as fh:
             lines = list(fh)
@@ -128,25 +126,25 @@ def load_dataset(path, kind: str) -> Dataset:
                 f"line {lineno}: expected {len(header)} fields, got {len(parts)}"
             )
         try:
-            rows.append([float(p) for p in parts])
+            row = tuple(float(p) * scale for p, (_, scale) in zip(parts, header))
         except ValueError as exc:
             raise DatasetError(f"line {lineno}: {exc}") from None
+        for (name, _), v in zip(header, row):
+            # shots may be inf, which means analytic
+            if not ((v.is_integer() or v == math.inf) if name == "shots" else math.isfinite(v)):
+                want = "a whole number or inf" if name == "shots" else "finite"
+                raise DatasetError(f"line {lineno}: column {name!r} must be {want}, got {v!r}")
+        rows.append(row)
     if header is None:
         raise DatasetError(f"{path}: no header row found")
     if not rows:
         raise DatasetError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=float)
-    columns = {
-        name: data[:, i] * scale for i, (name, scale) in enumerate(header)
-    }
+    columns = {name: col for (name, _), col in zip(header, zip(*rows))}
     axis = _TIME_LIKE.get(kind)
-    if axis is not None and axis in columns:
-        diffs = np.diff(columns[axis])
-        bad = np.nonzero(~(diffs > 0))[0]  # a NaN fails this test too
-        if bad.size:
-            raise DatasetError(
-                f"column {axis!r} not strictly increasing at data row {int(bad[0]) + 2}"
-            )
+    values = columns.get(axis, ())
+    bad = next((i for i in range(1, len(values)) if not values[i] > values[i - 1]), None)
+    if bad is not None:
+        raise DatasetError(f"column {axis!r} not strictly increasing at data row {bad + 1}")
     return Dataset(kind=kind, columns=columns, metadata=metadata)
 
 
@@ -169,15 +167,14 @@ def write_dataset(path, dataset: Dataset) -> None:
     roles = {name: role for name, role, _ in _SCHEMAS[dataset.kind]}
     si_unit = {"time": "s", "freq": "Hz", "pos": "m", "rabi": "rad/s", "plain": ""}
     lines = [f"# kind: {dataset.kind}"]
-    for key in sorted(dataset.metadata):
+    for key in sorted(dataset.metadata.keys() - {"kind"}):  # a loaded file's own kind line
         lines.append(f"# {key}: {dataset.metadata[key]}")
     header = []
     for name in names:
         unit = si_unit[roles[name]]
         header.append(f"{name}:{unit}" if unit else name)
     lines.append(",".join(header))
-    cols = [np.asarray(dataset.columns[name], dtype=float) for name in names]
-    for row in zip(*cols):
+    for row in zip(*(dataset.columns[name] for name in names)):
         lines.append(",".join(repr(float(v)) for v in row))
     _atomic_write(Path(path), "\n".join(lines) + "\n")
 
@@ -187,27 +184,22 @@ def file_digest(path) -> str:
 
 
 # ---------------------------------------------------------------------------
-# dataset <-> domain object adapters
+# dataset <-> domain object adapters; each imports its domain module when
+# called, so that loading a dataset loads neither numpy nor a fitter
 
 
-def to_heating_series(ds: Dataset) -> HeatingSeries:
+def to_heating_series(ds: Dataset):
+    from .heating import HeatingSeries
+
     if ds.kind != "heating":
         raise DatasetError(f"expected heating dataset, got {ds.kind!r}")
-    err = ds.columns.get("nbar_err")
-    return HeatingSeries(
-        wait_times=tuple(ds.columns["time"].tolist()),
-        nbar=tuple(ds.columns["nbar"].tolist()),
-        nbar_err=tuple(err.tolist()) if err is not None else None,
-    )
+    return HeatingSeries(ds.columns["time"], ds.columns["nbar"], ds.columns.get("nbar_err"))
 
 
-def from_heating_series(series: HeatingSeries, metadata=None) -> Dataset:
-    cols = {
-        "time": np.asarray(series.wait_times),
-        "nbar": np.asarray(series.nbar),
-    }
+def from_heating_series(series, metadata=None) -> Dataset:
+    cols = {"time": tuple(series.wait_times), "nbar": tuple(series.nbar)}
     if series.nbar_err is not None:
-        cols["nbar_err"] = np.asarray(series.nbar_err)
+        cols["nbar_err"] = tuple(series.nbar_err)
     return Dataset("heating", cols, dict(metadata or {}))
 
 
@@ -225,25 +217,21 @@ def _parse_intervals(text: str):
     return tuple(intervals)
 
 
-def to_frequency_series(ds: Dataset) -> FrequencySeries:
+def to_frequency_series(ds: Dataset):
+    from .charging import FrequencySeries
+
     if ds.kind != "charging":
         raise DatasetError(f"expected charging dataset, got {ds.kind!r}")
-    err = ds.columns.get("err")
     intervals = ()
     if "light_on" in ds.metadata:
         intervals = _parse_intervals(ds.metadata["light_on"])
-    return FrequencySeries(
-        times=tuple(ds.columns["time"].tolist()),
-        freqs=tuple(ds.columns["freq"].tolist()),
-        freq_errs=tuple(err.tolist()) if err is not None else None,
-        light_on_intervals=intervals,
-    )
+    return FrequencySeries(ds.columns["time"], ds.columns["freq"], ds.columns.get("err"), intervals)
 
 
-def from_frequency_series(series: FrequencySeries, metadata=None) -> Dataset:
-    cols = {"time": np.asarray(series.times), "freq": np.asarray(series.freqs)}
+def from_frequency_series(series, metadata=None) -> Dataset:
+    cols = {"time": tuple(series.times), "freq": tuple(series.freqs)}
     if series.freq_errs is not None:
-        cols["err"] = np.asarray(series.freq_errs)
+        cols["err"] = tuple(series.freq_errs)
     meta = dict(metadata or {})
     if series.light_on_intervals:
         meta["light_on"] = ";".join(
@@ -252,7 +240,9 @@ def from_frequency_series(series: FrequencySeries, metadata=None) -> Dataset:
     return Dataset("charging", cols, meta)
 
 
-def to_position_scan(ds: Dataset) -> RabiPositionScan:
+def to_position_scan(ds: Dataset):
+    from .beam import RabiPositionScan
+
     if ds.kind != "position-scan":
         raise DatasetError(f"expected position-scan dataset, got {ds.kind!r}")
     if "origin" not in ds.metadata:
@@ -261,20 +251,15 @@ def to_position_scan(ds: Dataset) -> RabiPositionScan:
         )
     if ds.metadata["origin"] not in ("loading_hole", "grating"):
         raise DatasetError(f"unknown origin {ds.metadata['origin']!r}")
-    err = ds.columns.get("err")
-    return RabiPositionScan(
-        positions=tuple(ds.columns["pos"].tolist()),
-        rabi=tuple(ds.columns["rabi"].tolist()),
-        rabi_err=tuple(err.tolist()) if err is not None else None,
-    )
+    return RabiPositionScan(ds.columns["pos"], ds.columns["rabi"], ds.columns.get("err"))
 
 
-def from_position_scan(scan: RabiPositionScan, origin: str, metadata=None) -> Dataset:
+def from_position_scan(scan, origin: str, metadata=None) -> Dataset:
     if origin not in ("loading_hole", "grating"):
         raise DatasetError(f"origin must be 'loading_hole' or 'grating', got {origin!r}")
-    cols = {"pos": np.asarray(scan.positions), "rabi": np.asarray(scan.rabi)}
+    cols = {"pos": tuple(scan.positions), "rabi": tuple(scan.rabi)}
     if scan.rabi_err is not None:
-        cols["err"] = np.asarray(scan.rabi_err)
+        cols["err"] = tuple(scan.rabi_err)
     meta = dict(metadata or {})
     meta["origin"] = origin
     return Dataset("position-scan", cols, meta)
@@ -283,34 +268,23 @@ def from_position_scan(scan: RabiPositionScan, origin: str, metadata=None) -> Da
 def from_sideband_observations(observations) -> Dataset:
     observations = list(observations)
     cols = {
-        "wait": np.asarray([o[0] for o in observations]),
-        "p_red": np.asarray([o[1].p_red for o in observations]),
-        "p_blue": np.asarray([o[1].p_blue for o in observations]),
-        "shots": np.asarray(
-            [float(o[1].shots) if o[1].shots is not None else np.inf for o in observations]
-        ),
+        "wait": tuple(o[0] for o in observations),
+        "p_red": tuple(o[1].p_red for o in observations),
+        "p_blue": tuple(o[1].p_blue for o in observations),
+        "shots": tuple(math.inf if o[1].shots is None else float(o[1].shots) for o in observations),
     }
     return Dataset("sideband-scan", cols, {})
 
 
 def to_sideband_observations(ds: Dataset):
+    """(wait, SidebandObservation) per row; a shots value of inf, or no
+    shots column, means analytic."""
+    from .thermometry import SidebandObservation
+
     if ds.kind != "sideband-scan":
         raise DatasetError(f"expected sideband-scan dataset, got {ds.kind!r}")
-    out = []
-    shots = ds.columns.get("shots")
-    for i in range(ds.n_rows):
-        s = None
-        if shots is not None and np.isfinite(shots[i]):
-            s = int(shots[i])
-        out.append(
-            (
-                float(ds.columns["wait"][i]),
-                SidebandObservation(
-                    probe_time=0.0,
-                    p_red=float(ds.columns["p_red"][i]),
-                    p_blue=float(ds.columns["p_blue"][i]),
-                    shots=s,
-                ),
-            )
-        )
-    return out
+    shots = ds.columns.get("shots", (math.inf,) * ds.n_rows)
+    return [
+        (wait, SidebandObservation(0.0, p_red, p_blue, None if s == math.inf else int(s)))
+        for wait, p_red, p_blue, s in zip(ds.columns["wait"], ds.columns["p_red"], ds.columns["p_blue"], shots)
+    ]

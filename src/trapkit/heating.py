@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fitting import FitReport, check_series, weighted_linear_fit
+from .fitting import check_series, weighted_linear_fit
+from .reports import FitReport
 from .units import HBAR, IonSpecies, TrapContext
 
 

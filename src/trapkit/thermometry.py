@@ -3,14 +3,14 @@
 The mean occupation of a thermal state is read off the ratio of red to blue
 sideband excitation, r = nbar/(nbar+1), which is independent of probe time
 and Rabi frequency. Everything here is a pure function over immutable inputs.
+numpy is imported inside the functions that use it, so that the observation
+type and the asymmetry estimate load in plain Python.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 FOCK_TAIL = 1e-12
 
@@ -83,6 +83,8 @@ def fock_probability(state: ThermalMotionalState, n: int) -> float:
 
 
 def _fock_probabilities(nbar: float, nmax: int) -> np.ndarray:
+    import numpy as np
+
     n = np.arange(nmax + 1)
     if nbar == 0:
         p = np.zeros(nmax + 1)
@@ -106,11 +108,14 @@ def sideband_rabi_frequency(params: RabiParams, n: int, order: int) -> float:
     if order == -1 and n == 0:
         raise ValueError("red sideband undefined for n = 0")
     n_low = n if order == +1 else n - 1
-    return float(_sideband_rabi_low(params, np.asarray([n_low]))[0])
+    return float(_sideband_rabi_low(params, [n_low])[0])
 
 
-def _sideband_rabi_low(params: RabiParams, n_low: np.ndarray) -> np.ndarray:
+def _sideband_rabi_low(params: RabiParams, n_low) -> np.ndarray:
     """Rabi frequency for the n_low <-> n_low+1 sideband, vectorized."""
+    import numpy as np
+
+    n_low = np.asarray(n_low)
     eta = params.lamb_dicke
     if params.matrix_element_model == "first-order-LD":
         return params.base_rabi * eta * np.sqrt(n_low + 1.0)
@@ -142,6 +147,8 @@ def sideband_excitation(
         raise ValueError("probe_time must be >= 0")
     if order not in (+1, -1):
         raise ValueError("order must be +1 (blue) or -1 (red)")
+    import numpy as np
+
     nmax = fock_cutoff(state.nbar)
     if order == +1:
         n_low = np.arange(0, nmax + 1)

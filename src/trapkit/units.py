@@ -1,4 +1,5 @@
-"""Physical constants, ion species, and the shared trap context.
+"""Physical constants, ion species, the shared trap context, and the names
+of the output-beam models.
 
 All frequencies are stored as angular frequencies (rad/s) internally; the
 CLI layer converts from Hz on the way in. Masses are exact isotope masses
@@ -16,6 +17,10 @@ ELEMENTARY_CHARGE = 1.602176634e-19
 HBAR = 1.054571817e-34
 
 TWO_PI = 2.0 * math.pi
+
+# Output-beam models of trapkit.beam; named here so that the CLI can offer
+# them without importing numpy
+BEAM_MODES = ("single-gaussian", "two-beamlet")
 
 
 class UnknownSpeciesError(ValueError):

@@ -94,6 +94,10 @@ class TestModelCurves:
             ChargingModelParams(1e3, 1e3, 900.0, 21.0, 0.0, 5.329e6)
         with pytest.raises(ValueError):
             DischargeModelParams(1e3, 1e3, 18000.0, 360.0, 0.0, 5.329e6)
+        # equal time constants are a fit that holds one exponential, flagged
+        # by the fitter, not an invalid model
+        assert ChargingModelParams(1e3, 1e3, 900.0, 900.0, 0.0, 5.329e6).T1 == 900.0
+        assert DischargeModelParams(1e3, 1e3, 360.0, 360.0, 0.0, 5.329e6).T3 == 360.0
 
 
 class TestSettledQuantities:
@@ -321,11 +325,11 @@ class TestProjection:
             jac(log_T)
             assert len(calls) == k
 
-    def test_starts_agreeing_at_coinciding_time_constants_are_flagged(self, monkeypatch):
-        # every start polished along the ridge Ta = Tb, where the cost is
-        # stationary, and stopped a hair off it as the real starts stop: two
-        # starts reach the same cost and stop polishing, and the fit that
-        # holds one exponential says so
+    @staticmethod
+    def polish_on_ridge(monkeypatch, offset):
+        """Polish every start along the ridge Ta = Tb, where the cost is
+        stationary, and end it offset (in log T) either side of the ridge.
+        Returns the list the starts' seeds are appended to."""
         lm, starts = fitting.least_squares, []
 
         def on_ridge(fun, x0, jac, bounds, method):
@@ -337,14 +341,30 @@ class TestProjection:
                 bounds=bounds,
                 method=method,
             )
-            res.x = res.x + [-1e-7, 1e-7]
+            res.x = res.x + [-offset, offset]
             return res
 
         monkeypatch.setattr(fitting, "least_squares", on_ridge)
+        return starts
+
+    def test_starts_agreeing_at_coinciding_time_constants_are_flagged(self, monkeypatch):
+        # starts stopped a hair off the ridge, as the real starts stop: two
+        # starts reach the same cost and stop polishing, and the fit that
+        # holds one exponential says so
+        starts = self.polish_on_ridge(monkeypatch, 1e-7)
         _, report = fit_discharge(criterion7_series(2)[1], 2400.0)
         assert len(starts) == 2
         assert report.params["T3"] == pytest.approx(report.params["T4"], rel=1e-6)
         assert "time-constants-coincide" in report.flags
+
+    def test_time_constants_exactly_equal_give_a_flagged_report(self, monkeypatch):
+        # a fit that ends exactly on the ridge returns its report, flagged,
+        # rather than failing the model's T3 <= T4 check
+        self.polish_on_ridge(monkeypatch, 0.0)
+        params, report = fit_discharge(criterion7_series(2)[1], 2400.0)
+        assert params.T3 == params.T4 == report.params["T3"] == report.params["T4"]
+        assert "time-constants-coincide" in report.flags
+        report.to_json()  # strict JSON: every value finite
 
     def test_stop_rule_keeps_the_best_cost(self, monkeypatch):
         # criterion 7's seeds 0-19: the fits that stop once two starts agree

@@ -371,6 +371,96 @@ class TestImportCost:
         # tracers wrap the optimizer by replacing this module attribute
         assert callable(trapkit.fitting.least_squares)
 
+    @staticmethod
+    def modules_after(argv, cwd):
+        """Run the CLI on argv in a fresh interpreter; return its exit code,
+        stdout and the numpy and trapkit modules it had loaded at exit."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        script = (
+            "import json, sys\n"
+            "from trapkit.cli import main\n"
+            "try:\n    code = main(sys.argv[1:])\n"
+            "except SystemExit as exc:\n    code = exc.code\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'trapkit'))\n"
+            "print(json.dumps([code, loaded]), file=sys.stderr)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv], cwd=cwd, env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr  # the script reports the CLI's exit code itself
+        code, loaded = json.loads(proc.stderr.splitlines()[-1])
+        return code, proc.stdout, set(loaded)
+
+    # rejected inputs: (subcommand arguments, file text); each breaks one rule of the loader
+    REJECTED = {
+        "bad-unit": (["fit-charging"], "# light_on: 0.0,30.0\ntime:s,freq:GHz\n0.0,5.3\n10.0,5.4\n"),
+        "ragged-row": (["beam-profile"], "# origin: grating\npos:um,rabi:Hz\n6.0,1.0\n6.5,2.0,0.0\n"),
+        "non-monotone": (["fit-heating"], "time:s,nbar\n0.0,0.1\n2e-3,1.7\n1e-3,0.9\n"),
+        "nan-value": (["fit-heating"], "time:s,nbar\n0.0,0.1\n1e-3,nan\n2e-3,1.7\n"),
+    }
+
+    @pytest.mark.parametrize("case", ["version", "thermometry", "report", *REJECTED])
+    def test_commands_that_compute_nothing_load_no_numpy(self, tmp_path, case):
+        """numpy start-up is most of a short CLI call; a call that reprints a
+        report, estimates nbar from one pair or rejects its input needs none."""
+        (tmp_path / "r.json").write_text(
+            trapkit.fitting.FitReport("m", {"a": 1.0}, {"a": 0.5}, 0.1, 3, ["f"]).to_json()
+        )
+        argv, want_code = {
+            "version": (["--version"], 0),
+            "thermometry": (["thermometry", "--p-red", "0.075", "--p-blue", "0.75", "--shots", "400"], 0),
+            "report": (["report", "--input", "r.json"], 0),
+        }.get(case, (None, 2))
+        if argv is None:
+            sub, text = self.REJECTED[case]
+            (tmp_path / "bad.csv").write_text(text)
+            argv = [*sub, "--input", "bad.csv"]
+        code, out, loaded = self.modules_after(argv, tmp_path)
+        assert code == want_code
+        assert (out == "") == (code == 2)
+        assert not any(m.split(".")[0] == "numpy" for m in loaded), sorted(loaded)
+
+    @pytest.mark.parametrize("fit_argv, unused", [
+        (["fit-charging", "--f0-mode", "baseline"], {"trapkit.beam", "trapkit.simulate"}),
+        (["fit-discharge"], {"trapkit.beam", "trapkit.simulate"}),
+        (["beam-profile", "--mode", "two-beamlet"], {"trapkit.charging", "trapkit.simulate"}),
+    ], ids=["fit-charging", "fit-discharge", "beam-profile"])
+    def test_fit_commands_load_only_their_domain(self, tmp_path, capsys, fit_argv, unused):
+        simulate = ["position", "--points", "41"] if fit_argv[0] == "beam-profile" else ["charging", "--noise", "1000"]
+        code, _, _ = run(capsys, "simulate", *simulate, "--out", str(tmp_path / "data.csv"), "--seed", "3")
+        assert code == 0
+        code, out, loaded = self.modules_after([*fit_argv, "--input", "data.csv"], tmp_path)
+        assert code == 0 and json.loads(out)["params"]
+        assert loaded & unused == set()
+
+
+# every name `from trapkit import *` offered when the package imported its
+# submodules eagerly
+PACKAGE_EXPORTS = (
+    "ChargingModelParams", "DischargeModelParams", "DutyCycle", "FitConvergenceError", "FitReport",
+    "FrequencySeries", "GratingOutputModel", "HeatingRateResult", "HeatingSeries", "IonSpecies", "PowerLawFit",
+    "RabiParams", "RabiPositionScan", "SidebandObservation", "SimConfig", "ThermalMotionalState", "TrapContext",
+    "UnknownSpeciesError", "charging_freq", "compensation_field", "db_chain", "discharge_freq",
+    "effective_exposure", "fit_charging", "fit_discharge", "fit_heating_rate", "fit_power_law", "fit_profile",
+    "fock_probability", "make_trap_context", "nbar_from_asymmetry", "nbar_with_uncertainty", "normalize_rate",
+    "pi_time_to_rabi", "position_scan_summary", "rabi_from_intensity", "rate_from_spectral_density",
+    "settled_offset", "settled_stability", "sideband_excitation", "sideband_rabi_frequency",
+    "simulate_charging_series", "simulate_heating_series", "simulate_position_scan", "simulate_sideband_scan",
+    "spectral_density_from_rate", "two_beamlet_intensity",
+)
+
+
+def test_package_exports_every_name_it_did():
+    for name in PACKAGE_EXPORTS:
+        value = getattr(importlib.import_module("trapkit"), name)
+        assert value.__name__ == name
+        assert name in dir(trapkit)
+    for module in ("units", "thermometry", "heating", "charging", "beam", "simulate", "fitting"):
+        assert getattr(trapkit, module) is importlib.import_module(f"trapkit.{module}")
+    namespace = {}
+    exec("from trapkit import *", namespace)
+    assert set(PACKAGE_EXPORTS) <= set(namespace)
+
 
 def _tracer_targets():
     """Every module attribute the benchmark tracer replaces, besides

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,6 +23,9 @@ from trapkit.datasets import (
 )
 from trapkit.heating import HeatingSeries
 from trapkit.thermometry import SidebandObservation
+
+
+TWO_PI_KHZ = 2 * math.pi * 1e3
 
 
 def write_text(tmp_path, name, text):
@@ -91,6 +96,32 @@ class TestLoad:
         with pytest.raises(DatasetError):
             load_dataset(p, "beam-scan")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_non_finite_value_names_line(self, tmp_path, value, column):
+        rows = [["0.0", "5.3", "0.9"], ["10.0", "5.4", "0.9"], ["20.0", "5.5", "0.9"]]
+        rows[1][column] = value
+        text = "# light_on: 0.0,30.0\ntime:s,freq:MHz,err:kHz\n" + "\n".join(map(",".join, rows)) + "\n"
+        with pytest.raises(DatasetError, match="line 4: column .* must be finite"):
+            load_dataset(write_text(tmp_path, "c.csv", text), "charging")
+
+    def test_finite_value_that_overflows_in_si(self, tmp_path):
+        p = write_text(tmp_path, "c.csv", "time:s,freq:MHz\n0.0,5.3\n10.0,1e303\n")
+        with pytest.raises(DatasetError, match="line 3: column 'freq' must be finite"):
+            load_dataset(p, "charging")
+
+    @pytest.mark.parametrize("shots", ["nan", "2.5", "-inf"])
+    def test_shots_must_be_whole_or_inf(self, tmp_path, shots):
+        # a NaN count used to read as analytic and 2.5 as 2 shots
+        p = write_text(tmp_path, "s.csv", f"wait:s,p_red,p_blue,shots\n0.0,0.05,0.55,400\n1e-3,0.3,0.6,{shots}\n")
+        with pytest.raises(DatasetError, match="line 3: column 'shots' must be a whole number or inf"):
+            load_dataset(p, "sideband-scan")
+
+    def test_shots_inf_is_analytic(self, tmp_path):
+        p = write_text(tmp_path, "s.csv", "wait:s,p_red,p_blue,shots\n0.0,0.05,0.55,400\n1e-3,0.3,0.6,inf\n")
+        obs = to_sideband_observations(load_dataset(p, "sideband-scan"))
+        assert [o.shots for _, o in obs] == [400, None]
+
 
 # every kind's column names plus one of none; AXIS is each kind's strictly increasing column
 FUZZ_COLUMNS = ("time", "nbar", "nbar_err", "freq", "err", "wait", "p_red", "p_blue", "shots", "pos", "rabi", "bogus")
@@ -116,7 +147,9 @@ def load_or_reject(path, kind):
         return
     assert isinstance(ds, Dataset) and ds.kind == kind
     assert ds.n_rows >= 1
-    assert {col.shape for col in ds.columns.values()} == {(ds.n_rows,)}
+    assert {len(col) for col in ds.columns.values()} == {ds.n_rows}
+    for name, col in ds.columns.items():  # SI floats, finite but for an analytic shots count
+        assert all(type(v) is float and (math.isfinite(v) or name == "shots" and v == math.inf) for v in col)
     if AXIS.get(kind) in ds.columns:
         assert np.all(np.diff(ds.columns[AXIS[kind]]) > 0)
 
@@ -134,6 +167,7 @@ class TestFuzz:
     @given(header=fuzz_header, rows=fuzz_rows, kind=st.sampled_from(DATASET_KINDS))
     @example(header="time:s,nbar", rows=["0.0,0.1", "nan,0.2", "2.0,0.3"], kind="heating")
     @example(header="pos:um,rabi:Hz", rows=["1.0,5.0", "nan,6.0"], kind="position-scan")
+    @example(header="rabi:Hz,pos:um", rows=["5.0,1.0", "6.0,2.0"], kind="position-scan")
     def test_random_tables(self, tmp_path_factory, header, rows, kind):
         path = tmp_path_factory.mktemp("fuzz") / "d.csv"
         path.write_text("# kind: fuzz\n" + "\n".join([header, *rows]) + "\n", encoding="utf-8")
@@ -198,6 +232,18 @@ class TestRoundTrip:
         assert back[0][1].shots == 400
         assert back[1][1].shots is None
         assert back[0][1].p_red == 0.05
+
+
+    def test_tuple_columns_lossless(self, tmp_path):
+        # columns are tuples of SI floats both ways; repr keeps every bit
+        cols = {"pos": (0.0, 1e-6 / 3, 2.2e-6), "rabi": (TWO_PI_KHZ, 2.0 / 3.0, 1e300), "err": (0.1, 0.2, 0.3)}
+        path = tmp_path / "p.csv"
+        write_dataset(path, Dataset("position-scan", cols, {"origin": "grating"}))
+        back = load_dataset(path, "position-scan")
+        assert back.columns == cols
+        assert back.metadata == {"kind": "position-scan", "origin": "grating"}
+        write_dataset(tmp_path / "again.csv", back)
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
 class TestWrite:
