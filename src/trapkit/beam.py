@@ -168,68 +168,49 @@ def _golden_section_min(f, a, b, tol):
     return float(0.5 * (a + b))
 
 
+# fit_profile's parameters in each mode, as indices into the full vector
+# (center, separation, log waist, a, b, rabi_scale), where a + ib is the
+# second beamlet's complex amplitude; a single Gaussian is two beamlets
+# with separation 0 and a = b = 0
+_FREE = {"single-gaussian": [0, 2, 5], "two-beamlet": [0, 1, 2, 3, 4, 5]}
+# the names the report gives the full vector's entries: a + ib is reported
+# as its phase and amplitude ratio
+_NAMES = ("center", "separation", "waist", "phase", "amplitude_ratio", "rabi_scale")
+
+
 def _unpack(theta, mode):
-    """The model and rabi_scale that fit_profile's parameters describe:
-    (center, log waist, rabi_scale) for a single Gaussian, and (center,
-    separation, log waist, phase, amplitude ratio, rabi_scale) for two
-    beamlets, whose separation and ratio enter as their absolute values."""
-    if mode == "single-gaussian":
-        return GratingOutputModel(mode=mode, waist=math.exp(theta[1]), center=theta[0]), theta[2]
-    return GratingOutputModel(
-        mode=mode,
-        waist=math.exp(theta[2]),
-        center=theta[0],
-        beamlet_separation=abs(theta[1]),
-        beamlet_phase=theta[3],
-        beamlet_amplitude_ratio=abs(theta[4]),
-    ), theta[5]
+    """The full parameter vector that fit_profile's parameters theta give in
+    mode, and the model and rabi_scale it describes. The separation enters
+    as its absolute value; a + ib is the ratio times exp(i phase)."""
+    full = np.zeros(6)
+    full[_FREE[mode]] = theta
+    center, separation, log_waist, a, b, scale = full
+    beamlets = {}
+    if mode == "two-beamlet":
+        phase, ratio = math.atan2(b, a), math.hypot(a, b)
+        beamlets = dict(beamlet_separation=abs(separation), beamlet_phase=phase, beamlet_amplitude_ratio=ratio)
+    return full, GratingOutputModel(mode=mode, waist=math.exp(log_waist), center=center, **beamlets), scale
 
 
-def _rabi_jacobian(x, theta, mode):
-    """The derivative of rabi_profile(x, *_unpack(theta, mode)) in theta.
-
-    With f = sqrt(I) = |E|, df/dtheta = rabi_scale * (dI/dtheta) / (2f) and
-    df/drabi_scale = f. Where f is 0 exactly, at a kink of |E|, the entries
-    are the one-sided slopes rabi_scale * |dE/dtheta|, the limit of a
-    forward difference. A zero row there would hide the kink from the
-    solver, and a start that puts E = 0 on a sample could not leave it.
-    """
-    model, scale = _unpack(theta, mode)
-    f = np.asarray(rabi_profile(x, model, 1.0))
-    if mode == "single-gaussian":
-        u = x - model.center
-        w2 = model.waist**2
-        return np.column_stack([scale * f * 2.0 * u / w2, scale * f * 2.0 * u * u / w2, f])
-    re, im, d_re, d_im = _field(x, theta)
-    kink = np.sqrt(d_re * d_re + d_im * d_im)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        df = np.where(f[:, None] > 0, (re[:, None] * d_re + im[:, None] * d_im) / f[:, None], kink)
-    return np.column_stack([scale * df, f])
-
-
-def _field(x, theta):
-    """The two-beamlet field E = g1 + g2 exp(i phase) at x, whose modulus is
-    rabi_profile / rabi_scale, as (Re E, Im E, dRe E, dIm E): the derivatives
-    in the first five of fit_profile's parameters, one column each, with
-    the signs of separation and ratio, which enter as absolute values."""
-    model, _ = _unpack(theta, "two-beamlet")
-    w2 = model.waist**2
+def _field(x, full):
+    """The field E = g1 + (a + ib) g2 at x, whose modulus is rabi_profile /
+    rabi_scale in either mode, as (Re E, Im E, dRe E, dIm E): the
+    derivatives in the first five full parameters, one column each, with
+    the sign of the separation, which enters as its absolute value."""
+    center, separation, log_waist, a, b, _ = full
+    w2 = math.exp(log_waist) ** 2
+    sign = 1.0 if separation >= 0 else -1.0
     # dg/du = -2u g / w^2
-    u1 = x - model.center + 0.5 * model.beamlet_separation
-    u2 = u1 - model.beamlet_separation
+    u1 = x - center + 0.5 * abs(separation)
+    u2 = u1 - abs(separation)
     g1 = np.exp(-u1 * u1 / w2)
-    e2 = np.exp(-u2 * u2 / w2)
-    g2 = model.beamlet_amplitude_ratio * e2
-    cos, sin = math.cos(model.beamlet_phase), math.sin(model.beamlet_phase)
+    g2 = np.exp(-u2 * u2 / w2)
+    dg1 = np.column_stack([2.0 * g1 * u1 / w2, -sign * g1 * u1 / w2, 2.0 * g1 * u1 * u1 / w2])
+    dg2 = np.column_stack([2.0 * g2 * u2 / w2, sign * g2 * u2 / w2, 2.0 * g2 * u2 * u2 / w2])
     zero = np.zeros_like(x)
-    dg1 = np.column_stack([2.0 * g1 * u1 / w2, -g1 * u1 / w2, 2.0 * g1 * u1 * u1 / w2, zero, zero])
-    dg2 = np.column_stack([2.0 * g2 * u2 / w2, g2 * u2 / w2, 2.0 * g2 * u2 * u2 / w2, zero, e2])
-    d_re = dg1 + cos * dg2
-    d_im = sin * dg2
-    d_re[:, 3], d_im[:, 3] = -sin * g2, cos * g2
-    signs = np.ones(5)
-    signs[[1, 4]] = np.sign([theta[1], theta[4]])
-    return g1 + cos * g2, sin * g2, d_re * signs, d_im * signs
+    d_re = np.column_stack([dg1 + a * dg2, g2, zero])
+    d_im = np.column_stack([b * dg2, zero, g2])
+    return g1 + a * g2, b * g2, d_re, d_im
 
 
 def fit_profile(
@@ -239,8 +220,10 @@ def fit_profile(
     """Least-squares fit of an intensity model to a Rabi-vs-position scan.
 
     The model Rabi curve is rabi_scale * sqrt(I_rel(x)), polished from the
-    best 3 of several seeds by the numpy trust region on the analytic
-    Jacobian. Reports peak positions, separation, and dip depth of the
+    best of several seeds by the numpy trust region on the analytic
+    Jacobian. Two beamlets are fitted with the second's complex amplitude
+    a + ib, whose argument and modulus are the reported phase and
+    amplitude ratio. Reports peak positions, separation, and dip depth of the
     fitted profile.
     """
     if mode not in BEAM_MODES:
@@ -262,7 +245,6 @@ def fit_profile(
             [x_peak, math.log(wg), r_max]
             for wg in (0.25 * span, 0.1 * span, DEFAULT_BEAMLET_WAIST)
         ]
-        param_names = ("center", "waist", "rabi_scale")
     else:
         # crude double-peak seed from the data: distance between the two
         # highest well-separated samples
@@ -275,20 +257,12 @@ def fit_profile(
         sep_guess = abs(x_second - x_peak) or 0.2 * span
         center_guess = 0.5 * (x_peak + x_second)
         seeds = [
-            [center_guess, sep_guess, math.log(wg), phase, 1.0, r_max]
+            [center_guess, sep_guess, math.log(wg), math.cos(phase), math.sin(phase), r_max]
             for wg in (0.5 * sep_guess, DEFAULT_BEAMLET_WAIST)
-            # not at phase pi, where dI/dphase = 0: the trust region's
-            # column scaling would then fling the phase, and the start stall
+            # not at phase pi: from there criterion 9's fits still find both
+            # peaks, but with about 3.5x the evaluations
             for phase in (0.9 * math.pi, 0.5 * math.pi, 2.0)
         ]
-        param_names = (
-            "center",
-            "separation",
-            "waist",
-            "phase",
-            "amplitude_ratio",
-            "rabi_scale",
-        )
 
     # A sample measured at zero asks for E = 0 there, and its residual
     # rabi_scale * |E| has a cone at the solution: the solver stalls at its
@@ -296,39 +270,53 @@ def fit_profile(
     on = r != 0 if mode == "two-beamlet" else np.ones(x.size, dtype=bool)
     x_on, r_on, x_off = x[on], r[on], x[~on]
     w_rows = None if w is None else np.concatenate([w[on], w[~on], w[~on]])
+    cols = _FREE[mode]
 
     def residuals(theta):
-        resid = rabi_profile(x_on, *_unpack(theta, mode)) - r_on
+        full, model, scale = _unpack(theta, mode)
+        resid = rabi_profile(x_on, model, scale) - r_on
         if x_off.size:
-            re, im, _, _ = _field(x_off, theta)
-            resid = np.concatenate([resid, theta[5] * re, theta[5] * im])
+            re, im, _, _ = _field(x_off, full)
+            resid = np.concatenate([resid, scale * re, scale * im])
         return resid * w_rows if w is not None else resid
 
     def jacobian(theta):
-        jac = _rabi_jacobian(x_on, theta, mode)
-        if x_off.size:
-            re, im, d_re, d_im = _field(x_off, theta)
-            jac = np.vstack([jac, np.column_stack([theta[5] * d_re, re]), np.column_stack([theta[5] * d_im, im])])
+        # d(rabi_scale |E|) = rabi_scale (Re E dRe E + Im E dIm E) / |E|.
+        # Where |E| is 0 exactly, at a kink, the entries are the one-sided
+        # slopes rabi_scale |dE|, the limit of a forward difference: a zero
+        # row would hide the kink, and a start that puts E = 0 on a sample
+        # could not leave it
+        full = _unpack(theta, mode)[0]
+        scale = full[5]
+        re, im, d_re, d_im = _field(x, full)
+        f = np.hypot(re, im)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            df = np.where(f[:, None] > 0, (re[:, None] * d_re + im[:, None] * d_im) / f[:, None], np.hypot(d_re, d_im))
+        jac = np.vstack([
+            np.column_stack([scale * df, f])[on],
+            np.column_stack([scale * d_re, re])[~on],
+            np.column_stack([scale * d_im, im])[~on],
+        ])[:, cols]
         return jac * w_rows[:, None] if w is not None else jac
 
-    res = multistart_least_squares(residuals, seeds, jac=jacobian, max_keep=3, method="trf")
-    model, scale = _unpack(res.x, mode)
+    res = multistart_least_squares(residuals, seeds, jac=jacobian, method="trf")
+    full, model, scale = _unpack(res.x, mode)
 
     cov = covariance_from_jacobian(res.jac, res.fun, absolute_sigma=True)
     if w is None:  # scaled by the residual variance over the samples, not the rows
-        cov = cov * 2.0 * res.cost / max(x.size - len(param_names), 1)
-    raw_errs = np.sqrt(np.clip(np.diag(cov), 0, None))
-    fitted = {
-        "center": model.center,
-        "separation": model.beamlet_separation,
-        "waist": model.waist,
-        "phase": model.beamlet_phase,
-        "amplitude_ratio": model.beamlet_amplitude_ratio,
-        "rabi_scale": scale,
-    }
-    params = {name: fitted[name] for name in param_names}
-    errs = dict(zip(param_names, raw_errs))
-    errs["waist"] = model.waist * errs["waist"]  # the fit searches log(waist)
+        cov = cov * 2.0 * res.cost / max(x.size - len(cols), 1)
+    # the reported parameters' derivatives in the fitted ones: the fit
+    # searches log(waist), and the phase and ratio are those of a + ib
+    G = np.eye(6)
+    G[2, 2] = model.waist
+    if mode == "two-beamlet":
+        a, b, ratio = full[3], full[4], model.beamlet_amplitude_ratio
+        G[3:5, 3:5] = [[-b / ratio**2, a / ratio**2], [a / ratio, b / ratio]]
+    G = G[np.ix_(cols, cols)]
+    names = [_NAMES[i] for i in cols]
+    values = (model.center, model.beamlet_separation, model.waist, model.beamlet_phase, model.beamlet_amplitude_ratio, scale)
+    params = dict(zip(names, (values[i] for i in cols)))
+    errs = dict(zip(names, np.sqrt(np.clip(np.einsum("ij,jk,ik->i", G, cov, G), 0, None))))
 
     peaks, dip_depth = profile_extrema(model)
     flags = []

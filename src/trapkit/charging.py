@@ -34,9 +34,6 @@ TIME_CONSTANT_SEED_GRID = (1.0, 10.0, 100.0, 1e3, 1e4)
 TIME_CONSTANT_FLOOR = 1e-9
 TIME_CONSTANT_CEILING = 1e3
 
-# Polishing stops once a start's cost is this close (relative) to the best
-AGREE_RTOL = 1e-9
-
 # A fitted time constant within this relative distance of a bound, or of
 # the other time constant, is reported as sitting at it: its value is then
 # the bound, not a measurement, or the fit holds one exponential, not two
@@ -245,7 +242,7 @@ def _double_exp_fit(tau, f, w, kind, fix_f0, names, shift=None):
         for i, Ta in enumerate(TIME_CONSTANT_SEED_GRID)
         for Tb in TIME_CONSTANT_SEED_GRID[i + 1 :]
     ]
-    res = multistart_least_squares(resid_fn, seeds, bounds=bounds, jac=jac, agree_rtol=AGREE_RTOL)
+    res = multistart_least_squares(resid_fn, seeds, bounds=bounds, jac=jac)
     log_T = np.sort(res.x)
     lin, resid, _, B, dB = core(log_T)
     Ta, Tb = np.exp(log_T)

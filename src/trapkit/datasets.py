@@ -69,6 +69,7 @@ class Dataset:
 def _parse_header(header: str, kind: str) -> list[tuple[str, float]]:
     schema = {name: role for name, role, _ in _SCHEMAS[kind]}
     cols = []
+    seen: dict[str, int] = {}
     for i, raw in enumerate(header.split(",")):
         raw = raw.strip()
         name, _, unit = raw.partition(":")
@@ -84,6 +85,9 @@ def _parse_header(header: str, kind: str) -> list[tuple[str, float]]:
                 f"column {i + 1} ({name!r}): cannot parse unit {unit!r}; "
                 f"expected one of {sorted(u for u in table if u)}"
             )
+        if name in seen:
+            raise DatasetError(f"column {i + 1}: column {name!r} repeats column {seen[name]}")
+        seen[name] = i + 1
         cols.append((name, table[unit]))
     required = [name for name, _, req in _SCHEMAS[kind] if req]
     present = {name for name, _ in cols}

@@ -19,6 +19,11 @@ from .reports import FitConvergenceError, FitReport  # noqa: F401 (FitReport is 
 # weakly identified by the data.
 WEAK_IDENTIFIABILITY_THRESHOLD = 0.15
 
+# Every multistart polishes at most this many seeds, the best by initial
+# cost, and stops once two polished costs agree within AGREE_RTOL (relative)
+MAX_POLISHED = 3
+AGREE_RTOL = 1e-9
+
 
 def check_series(x, y, err, names: tuple[str, str, str]):
     """The contract every measured series keeps: x and y finite and of equal
@@ -82,10 +87,11 @@ def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf), tol=1e-12, max_nfev=10
 
     jac is the Jacobian of fun, a callable. method "lm" runs the bounded
     Levenberg-Marquardt below; "trf" runs the unbounded trust region below
-    and ignores bounds. The beam fit needs the trust region: polished by
-    the Levenberg-Marquardt, about half of criterion 9's noisy fits find
-    both peaks. The charging fits stay on the Levenberg-Marquardt, which
-    is faster there. tol is the ftol, xtol and gtol of both. The result
+    and ignores bounds. Each fit uses the solver that is faster on it. The
+    beam fit uses the trust region: the Levenberg-Marquardt also finds both
+    peaks in all of criterion 9's first 100 noisy fits, but with about 20x
+    the evaluations. The charging fits, which need the bounds, use the
+    Levenberg-Marquardt. tol is the ftol, xtol and gtol of both. The result
     has x, fun, jac, cost = 0.5*fun@fun, nfev and scipy's status codes:
     0 max_nfev reached, 1 gtol, 2 ftol, 3 xtol, 4 ftol and xtol.
     """
@@ -260,24 +266,16 @@ def _more_step(ur, s, Vt, m, radius, alpha):
     return h * (radius / np.linalg.norm(h)), alpha
 
 
-def multistart_least_squares(
-    residual_fn,
-    seeds,
-    jac,
-    bounds=(-np.inf, np.inf),
-    max_keep=4,
-    agree_rtol=None,
-    method="lm",
-):
+def multistart_least_squares(residual_fn, seeds, jac, bounds=(-np.inf, np.inf), method="lm"):
     """Polish the best few of several seeds by least squares; keep the best.
 
     seeds: iterable of parameter vectors. The seeds are prescreened by
-    initial cost and only the most promising max_keep are polished, in
-    order of initial cost, by least_squares with the Jacobian jac, the
-    bounds and the method. With agree_rtol set, polishing stops as soon as
-    a polished cost is within agree_rtol (relative) of the best cost so
-    far. Raises FitConvergenceError (with best-so-far and every polished
-    start's outcome attached) if nothing converges.
+    initial cost and the best MAX_POLISHED are polished, in order of
+    initial cost, by least_squares with the Jacobian jac, the bounds and
+    the method. Polishing stops as soon as a polished cost is within
+    AGREE_RTOL (relative) of the best cost so far. Raises
+    FitConvergenceError (with best-so-far and every polished start's
+    outcome attached) if nothing converges.
     """
     seeds = [np.asarray(s, dtype=float) for s in seeds]
     if not seeds:
@@ -290,7 +288,7 @@ def multistart_least_squares(
     scored.sort(key=lambda t: t[0])
     best = None
     starts = []
-    for c, s in scored[:max_keep]:
+    for c, s in scored[:MAX_POLISHED]:
         try:
             res = least_squares(residual_fn, s, jac=jac, bounds=bounds, method=method)
         except Exception as exc:
@@ -300,7 +298,7 @@ def multistart_least_squares(
         starts.append((c, final, res.nfev, res.status))
         if not np.all(np.isfinite(res.x)):
             continue
-        agree = agree_rtol is not None and best is not None and abs(res.cost - best.cost) <= agree_rtol * best.cost
+        agree = best is not None and abs(res.cost - best.cost) <= AGREE_RTOL * best.cost
         if best is None or res.cost < best.cost:
             best = res
         if agree:

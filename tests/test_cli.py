@@ -247,6 +247,16 @@ class TestExitCodes:
         assert out == ""
         assert json.loads(err)["error"] == "validation"
 
+    @pytest.mark.parametrize("header", ["time:s,nbar,nbar", "time:s,nbar,time:ms"])
+    def test_repeated_column(self, tmp_path, capsys, header):
+        bad = tmp_path / "dup.csv"
+        bad.write_text(f"{header}\n0.0,0.1,0.2\n1.0,0.9,0.8\n2.0,1.7,1.6\n3.0,2.5,2.4\n")
+        code, out, err = run(capsys, "fit-heating", "--input", str(bad))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "validation"
+        assert "repeats column" in json.loads(err)["detail"]
+
     def test_io_error_missing_file(self, tmp_path, capsys):
         code, _, err = run(capsys, "fit-heating", "--input", str(tmp_path / "nope.csv"))
         assert code in (2, 4)

@@ -67,6 +67,15 @@ class TestLoad:
         with pytest.raises(DatasetError, match="bogus"):
             load_dataset(p, "heating")
 
+    @pytest.mark.parametrize("header", ["time:s,nbar,nbar", "time:s,nbar,time:ms"])
+    def test_repeated_column_names_both_positions(self, tmp_path, header):
+        # the last copy would otherwise win, silently
+        p = write_text(tmp_path, "h.csv", f"{header}\n0.0,0.1,0.2\n1.0,0.9,0.8\n2.0,1.7,1.6\n")
+        name = header.split(",")[-1].partition(":")[0]
+        first = 2 if name == "nbar" else 1
+        with pytest.raises(DatasetError, match=f"column 3: column '{name}' repeats column {first}"):
+            load_dataset(p, "heating")
+
     def test_non_monotonic_time_names_row(self, tmp_path):
         p = write_text(
             tmp_path,

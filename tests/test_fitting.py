@@ -72,23 +72,23 @@ def polishes(monkeypatch):
 
 def test_multistart_stops_when_two_starts_agree(polishes):
     # both +1-basin seeds have lower initial cost than the -1-basin seed
-    res = multistart_least_squares(
-        _two_minima, [[1.0], [0.98], [-1.35]], jac=_two_minima_jac, max_keep=3, agree_rtol=1e-9
-    )
+    res = multistart_least_squares(_two_minima, [[1.0], [0.98], [-1.35]], jac=_two_minima_jac)
     assert polishes == [0.98, 1.0]
     assert res.x[0] > 0
 
 
 def test_multistart_keeps_the_lower_minimum_after_disagreement(polishes):
     seeds = [[0.98], [-1.35], [-1.3], [1.5]]
-    res = multistart_least_squares(_two_minima, seeds, jac=_two_minima_jac, max_keep=4, agree_rtol=1e-9)
+    res = multistart_least_squares(_two_minima, seeds, jac=_two_minima_jac)
     assert polishes == [0.98, -1.3, -1.35]
     assert res.x[0] < 0
     assert 2 * res.cost < 0.1
 
 
-def test_multistart_without_the_rule_polishes_every_kept_start(polishes):
-    res = multistart_least_squares(_two_minima, [[1.0], [0.98], [-1.35]], jac=_two_minima_jac, max_keep=3)
+def test_multistart_without_the_rule_polishes_every_kept_start(polishes, monkeypatch):
+    # no two costs agree within a negative tolerance
+    monkeypatch.setattr(trapkit.fitting, "AGREE_RTOL", -math.inf)
+    res = multistart_least_squares(_two_minima, [[1.0], [0.98], [-1.35]], jac=_two_minima_jac)
     assert polishes == [0.98, 1.0, -1.35]
     assert res.x[0] < 0
 
@@ -96,10 +96,10 @@ def test_multistart_without_the_rule_polishes_every_kept_start(polishes):
 def test_convergence_error_carries_every_start():
     with pytest.raises(FitConvergenceError) as info:
         multistart_least_squares(
-            lambda x: np.full(3, np.nan), [[0.0], [1.0], [2.0]], jac=lambda x: np.zeros((3, 1)), max_keep=2
+            lambda x: np.full(3, np.nan), [[0.0], [1.0], [2.0], [3.0]], jac=lambda x: np.zeros((3, 1))
         )
     starts = info.value.starts
-    assert len(starts) == 2
+    assert len(starts) == trapkit.fitting.MAX_POLISHED == 3
     for initial, final, nfev, status in starts:
         assert initial == math.inf
         assert final is None and nfev is None
