@@ -5,15 +5,16 @@ light is on (fast negative metal effect, slow positive dielectric effect)
 and again while it discharges. Both models are fitted by variable
 projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)): the
 nonlinear search runs over (log Ta, log Tb) only, multi-started from
-decade-spaced pairs, and the amplitudes and a free f0 are solved by linear
-least squares at every step. The discharge continuity constraint is one
-more design column. The optimizer, fitting's numpy Levenberg-Marquardt (so
-these fits load no scipy.optimize), gets Kaufman's Jacobian of the projected
-residuals (BIT 15, 49 (1975)) from the SVD that solves the linear part, and
-polishing stops once two starts reach the same cost. Time constants are
-bounded to 1e-9..1e3 times the fit window's span; one the data cannot
-identify runs to the ceiling and is flagged as sitting at the bound, and
-two that meet are flagged as coinciding.
+decade-spaced pairs ranked by one stacked solve, and the amplitudes and a
+free f0 are solved by linear least squares at every step. The discharge
+continuity constraint is one more design column. The optimizer, fitting's
+numpy Levenberg-Marquardt (so these fits load no scipy.optimize), gets
+Kaufman's Jacobian of the projected residuals (BIT 15, 49 (1975)) from the
+SVD that solves the linear part, and polishing stops once two starts reach
+the same cost. The seeds are 5e-4..5 and the bounds 1e-9..1e3 times the fit
+window's span, so a fit does not depend on the time unit; a time constant
+the data cannot identify runs to the ceiling and is flagged as sitting at
+the bound, and two that meet are flagged as coinciding.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ import numpy as np
 from .fitting import check_series, covariance_from_jacobian, multistart_least_squares, weak_parameter_flags
 from .reports import FitReport
 
-# Decade grid for time-constant seeding, seconds
-TIME_CONSTANT_SEED_GRID = (1.0, 10.0, 100.0, 1e3, 1e4)
+# Decade grid for time-constant seeding, as fractions of the fit window's
+# span, so that a fit does not depend on the time unit
+TIME_CONSTANT_SEED_GRID = (5e-4, 5e-3, 5e-2, 0.5, 5.0)
 
 # Time-constant search range as multiples of the fit window's span
 TIME_CONSTANT_FLOOR = 1e-9
@@ -175,50 +177,70 @@ def _select(series: FrequencySeries, t_start, t_end):
 
 
 def _projector(tau, f, w, kind, fix_f0=None, shift=None):
-    """(core, resid, jac) for the model of _double_exp_fit at fixed time
-    constants log_T. core(log_T) -> (lin, resid, U, B, dB): the linear
+    """(core, resid, jac, costs) for the model of _double_exp_fit at fixed
+    time constants log_T. core(log_T) -> (lin, resid, U, B, dB): the linear
     parameters (dfa, then dfb unless shift is set, then f0 if free), the
-    weighted residuals, U of the SVD of the weighted design matrix A that
-    gives lin (singular values below eps*max(A.shape)*s0 dropped, as by
-    np.linalg.lstsq(rcond=None)), and the unweighted basis B and its
-    derivative dB in log T. core caches its last point; resid returns its
-    residuals, and jac builds Kaufman's Jacobian D - U(U^T D) only when asked."""
+    weighted residuals U(U^T y) - y, U of the SVD of the weighted design
+    matrix A that gives lin (singular values below eps*max(A.shape)*s0
+    dropped, as by np.linalg.lstsq(rcond=None)), and the unweighted basis B
+    and its derivative dB in log T. A new point costs one SVD, with the
+    weighted basis written into A in place; its exponentials are cached, so
+    B and dB are formed only by core and by jac, which builds Kaufman's
+    Jacobian D - U(U^T D) only when asked. costs(log_Ts) ranks an (s, 2)
+    stack of points by |resid|^2 from one stacked SVD, each truncated as
+    one solve truncates."""
     level = 1.0 if kind == "charging" else 0.0
     signs = np.array([1.0, -1.0] if kind == "charging" else [1.0, 1.0])
-    tcol = tau[:, None]
+    ntcol = -tau[:, None]
     wcol = (np.ones_like(tau) if w is None else w)[:, None]
+    sw = signs * wcol
     target = wcol[:, 0] * (f if fix_f0 is None else f - fix_f0)
     A = np.empty((tau.size, (2 if shift is None else 1) + (fix_f0 is None)))
     if fix_f0 is None:
         A[:, -1] = wcol[:, 0]
+    Bw = A[:, :2] if shift is None else np.empty((tau.size, 2))
     cutoff = np.finfo(float).eps * max(A.shape)
 
     @functools.lru_cache(maxsize=1)
     def solve(log_T):
-        x = tcol / np.exp(log_T)
-        e = np.exp(-x)
-        B, dB = signs * (level - e), -signs * e * x
-        Bw = B * wcol
-        if shift is None:
-            A[:, :2], y = Bw, target
-        else:
-            A[:, 0], y = Bw[:, 0] - Bw[:, 1], target + shift * Bw[:, 1]
+        x = ntcol * np.array([math.exp(-log_T[0]), math.exp(-log_T[1])])  # -tau/T
+        e = np.exp(x)
+        np.multiply(np.subtract(level, e, out=Bw), sw, out=Bw)
+        y = target
+        if shift is not None:
+            np.subtract(Bw[:, 0], Bw[:, 1], out=A[:, 0])
+            y = target + shift * Bw[:, 1]
         U, sv, Vt = np.linalg.svd(A, full_matrices=False)
-        k = np.count_nonzero(sv > cutoff * sv[0])  # sv is sorted: keep a prefix
-        U = U[:, :k]
-        lin = Vt[:k].T @ ((U.T @ y) / sv[:k])
-        return lin, A @ lin - y, U, B, dB
+        if sv[-1] <= cutoff * sv[0]:  # sv is sorted: keep a prefix
+            k = np.count_nonzero(sv > cutoff * sv[0])
+            U, sv, Vt = U[:, :k], sv[:k], Vt[:k]
+        uy = U.T @ y
+        return (uy / sv) @ Vt, U @ uy - y, U, e, x
 
     def core(log_T):
-        return solve(tuple(log_T))
+        lin, resid, U, e, x = solve(tuple(log_T))
+        return lin, resid, U, signs * (level - e), signs * e * x
 
     def jac(log_T):
-        lin, _, U, _, dB = core(log_T)
+        lin, _, U, e, x = solve(tuple(log_T))
         # with the shift, dfb = -shift - dfa: one rule for both models and every f0 mode
-        D = dB * wcol * [lin[0], lin[1] if shift is None else -shift - lin[0]]
+        D = e * x * sw * [lin[0], lin[1] if shift is None else -shift - lin[0]]
         return D - U @ (U.T @ D)
 
-    return core, lambda log_T: core(log_T)[1], jac
+    def costs(log_Ts):
+        Bws = (level - np.exp(ntcol * np.exp(-log_Ts)[:, None, :])) * sw
+        As = np.repeat(A[None], len(log_Ts), axis=0)
+        if shift is None:
+            As[..., :2], y = Bws, target
+        else:
+            As[..., 0], y = Bws[..., 0] - Bws[..., 1], target + shift * Bws[..., 1]
+        U, sv, _ = np.linalg.svd(As, full_matrices=False)
+        U *= (sv > cutoff * sv[:, :1])[:, None, :]  # zeroes the columns solve drops
+        y = y[..., None]
+        r = U @ (U.transpose(0, 2, 1) @ y) - y
+        return np.einsum("sni,sni->s", r, r)
+
+    return core, lambda log_T: solve(tuple(log_T))[1], jac, costs
 
 
 def _double_exp_fit(tau, f, w, kind, fix_f0, names, shift=None):
@@ -233,16 +255,16 @@ def _double_exp_fit(tau, f, w, kind, fix_f0, names, shift=None):
     """
     if tau.size < 8:
         raise ValueError("need at least 8 points for a double-exponential fit")
-    span = max(float(tau[-1]), 1.0)
+    span = float(tau[-1])
     bounds = (math.log(TIME_CONSTANT_FLOOR * span), math.log(TIME_CONSTANT_CEILING * span))
-    core, resid_fn, jac = _projector(tau, f, w, kind, fix_f0, shift)
+    core, resid_fn, jac, costs = _projector(tau, f, w, kind, fix_f0, shift)
 
     seeds = [
-        np.clip([math.log(Ta), math.log(Tb)], *bounds)
-        for i, Ta in enumerate(TIME_CONSTANT_SEED_GRID)
-        for Tb in TIME_CONSTANT_SEED_GRID[i + 1 :]
+        (math.log(a * span), math.log(b * span))
+        for i, a in enumerate(TIME_CONSTANT_SEED_GRID)
+        for b in TIME_CONSTANT_SEED_GRID[i + 1 :]
     ]
-    res = multistart_least_squares(resid_fn, seeds, bounds=bounds, jac=jac)
+    res = multistart_least_squares(resid_fn, seeds, bounds=bounds, jac=jac, costs=costs)
     log_T = np.sort(res.x)
     lin, resid, _, B, dB = core(log_T)
     Ta, Tb = np.exp(log_T)

@@ -9,6 +9,7 @@ trust region for the beam fit. No subcommand imports scipy.optimize."""
 from __future__ import annotations
 
 import math
+import operator
 from types import SimpleNamespace
 
 import numpy as np
@@ -108,53 +109,66 @@ def _levenberg_marquardt(fun, jac, x0, bounds, tol, max_nfev):
     x_scale="jac", sent criterion 7 seed 50's first discharge start into
     the swapped (Tb, Ta) basin. Steps are clipped to the box, and a
     parameter on a bound whose gradient points out of the box is held for
-    that step. One SVD per iteration serves every trial step, and jac is
-    called only at accepted points. The ftol and xtol tests and the status
-    codes follow scipy's; gtol bounds the free parameters' scaled gradient."""
-    lb, ub = (np.broadcast_to(np.asarray(b, dtype=float), np.shape(x0)) for b in bounds)
+    that step. Per iteration numpy forms only g = J^T r, the column norms
+    and one SVD J*scale = U S Vt, which serves every trial step; the trial
+    steps, the box clip and the stop tests run on Python floats over the
+    few parameters, with |J step| taken as |S Vt z| for the scaled step
+    z = step/scale. jac is called only at accepted points. The ftol and
+    xtol tests and the status codes follow scipy's; gtol bounds the free
+    parameters' scaled gradient."""
+    lb, ub = (np.broadcast_to(np.asarray(b, dtype=float), np.shape(x0)).tolist() for b in bounds)
     x = np.clip(np.asarray(x0, dtype=float), lb, ub)
     r = np.asarray(fun(x), dtype=float)
     if not np.all(np.isfinite(r)):
         raise ValueError("Residuals are not finite in the initial point.")
-    nfev, cost, J = 1, 0.5 * float(r @ r), jac(x)
+    nfev, cost, J, xs = 1, 0.5 * float(r @ r), jac(x), x.tolist()
     mu, nu = 1.0, 2.0  # mu: the largest diagonal entry of the scaled J^T J
     status = None
     while status is None:
-        g = J.T @ r
-        norms = np.sqrt(np.einsum("ij,ij->j", J, J))
-        norms[norms == 0] = 1.0
-        free = ~(((x <= lb) & (g > 0)) | ((x >= ub) & (g < 0)))
-        scale = free / norms  # 0 holds a parameter: its column and its step vanish
-        if np.max(np.abs(g * scale)) < tol:
+        g = (J.T @ r).tolist()
+        norms = np.sqrt(np.einsum("ij,ij->j", J, J)).tolist()
+        # 0 holds a parameter: its column and its step vanish
+        held = [(xi <= lo and gi > 0) or (xi >= hi and gi < 0) for xi, lo, hi, gi in zip(xs, lb, ub, g)]
+        scale = [0.0 if h else 1.0 / (n or 1.0) for h, n in zip(held, norms)]
+        if max(abs(gi * si) for gi, si in zip(g, scale)) < tol:
             status = 1
             break
         U, s, Vt = np.linalg.svd(J * scale, full_matrices=False)
-        su = s * (U.T @ r)
+        su, s2, s, Vt = (s * (U.T @ r)).tolist(), (s * s).tolist(), s.tolist(), Vt.tolist()
+        V = list(zip(*Vt))
         while status is None:
             if nfev == max_nfev:
                 status = 0
                 break
-            h = -(Vt.T @ (su / (s * s + mu))) * scale
-            x_new = np.minimum(np.maximum(x + h, lb), ub)
-            step = x_new - x
-            r_new = np.asarray(fun(x_new), dtype=float)
+            c = [a / (b + mu) for a, b in zip(su, s2)]
+            x_new = [min(max(xi - si * _dot(vi, c), lo), hi) for xi, si, vi, lo, hi in zip(xs, scale, V, lb, ub)]
+            step = [a - b for a, b in zip(x_new, xs)]
+            x_arr = np.array(x_new)
+            r_new = np.asarray(fun(x_arr), dtype=float)
             nfev += 1
             cost_new = 0.5 * float(r_new @ r_new)  # a non-finite cost fails every test below
             actual = cost - cost_new
-            predicted = _predicted_reduction(J, g, step)
+            # as _predicted_reduction, with J step = U S Vt z
+            z = [st / si if si else 0.0 for st, si in zip(step, scale)]
+            predicted = -_dot(step, g) - 0.5 * sum((si * _dot(row, z)) ** 2 for si, row in zip(s, Vt))
             ratio = actual / predicted if predicted > 0 else 0.0
             ftol_met = actual < tol * cost and ratio > 0.25
-            xtol_met = math.sqrt(step @ step) < tol * (tol + math.sqrt(x @ x))
+            xtol_met = math.sqrt(_dot(step, step)) < tol * (tol + math.sqrt(_dot(xs, xs)))
             if ftol_met or xtol_met:
                 status = 4 if ftol_met and xtol_met else 2 if ftol_met else 3
             if actual > 0:
-                x, r, cost, J = x_new, r_new, cost_new, jac(x_new)
+                x, xs, r, cost, J = x_arr, x_new, r_new, cost_new, jac(x_arr)
                 mu *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
                 nu = 2.0
                 break
             mu *= nu
             nu *= 2.0
     return SimpleNamespace(x=x, fun=r, jac=J, cost=cost, nfev=nfev, status=status)
+
+
+def _dot(u, v):
+    """The dot product of two short sequences of floats."""
+    return sum(map(operator.mul, u, v))
 
 
 def _predicted_reduction(J, g, h):
@@ -266,26 +280,25 @@ def _more_step(ur, s, Vt, m, radius, alpha):
     return h * (radius / np.linalg.norm(h)), alpha
 
 
-def multistart_least_squares(residual_fn, seeds, jac, bounds=(-np.inf, np.inf), method="lm"):
+def multistart_least_squares(residual_fn, seeds, jac, bounds=(-np.inf, np.inf), method="lm", costs=None):
     """Polish the best few of several seeds by least squares; keep the best.
 
     seeds: iterable of parameter vectors. The seeds are prescreened by
-    initial cost and the best MAX_POLISHED are polished, in order of
-    initial cost, by least_squares with the Jacobian jac, the bounds and
-    the method. Polishing stops as soon as a polished cost is within
-    AGREE_RTOL (relative) of the best cost so far. Raises
+    initial cost |residual_fn(seed)|^2, one call per seed, or, if costs is
+    given, by costs(stack), which returns those costs for the (s, p) stack
+    of all seeds at once (the charging fits' one stacked solve). The best
+    MAX_POLISHED are polished, in order of initial cost, by least_squares
+    with the Jacobian jac, the bounds and the method. Polishing stops as
+    soon as a polished cost is within AGREE_RTOL (relative) of the best
+    cost so far. Raises
     FitConvergenceError (with best-so-far and every polished start's
     outcome attached) if nothing converges.
     """
     seeds = [np.asarray(s, dtype=float) for s in seeds]
     if not seeds:
         raise ValueError("at least one seed is required")
-    scored = []
-    for s in seeds:
-        r = residual_fn(s)
-        c = float(r @ r) if np.all(np.isfinite(r)) else np.inf
-        scored.append((c, s))
-    scored.sort(key=lambda t: t[0])
+    initial = [float(r @ r) for r in map(residual_fn, seeds)] if costs is None else costs(np.array(seeds)).tolist()
+    scored = sorted(((c if math.isfinite(c) else math.inf, s) for c, s in zip(initial, seeds)), key=lambda t: t[0])
     best = None
     starts = []
     for c, s in scored[:MAX_POLISHED]:

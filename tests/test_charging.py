@@ -260,6 +260,27 @@ class TestDischargeFit:
         assert p.df3 + p.df4 == pytest.approx(-shift, rel=1e-9)
 
 
+@pytest.mark.parametrize("k", [1e-3, 1e-2, 1e2, 1e3])
+def test_fits_do_not_depend_on_the_time_unit(k):
+    # criterion 7's records with the time axis and the light-on interval
+    # scaled by k: the time constants scale by k, and nothing else moves
+    def fits(k):
+        out = []
+        for seed in range(20):
+            series, sub = criterion7_series(seed)
+            scaled = series_from_model(np.asarray(series.times) * k, series.freqs, series.freq_errs)
+            scaled_sub = series_from_model(np.asarray(sub.times) * k, sub.freqs, sub.freq_errs)
+            out.append(fit_charging(scaled, 400.0 * k, t_end=2400.0 * k, f0_mode="baseline")[1])
+            out.append(fit_discharge(scaled_sub, 2400.0 * k)[1])
+        return out
+
+    for want, got in zip(fits(1.0), fits(k)):
+        assert got.flags == want.flags
+        for name, value in want.params.items():
+            unit = k if name.startswith("T") else 1.0
+            assert abs(got.params[name] / unit - value) <= 1e-3 * want.param_errs[name], name
+
+
 class TestProjection:
     """charging._projector's linear solve, its Jacobian and cache, and the
     multistart stop rule."""
@@ -281,7 +302,7 @@ class TestProjection:
             f = f0 + dfa * (1 - np.exp(-tau / Ta)) - dfb * (1 - np.exp(-tau / Tb))
         else:
             f = f0 - dfa * np.exp(-tau / Ta) - dfb * np.exp(-tau / Tb)
-        core, resid_fn, jac = charging._projector(tau, f, np.full(tau.size, 1e-3), kind, fix_f0, shift)
+        core, resid_fn, jac, _ = charging._projector(tau, f, np.full(tau.size, 1e-3), kind, fix_f0, shift)
         log_T = np.log([Ta, Tb])
         lin, resid = core(log_T)[:2]
         assert lin[0] == pytest.approx(dfa, rel=1e-9)
@@ -301,7 +322,7 @@ class TestProjection:
         tau = np.arange(0.0, 4500.0, 15.0)
         f = 5.329e6 + 1e5 * (1 - np.exp(-tau / 300.0)) + np.random.default_rng(5).normal(0, 1e3, tau.size)
         w = np.full(tau.size, 1e-3)
-        core, resid_fn, _ = charging._projector(tau, f, w, kind)
+        core, resid_fn, _, _ = charging._projector(tau, f, w, kind)
         log_T = np.log([21.0, Tb])
         lin, resid, U, _, _ = core(log_T)
         e = np.exp(-tau[:, None] / np.array([21.0, Tb]))
@@ -318,12 +339,34 @@ class TestProjection:
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a) or svd(*a, **k))
         tau = np.arange(0.0, 4500.0, 15.0)
         f = 5.329e6 + 151e3 * (1 - np.exp(-tau / 21.0)) - 50e3 * (1 - np.exp(-tau / 900.0))
-        _, resid_fn, jac = charging._projector(tau, f, None, "charging")
+        _, resid_fn, jac, _ = charging._projector(tau, f, None, "charging")
         for k, log_T in enumerate((np.log([21.0, 900.0]), np.log([30.0, 800.0])), start=1):
             resid_fn(log_T)
             assert len(calls) == k
             jac(log_T)
             assert len(calls) == k
+
+    @pytest.mark.parametrize("setup", list(SETUPS))
+    def test_stacked_costs_match_the_residuals(self, setup):
+        # one stacked SVD ranks the seeds as one solve per seed would; the
+        # last member has Ta == Tb, where each member drops its own column
+        kind, (dfa, dfb, Ta, Tb, f0), fix_f0, shift = self.SETUPS[setup]
+        tau = np.arange(0.0, 2.5 * Tb, 15.0)
+        rng = np.random.default_rng(4)
+        f = f0 + dfa * (1 - np.exp(-tau / Ta)) + rng.normal(0, 1e3, tau.size)
+        _, resid_fn, _, costs = charging._projector(tau, f, np.full(tau.size, 1e-3), kind, fix_f0, shift)
+        stack = np.log([[1.0, 10.0], [Ta, Tb], [0.1 * Tb, 3 * Tb], [50.0, 5e4], [Ta, Ta]])
+        want = [float(r @ r) for r in map(resid_fn, stack)]
+        np.testing.assert_allclose(costs(stack), want, rtol=1e-12, atol=0)
+
+    def test_one_stacked_solve_per_fit(self, monkeypatch):
+        # the multistart's prescreen is one SVD over the stack of all ten seeds
+        svd, calls = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a[0].ndim) or svd(*a, **k))
+        series, sub = criterion7_series(0)
+        fit_charging(series, 400.0, t_end=2400.0, f0_mode="baseline")
+        fit_discharge(sub, 2400.0, continuity_shift=1e5)
+        assert calls.count(3) == 2
 
     @staticmethod
     def polish_on_ridge(monkeypatch, offset):
