@@ -11,10 +11,13 @@ continuity constraint is one more design column. The optimizer, fitting's
 numpy Levenberg-Marquardt (so these fits load no scipy.optimize), gets
 Kaufman's Jacobian of the projected residuals (BIT 15, 49 (1975)) from the
 SVD that solves the linear part, and polishing stops once two starts reach
-the same cost. The seeds are 5e-4..5 and the bounds 1e-9..1e3 times the fit
-window's span, so a fit does not depend on the time unit; a time constant
-the data cannot identify runs to the ceiling and is flagged as sitting at
-the bound, and two that meet are flagged as coinciding.
+the same cost. The seeds are 5e-4..5 times the fit window's span; the
+bounds run from the gap between its first two samples over ln(1/eps) ~ 36,
+below which exp(-gap/T) < eps and a basis column is its first sample alone,
+to 1e3 times the span, and seeds below the floor are dropped, so a fit does
+not depend on the time unit. A time constant the data cannot identify runs
+to a bound and is flagged as sitting at it, and two that meet are flagged
+as coinciding.
 """
 
 from __future__ import annotations
@@ -32,8 +35,7 @@ from .reports import FitReport
 # span, so that a fit does not depend on the time unit
 TIME_CONSTANT_SEED_GRID = (5e-4, 5e-3, 5e-2, 0.5, 5.0)
 
-# Time-constant search range as multiples of the fit window's span
-TIME_CONSTANT_FLOOR = 1e-9
+# Time-constant ceiling as a multiple of the fit window's span
 TIME_CONSTANT_CEILING = 1e3
 
 # A fitted time constant within this relative distance of a bound, or of
@@ -256,14 +258,13 @@ def _double_exp_fit(tau, f, w, kind, fix_f0, names, shift=None):
     if tau.size < 8:
         raise ValueError("need at least 8 points for a double-exponential fit")
     span = float(tau[-1])
-    bounds = (math.log(TIME_CONSTANT_FLOOR * span), math.log(TIME_CONSTANT_CEILING * span))
+    # below the floor exp(-gap/T) < eps: the column is the first sample alone
+    floor = math.log(float(tau[1] - tau[0]) / -math.log(np.finfo(float).eps))
+    bounds = (floor, math.log(TIME_CONSTANT_CEILING * span))
     core, resid_fn, jac, costs = _projector(tau, f, w, kind, fix_f0, shift)
 
-    seeds = [
-        (math.log(a * span), math.log(b * span))
-        for i, a in enumerate(TIME_CONSTANT_SEED_GRID)
-        for b in TIME_CONSTANT_SEED_GRID[i + 1 :]
-    ]
+    grid = [g for g in (math.log(a * span) for a in TIME_CONSTANT_SEED_GRID) if g > floor]
+    seeds = [(a, b) for i, a in enumerate(grid) for b in grid[i + 1 :]]
     res = multistart_least_squares(resid_fn, seeds, bounds=bounds, jac=jac, costs=costs)
     log_T = np.sort(res.x)
     lin, resid, _, B, dB = core(log_T)

@@ -114,8 +114,11 @@ def _levenberg_marquardt(fun, jac, x0, bounds, tol, max_nfev):
     steps, the box clip and the stop tests run on Python floats over the
     few parameters, with |J step| taken as |S Vt z| for the scaled step
     z = step/scale. jac is called only at accepted points. The ftol and
-    xtol tests and the status codes follow scipy's; gtol bounds the free
-    parameters' scaled gradient."""
+    gtol tests are MINPACK's (Moré, Lecture Notes in Math. 630, 105 (1978)),
+    so neither depends on the residuals' units: ftol bounds the actual and
+    the predicted reduction by tol*cost, with ratio <= 2, and gtol the
+    cosine between r and each free parameter's column, max|g_i*scale_i| <=
+    tol*|r|. The xtol test and the status codes follow scipy's."""
     lb, ub = (np.broadcast_to(np.asarray(b, dtype=float), np.shape(x0)).tolist() for b in bounds)
     x = np.clip(np.asarray(x0, dtype=float), lb, ub)
     r = np.asarray(fun(x), dtype=float)
@@ -130,7 +133,7 @@ def _levenberg_marquardt(fun, jac, x0, bounds, tol, max_nfev):
         # 0 holds a parameter: its column and its step vanish
         held = [(xi <= lo and gi > 0) or (xi >= hi and gi < 0) for xi, lo, hi, gi in zip(xs, lb, ub, g)]
         scale = [0.0 if h else 1.0 / (n or 1.0) for h, n in zip(held, norms)]
-        if max(abs(gi * si) for gi, si in zip(g, scale)) < tol:
+        if max(abs(gi * si) for gi, si in zip(g, scale)) <= tol * math.sqrt(2.0 * cost):
             status = 1
             break
         U, s, Vt = np.linalg.svd(J * scale, full_matrices=False)
@@ -152,7 +155,7 @@ def _levenberg_marquardt(fun, jac, x0, bounds, tol, max_nfev):
             z = [st / si if si else 0.0 for st, si in zip(step, scale)]
             predicted = -_dot(step, g) - 0.5 * sum((si * _dot(row, z)) ** 2 for si, row in zip(s, Vt))
             ratio = actual / predicted if predicted > 0 else 0.0
-            ftol_met = actual < tol * cost and ratio > 0.25
+            ftol_met = abs(actual) <= tol * cost and predicted <= tol * cost and ratio <= 2.0
             xtol_met = math.sqrt(_dot(step, step)) < tol * (tol + math.sqrt(_dot(xs, xs)))
             if ftol_met or xtol_met:
                 status = 4 if ftol_met and xtol_met else 2 if ftol_met else 3

@@ -238,6 +238,34 @@ class TestDischargeFit:
             assert "time-constant-at-bound:T3" not in report.flags
         assert 0 < at_bound < 10
 
+    def test_short_window_drops_seeds_below_the_floor(self, monkeypatch):
+        # on 20 samples the floor, gap/ln(1/eps), lies above 5e-4 x span:
+        # those seeds are dropped, not clipped to the floor after the
+        # prescreen ranked them at their unclipped costs
+        given, polished = [], []
+        multistart, lm = charging.multistart_least_squares, fitting.least_squares
+
+        def recorded(fun, seeds, **kwargs):
+            given.append((seeds, kwargs["bounds"]))
+            return multistart(fun, seeds, **kwargs)
+
+        def polish(fun, x0, **kwargs):
+            polished.append((np.asarray(x0), kwargs["bounds"]))
+            return lm(fun, x0, **kwargs)
+
+        monkeypatch.setattr(charging, "multistart_least_squares", recorded)
+        monkeypatch.setattr(fitting, "least_squares", polish)
+        rng = np.random.default_rng(2)
+        t = 2400.0 + 15.0 * np.arange(20)
+        truth = DischargeModelParams(-80e3, -26.4e3, 40.0, 400.0, 2400.0, 5.329e6)
+        f = discharge_freq(t, truth) + rng.normal(0, 1e3, t.size)
+        fit_discharge(series_from_model(t, f, np.full(t.size, 1e3)), 2400.0)
+        (seeds, (floor, _)), = given
+        assert floor == pytest.approx(math.log(15.0 / math.log(2.0**52)))
+        assert len(set(seeds)) == len(seeds) == 6  # the 5e-4 x span seeds are gone
+        assert all(floor < a < b for a, b in seeds)
+        assert polished and all(np.min(x0) > lo for x0, (lo, _) in polished)
+
     def test_continuity_constraint(self):
         shift = charging_freq(2400.0, PAPER_CHARGING) - PAPER_CHARGING.f0
         scale = -shift / (PAPER_DISCHARGE.df3 + PAPER_DISCHARGE.df4)
@@ -367,6 +395,30 @@ class TestProjection:
         fit_charging(series, 400.0, t_end=2400.0, f0_mode="baseline")
         fit_discharge(sub, 2400.0, continuity_shift=1e5)
         assert calls.count(3) == 2
+
+    def test_discharge_fits_stop_after_two_starts(self, monkeypatch):
+        # criterion 7's seeds 0-199, counted on fitting.least_squares as
+        # tools/fit_drift.py counts: no start may run Tb far below the first
+        # sampling gap, where the basis column is the first sample alone and
+        # the cost is well above the minimum, so most discharge fits stop
+        # once their first two starts agree
+        lm, nfev = fitting.least_squares, []
+
+        def counted(*args, **kwargs):
+            res = lm(*args, **kwargs)
+            nfev.append(res.nfev)
+            return res
+
+        monkeypatch.setattr(fitting, "least_squares", counted)
+        third = 0
+        for seed in range(200):
+            series, sub = criterion7_series(seed)
+            fit_charging(series, 400.0, t_end=2400.0, f0_mode="baseline")
+            before = len(nfev)
+            fit_discharge(sub, 2400.0)
+            third += len(nfev) - before >= 3
+        assert third <= 40
+        assert sum(nfev) <= 12000
 
     @staticmethod
     def polish_on_ridge(monkeypatch, offset):

@@ -152,6 +152,25 @@ class TestLevenbergMarquardt:
         # the next trial starts again from x0, with more damping
         assert np.linalg.norm(calls[2] - calls[0]) < np.linalg.norm(calls[1] - calls[0])
 
+    def test_stop_does_not_depend_on_the_residual_units(self):
+        # a noisy exponential decay with its residuals in four units: gtol
+        # bounds the cosine between r and J's columns and ftol the relative
+        # reduction, so every unit takes the same steps to the same minimum
+        t = np.linspace(0.0, 5.0, 60)
+        y = 2.0 * np.exp(-t / 1.3) + np.random.default_rng(1).normal(0, 0.02, t.size)
+
+        def fit(k):
+            return least_squares(
+                lambda x: k * (x[0] * np.exp(-t / x[1]) - y), [1.0, 1.0],
+                jac=lambda x: k * np.column_stack([np.exp(-t / x[1]), x[0] * t / x[1] ** 2 * np.exp(-t / x[1])]),
+            )
+
+        want = fit(1.0)
+        for k in (1e-9, 1e-6, 1e6):
+            res = fit(k)
+            assert (res.nfev, res.status) == (want.nfev, want.status)
+            np.testing.assert_allclose(res.x, want.x, rtol=1e-12)
+
     def test_charging_fits_match_scipy_trf(self, monkeypatch):
         # criterion 7's seeds 0-19: the numpy solver reaches the costs of
         # scipy's trust-region reflective solver with the same Jacobian

@@ -8,9 +8,10 @@ and under ``PYTHONPATH=SRC_B``, each in its own interpreter: the charging
 window with the baseline f0 (as criterion 7 fits it) and the discharge
 window after light-off. It prints the worst |delta param| / sigma over every
 reported parameter, sigma being tree A's reported error, then every fit
-whose flags (or whose failure) differ, then each tree's total polishing
-evaluations (nfev) and polished starts, counted on
-``trapkit.fitting.least_squares``. Two trees give the same fits when the
+whose flags (or whose failure) differ, then, for each fit kind and in
+total, each tree's polishing evaluations (nfev), polished starts and fits
+that polished a third start, counted on ``trapkit.fitting.least_squares``.
+Two trees give the same fits when the
 drift is at rounding level and no flag differs:
 
     python3 tools/fit_drift.py PARENT/src src
@@ -26,24 +27,24 @@ import sys
 from pathlib import Path
 
 SEEDS = range(200)
+# each count over one fit's list of per-start nfev
+COUNTS = {"nfev": sum, "polished starts": len, "fits polishing a third start": lambda nfev: len(nfev) >= 3}
 
 
 def emit() -> int:
     """Fit every record with the trapkit on the path; one JSON line per fit,
-    then one line of totals."""
+    with the nfev of each polished start."""
     import numpy as np
 
     from trapkit import fitting
     from trapkit.charging import FrequencySeries, fit_charging, fit_discharge
     from trapkit.simulate import SimConfig, simulate_charging_series
 
-    totals = {"nfev": 0, "starts": 0}
-    polish = fitting.least_squares
+    polish, nfev = fitting.least_squares, []
 
     def counted(*args, **kwargs):
         res = polish(*args, **kwargs)
-        totals["nfev"] += res.nfev
-        totals["starts"] += 1
+        nfev.append(res.nfev)
         return res
 
     fitting.least_squares = counted
@@ -61,13 +62,13 @@ def emit() -> int:
             "discharge": lambda: fit_discharge(sub, 2400.0),
         }
         for kind, fit in fits.items():
+            nfev.clear()
             try:
                 _, report = fit()
                 out = {"params": report.params, "errs": report.param_errs, "flags": sorted(report.flags)}
             except fitting.FitConvergenceError as exc:
                 out = {"failed": str(exc)}
-            print(json.dumps({"seed": seed, "kind": kind, **out}))
-    print(json.dumps(totals))
+            print(json.dumps({"seed": seed, "kind": kind, "nfev": nfev, **out}))
     return 0
 
 
@@ -76,8 +77,7 @@ def fits(src: str):
     proc = subprocess.run(
         [sys.executable, __file__, "--emit"], env=env, capture_output=True, text=True, check=True, timeout=1800
     )
-    *lines, totals = proc.stdout.splitlines()
-    return [json.loads(line) for line in lines], json.loads(totals)
+    return [json.loads(line) for line in proc.stdout.splitlines()]
 
 
 def drift(a: dict, b: dict) -> tuple[float, str]:
@@ -92,7 +92,7 @@ def drift(a: dict, b: dict) -> tuple[float, str]:
 
 
 def main(src_a: str, src_b: str) -> int:
-    (fits_a, totals_a), (fits_b, totals_b) = fits(src_a), fits(src_b)
+    fits_a, fits_b = fits(src_a), fits(src_b)
     worst, where, differ = 0.0, "none", []
     for a, b in zip(fits_a, fits_b):
         label = f"seed {a['seed']} {a['kind']}"
@@ -110,8 +110,10 @@ def main(src_a: str, src_b: str) -> int:
     print(f"flag differences: {len(differ)}")
     for line in differ:
         print(f"  {line}")
-    for key in ("nfev", "starts"):
-        print(f"{key}: {totals_a[key]} -> {totals_b[key]}")
+    for kind in ("charging", "discharge", None):
+        for label, count in COUNTS.items():
+            a, b = (sum(count(f["nfev"]) for f in fs if kind in (None, f["kind"])) for fs in (fits_a, fits_b))
+            print(f"{kind or 'all'} {label}: {a} -> {b}")
     return 0
 
 
