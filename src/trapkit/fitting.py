@@ -3,8 +3,10 @@ nonlinear least squares. The fit report every pipeline emits is in
 trapkit.reports.
 
 Every nonlinear fit has an analytic Jacobian and is polished by a numpy
-solver: a bounded Levenberg-Marquardt for the charging fits, an unbounded
-trust region for the beam fit. No subcommand imports scipy.optimize."""
+solver: for the charging fits a bounded Levenberg-Marquardt over one or two
+parameters, which solves each damped step in closed form from the 2x2
+normal matrix J^T J, and for the beam fit an unbounded trust region, which
+solves each step from an SVD of J. No subcommand imports scipy.optimize."""
 
 from __future__ import annotations
 
@@ -87,14 +89,17 @@ def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf), tol=1e-12, max_nfev=10
     """Minimise 0.5*|fun(x)|^2 over the box bounds, starting from x0.
 
     jac is the Jacobian of fun, a callable. method "lm" runs the bounded
-    Levenberg-Marquardt below; "trf" runs the unbounded trust region below
-    and ignores bounds. Each fit uses the solver that is faster on it. The
-    beam fit uses the trust region: the Levenberg-Marquardt also finds both
-    peaks in all of criterion 9's first 100 noisy fits, but with about 20x
-    the evaluations. The charging fits, which need the bounds, use the
-    Levenberg-Marquardt. tol is the ftol, xtol and gtol of both. The result
-    has x, fun, jac, cost = 0.5*fun@fun, nfev and scipy's status codes:
-    0 max_nfev reached, 1 gtol, 2 ftol, 3 xtol, 4 ftol and xtol.
+    Levenberg-Marquardt below, which takes one or two parameters, raises
+    ValueError for more, and solves each damped step in closed form from
+    the 2x2 normal matrix, det = max(a*d - b^2, 0) + mu*(a + d + mu); "trf"
+    runs the unbounded trust region below and ignores bounds. Each fit uses
+    the solver that is faster on it. The beam fit uses the trust region:
+    the Levenberg-Marquardt also finds both peaks in all of criterion 9's
+    first 100 noisy fits, but with about 20x the evaluations. The charging
+    fits, which need the bounds, use the Levenberg-Marquardt. tol is the
+    ftol, xtol and gtol of both. The result has x, fun, jac,
+    cost = 0.5*fun@fun, nfev and scipy's status codes: 0 max_nfev reached,
+    1 gtol, 2 ftol, 3 xtol, 4 ftol and xtol.
     """
     if method == "trf":
         return _trust_region(fun, jac, x0, tol, max_nfev)
@@ -102,58 +107,71 @@ def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf), tol=1e-12, max_nfev=10
 
 
 def _levenberg_marquardt(fun, jac, x0, bounds, tol, max_nfev):
-    """Bounded Levenberg-Marquardt with Nielsen's damping update (Madsen,
-    Nielsen & Tingleff, Methods for non-linear least squares problems,
-    2004), damping each parameter in units of its Jacobian column's current
-    norm (Marquardt 1963). A running maximum of the norms, as in scipy's
-    x_scale="jac", sent criterion 7 seed 50's first discharge start into
-    the swapped (Tb, Ta) basin. Steps are clipped to the box, and a
-    parameter on a bound whose gradient points out of the box is held for
-    that step. Per iteration numpy forms only g = J^T r, the column norms
-    and one SVD J*scale = U S Vt, which serves every trial step; the trial
-    steps, the box clip and the stop tests run on Python floats over the
-    few parameters, with |J step| taken as |S Vt z| for the scaled step
-    z = step/scale. jac is called only at accepted points. The ftol and
-    gtol tests are MINPACK's (Moré, Lecture Notes in Math. 630, 105 (1978)),
-    so neither depends on the residuals' units: ftol bounds the actual and
-    the predicted reduction by tol*cost, with ratio <= 2, and gtol the
-    cosine between r and each free parameter's column, max|g_i*scale_i| <=
-    tol*|r|. The xtol test and the status codes follow scipy's."""
+    """Bounded Levenberg-Marquardt over one or two parameters, with
+    Nielsen's damping update (Madsen, Nielsen & Tingleff, Methods for
+    non-linear least squares problems, 2004), damping each parameter in
+    units of its Jacobian column's current norm (Marquardt 1963). A running
+    maximum of the norms, as in scipy's x_scale="jac", sent criterion 7
+    seed 50's first discharge start into the swapped (Tb, Ta) basin. Steps
+    are clipped to the box, and a parameter on a bound whose gradient points
+    out of the box is held for that step. Per iteration numpy forms only
+    g = J^T r and J^T J; every trial step, the box clip and the stop tests
+    then run on Python floats. The scaled normal matrix [[a, b], [b, d]]
+    (J^T J with each column scaled, a held column zeroed; one parameter
+    pads b = d = 0 and its second gradient entry 0) gives the damped scaled
+    step z = (A + mu I)^-1 (g*scale) in closed form, over
+    det = max(a*d - b^2, 0) + mu*(a + d + mu), which stays > 0 for every
+    mu > 0 even where the columns coincide, and |J step|^2 = z.A.z for the
+    predicted reduction. More than two parameters raise ValueError. jac is
+    called only at accepted points. The ftol and gtol tests are MINPACK's
+    (Moré, Lecture Notes in Math. 630, 105 (1978)), so neither depends on
+    the residuals' units: ftol bounds the actual and the predicted reduction
+    by tol*cost, with ratio <= 2, and gtol the cosine between r and each free
+    parameter's column, max|g_i*scale_i| <= tol*|r|. The xtol test and the
+    status codes follow scipy's."""
     lb, ub = (np.broadcast_to(np.asarray(b, dtype=float), np.shape(x0)).tolist() for b in bounds)
     x = np.clip(np.asarray(x0, dtype=float), lb, ub)
+    if x.size > 2:
+        raise ValueError("the Levenberg-Marquardt takes one or two parameters")
     r = np.asarray(fun(x), dtype=float)
     if not np.all(np.isfinite(r)):
         raise ValueError("Residuals are not finite in the initial point.")
     nfev, cost, J, xs = 1, 0.5 * float(r @ r), jac(x), x.tolist()
+    pad = [0.0] * (2 - len(xs))  # one parameter: a second one with a zero column
     mu, nu = 1.0, 2.0  # mu: the largest diagonal entry of the scaled J^T J
     status = None
     while status is None:
         g = (J.T @ r).tolist()
-        norms = np.sqrt(np.einsum("ij,ij->j", J, J)).tolist()
+        G = (J.T @ J).tolist()
         # 0 holds a parameter: its column and its step vanish
         held = [(xi <= lo and gi > 0) or (xi >= hi and gi < 0) for xi, lo, hi, gi in zip(xs, lb, ub, g)]
-        scale = [0.0 if h else 1.0 / (n or 1.0) for h, n in zip(held, norms)]
-        if max(abs(gi * si) for gi, si in zip(g, scale)) <= tol * math.sqrt(2.0 * cost):
+        scale = [0.0 if h else 1.0 / (math.sqrt(G[i][i]) or 1.0) for i, h in enumerate(held)]
+        g0, g1 = [gi * si for gi, si in zip(g, scale)] + pad
+        if max(abs(g0), abs(g1)) <= tol * math.sqrt(2.0 * cost):
             status = 1
             break
-        U, s, Vt = np.linalg.svd(J * scale, full_matrices=False)
-        su, s2, s, Vt = (s * (U.T @ r)).tolist(), (s * s).tolist(), s.tolist(), Vt.tolist()
-        V = list(zip(*Vt))
+        s0, s1 = scale + pad
+        a = G[0][0] * s0 * s0
+        b, d = (G[0][1] * s0 * s1, G[1][1] * s1 * s1) if s1 else (0.0, 0.0)  # s1 = 0: held or padded
+        minor = max(a * d - b * b, 0.0)  # rounding can make it negative for near-parallel columns
         while status is None:
             if nfev == max_nfev:
                 status = 0
                 break
-            c = [a / (b + mu) for a, b in zip(su, s2)]
-            x_new = [min(max(xi - si * _dot(vi, c), lo), hi) for xi, si, vi, lo, hi in zip(xs, scale, V, lb, ub)]
-            step = [a - b for a, b in zip(x_new, xs)]
+            det = minor + mu * (a + d + mu)
+            # (A + mu I)^-1 (g0, g1); where the columns coincide d*g0 - b*g1 is
+            # exactly 0, so the step stays exact as mu falls below eps
+            z = ((d * g0 - b * g1 + mu * g0) / det, (a * g1 - b * g0 + mu * g1) / det)
+            x_new = [min(max(xi - si * zi, lo), hi) for xi, si, zi, lo, hi in zip(xs, scale, z, lb, ub)]
+            step = [u - v for u, v in zip(x_new, xs)]
             x_arr = np.array(x_new)
             r_new = np.asarray(fun(x_arr), dtype=float)
             nfev += 1
             cost_new = 0.5 * float(r_new @ r_new)  # a non-finite cost fails every test below
             actual = cost - cost_new
-            # as _predicted_reduction, with J step = U S Vt z
-            z = [st / si if si else 0.0 for st, si in zip(step, scale)]
-            predicted = -_dot(step, g) - 0.5 * sum((si * _dot(row, z)) ** 2 for si, row in zip(s, Vt))
+            # as _predicted_reduction, with |J step|^2 = z.A.z for the clipped scaled step z
+            z0, z1 = [st / si if si else 0.0 for st, si in zip(step, scale)] + pad
+            predicted = -_dot(step, g) - 0.5 * (a * z0 * z0 + 2.0 * b * z0 * z1 + d * z1 * z1)
             ratio = actual / predicted if predicted > 0 else 0.0
             ftol_met = abs(actual) <= tol * cost and predicted <= tol * cost and ratio <= 2.0
             xtol_met = math.sqrt(_dot(step, step)) < tol * (tol + math.sqrt(_dot(xs, xs)))

@@ -152,6 +152,69 @@ class TestLevenbergMarquardt:
         # the next trial starts again from x0, with more damping
         assert np.linalg.norm(calls[2] - calls[0]) < np.linalg.norm(calls[1] - calls[0])
 
+    @pytest.mark.parametrize("case", ["two", "one", "held"])
+    def test_first_trial_is_the_damped_least_squares_step(self, case):
+        # the closed-form step against the damped least-squares problem it
+        # solves, min |J scale z - r|^2 + mu |z|^2 with mu = 1, by lstsq on
+        # the stacked system [J scale; I] z = [r; 0]
+        rng = np.random.default_rng(["two", "one", "held"].index(case))
+        p = 1 if case == "one" else 2
+        J = rng.normal(size=(12, p)) * [3.0, 0.02][:p]
+        r0 = rng.normal(size=12)
+        lb = [-np.inf] * p
+        if case == "held":
+            r0 *= np.sign(J[:, 0] @ r0)  # the gradient points out of the box through x0's lower bound
+            lb[0] = 0.0
+        calls = []
+
+        def fun(x):
+            calls.append(x.copy())
+            return r0 + J @ x
+
+        least_squares(fun, np.zeros(p), jac=lambda x: J, bounds=(lb, np.inf), max_nfev=2)
+        scale = 1.0 / np.linalg.norm(J, axis=0)
+        if case == "held":
+            scale[0] = 0.0
+        A = np.vstack([J * scale, np.eye(p)])
+        z = np.linalg.lstsq(A, np.concatenate([r0, np.zeros(p)]), rcond=None)[0]
+        np.testing.assert_allclose(calls[1], -scale * z, rtol=1e-10, atol=0)
+
+    def test_coinciding_columns_keep_the_step_finite(self):
+        # both parameters enter only through their sum, so J's two columns
+        # are identical, as at coinciding time constants, and a*d - b^2 = 0;
+        # every step succeeds, which drives mu toward 0: the damped system's
+        # determinant must not vanish with it
+        c = np.array([1.0, 2.0, 3.0])
+        calls = []
+
+        def fun(x):
+            calls.append(x.copy())
+            return c * np.exp(-x[0] - x[1])
+
+        def jac(x):
+            col = -c * np.exp(-x[0] - x[1])
+            return np.column_stack([col, col])
+
+        res = least_squares(fun, [0.0, 0.0], jac=jac)
+        assert res.status in (1, 2, 3, 4)
+        assert np.all(np.isfinite(calls))
+        # the late steps are undamped Gauss-Newton steps, x0 + x1 += 1, split
+        # evenly between the two parameters
+        assert res.nfev > 300
+        np.testing.assert_allclose(np.diff(calls[-20:], axis=0), 0.5, rtol=1e-9)
+
+    def test_more_than_two_parameters_raise(self):
+        with pytest.raises(ValueError, match="one or two parameters"):
+            least_squares(lambda x: x - 1.0, np.zeros(3), jac=lambda x: np.eye(3))
+
+    def test_rosenbrock_makes_no_svd(self, monkeypatch):
+        # each step comes from the 2x2 normal matrix on floats
+        svd, calls = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a[0].shape) or svd(*a, **k))
+        res = least_squares(_rosenbrock, [-1.2, 1.0], jac=_rosenbrock_jac)
+        np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-8)
+        assert calls == []
+
     def test_stop_does_not_depend_on_the_residual_units(self):
         # a noisy exponential decay with its residuals in four units: gtol
         # bounds the cosine between r and J's columns and ftol the relative

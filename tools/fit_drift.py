@@ -10,8 +10,9 @@ window after light-off. It prints the worst |delta param| / sigma over every
 reported parameter, sigma being tree A's reported error, then every fit
 whose flags (or whose failure) differ, then, for each fit kind and in
 total, each tree's polishing evaluations (nfev), polished starts and fits
-that polished a third start, counted on ``trapkit.fitting.least_squares``.
-Two trees give the same fits when the
+that polished a third start, counted on ``trapkit.fitting.least_squares``,
+and its ``np.linalg.svd`` calls, a measure of each evaluation's cost that
+does not depend on the machine. Two trees give the same fits when the
 drift is at rounding level and no flag differs:
 
     python3 tools/fit_drift.py PARENT/src src
@@ -27,13 +28,18 @@ import sys
 from pathlib import Path
 
 SEEDS = range(200)
-# each count over one fit's list of per-start nfev
-COUNTS = {"nfev": sum, "polished starts": len, "fits polishing a third start": lambda nfev: len(nfev) >= 3}
+# each count over one fit's line
+COUNTS = {
+    "nfev": lambda fit: sum(fit["nfev"]),
+    "polished starts": lambda fit: len(fit["nfev"]),
+    "fits polishing a third start": lambda fit: len(fit["nfev"]) >= 3,
+    "svd calls": lambda fit: fit["svd"],
+}
 
 
 def emit() -> int:
     """Fit every record with the trapkit on the path; one JSON line per fit,
-    with the nfev of each polished start."""
+    with the nfev of each polished start and the fit's SVD count."""
     import numpy as np
 
     from trapkit import fitting
@@ -48,6 +54,8 @@ def emit() -> int:
         return res
 
     fitting.least_squares = counted
+    svd, svds = np.linalg.svd, []
+    np.linalg.svd = lambda *args, **kwargs: svds.append(None) or svd(*args, **kwargs)
     for seed in SEEDS:
         series = simulate_charging_series(SimConfig(seed=seed, noise_floor=1e3), 15.0, (400.0, 2400.0), 5000.0)
         t = np.asarray(series.times)
@@ -63,12 +71,13 @@ def emit() -> int:
         }
         for kind, fit in fits.items():
             nfev.clear()
+            svds.clear()
             try:
                 _, report = fit()
                 out = {"params": report.params, "errs": report.param_errs, "flags": sorted(report.flags)}
             except fitting.FitConvergenceError as exc:
                 out = {"failed": str(exc)}
-            print(json.dumps({"seed": seed, "kind": kind, "nfev": nfev, **out}))
+            print(json.dumps({"seed": seed, "kind": kind, "nfev": nfev, "svd": len(svds), **out}))
     return 0
 
 
@@ -112,7 +121,7 @@ def main(src_a: str, src_b: str) -> int:
         print(f"  {line}")
     for kind in ("charging", "discharge", None):
         for label, count in COUNTS.items():
-            a, b = (sum(count(f["nfev"]) for f in fs if kind in (None, f["kind"])) for fs in (fits_a, fits_b))
+            a, b = (sum(count(f) for f in fs if kind in (None, f["kind"])) for fs in (fits_a, fits_b))
             print(f"{kind or 'all'} {label}: {a} -> {b}")
     return 0
 
