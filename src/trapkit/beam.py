@@ -9,7 +9,7 @@ dip without re-running a full optical simulation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,12 +24,12 @@ DEFAULT_BEAMLET_WAIST = 0.9e-6  # m, sub-micron beamlets
 class GratingOutputModel:
     """Parameterized output-beam intensity along the trap axis.
 
-    The profile is evaluated directly in the along-trap coordinate.
+    The profile is evaluated directly in the along-trap coordinate, in units
+    of the (first) beam's peak intensity.
     """
 
     mode: str
     waist: float  # m; beam waist (single) or beamlet waist (two-beamlet)
-    peak_intensity: float = 1.0  # W/m^2, relative scale
     center: float = 0.0  # m, beam (or beamlet-midpoint) position
     beamlet_separation: float = 0.0  # m
     beamlet_phase: float = math.pi  # rad
@@ -69,9 +69,7 @@ def two_beamlet_intensity(x, model: GratingOutputModel):
     x2 = model.center + 0.5 * model.beamlet_separation
     g1 = np.exp(-((x - x1) ** 2) / (w * w))
     g2 = model.beamlet_amplitude_ratio * np.exp(-((x - x2) ** 2) / (w * w))
-    out = model.peak_intensity * (
-        g1 * g1 + g2 * g2 + 2.0 * g1 * g2 * math.cos(model.beamlet_phase)
-    )
+    out = g1 * g1 + g2 * g2 + 2.0 * g1 * g2 * math.cos(model.beamlet_phase)
     # the coherent sum is >= (g1-g2)^2; clamp rounding-level negatives
     out = np.clip(out, 0.0, None)
     return float(out) if out.ndim == 0 else out
@@ -82,20 +80,18 @@ def profile_intensity(x, model: GratingOutputModel):
     if model.mode == "two-beamlet":
         return two_beamlet_intensity(x, model)
     x = np.asarray(x, dtype=float)
-    out = model.peak_intensity * np.exp(
-        -2.0 * (x - model.center) ** 2 / (model.waist**2)
-    )
+    out = np.exp(-2.0 * (x - model.center) ** 2 / (model.waist**2))
     return float(out) if out.ndim == 0 else out
 
 
 def rabi_profile(x, model: GratingOutputModel, rabi_scale: float):
-    """Model Rabi frequency along the scan axis, rabi_scale * sqrt(I(x)/I_peak).
+    """Model Rabi frequency along the scan axis, rabi_scale * sqrt(I(x)).
 
     The fit's residuals and the CLI's model column both use this curve. It
     skips rabi_from_intensity's input checks because the fit calls it on
     every residual evaluation.
     """
-    return rabi_scale * np.sqrt(np.asarray(profile_intensity(x, model)) / model.peak_intensity)
+    return rabi_scale * np.sqrt(np.asarray(profile_intensity(x, model)))
 
 
 def rabi_from_intensity(intensity, reference: tuple[float, float]):
@@ -343,4 +339,4 @@ def fit_profile(
         flags=flags,
         extras=extras,
     )
-    return replace(model, peak_intensity=1.0), report
+    return model, report

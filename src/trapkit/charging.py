@@ -6,12 +6,11 @@ and again while it discharges. Both models are fitted by variable
 projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)): the
 nonlinear search runs over (log Ta, log Tb) only, multi-started from
 decade-spaced pairs ranked by one stacked solve, and the amplitudes and a
-free f0 are solved by linear least squares at every step. The discharge
-continuity constraint is one more design column. The optimizer, fitting's
-numpy Levenberg-Marquardt (so these fits load no scipy.optimize), gets
-Kaufman's Jacobian of the projected residuals (BIT 15, 49 (1975)) from the
-SVD that solves the linear part, and polishing stops once two starts reach
-the same cost. The seeds are 5e-4..5 times the fit window's span; the
+free f0 are solved by linear least squares at every step. The optimizer,
+fitting's numpy Levenberg-Marquardt (so these fits load no scipy.optimize),
+gets Kaufman's Jacobian of the projected residuals (BIT 15, 49 (1975)) from
+the SVD that solves the linear part, and polishing stops once two starts
+reach the same cost. The seeds are 5e-4..5 times the fit window's span; the
 bounds run from the gap between its first two samples over ln(1/eps) ~ 36,
 below which exp(-gap/T) < eps and a basis column is its first sample alone,
 to 1e3 times the span, and seeds below the floor are dropped, so a fit does
@@ -178,14 +177,14 @@ def _select(series: FrequencySeries, t_start, t_end):
     return t[mask], f[mask], w
 
 
-def _projector(tau, f, w, kind, fix_f0=None, shift=None):
+def _projector(tau, f, w, kind, fix_f0=None):
     """(core, resid, jac, costs) for the model of _double_exp_fit at fixed
     time constants log_T. core(log_T) -> (lin, resid, U, B, dB): the linear
-    parameters (dfa, then dfb unless shift is set, then f0 if free), the
-    weighted residuals U(U^T y) - y, U of the SVD of the weighted design
-    matrix A that gives lin (singular values below eps*max(A.shape)*s0
-    dropped, as by np.linalg.lstsq(rcond=None)), and the unweighted basis B
-    and its derivative dB in log T. A new point costs one SVD, with the
+    parameters (dfa, dfb, then f0 if free), the weighted residuals
+    U(U^T y) - y, U of the SVD of the weighted design matrix A that gives
+    lin (singular values below eps*max(A.shape)*s0 dropped, as by
+    np.linalg.lstsq(rcond=None)), and the unweighted basis B and its
+    derivative dB in log T. A new point costs one SVD, with the
     weighted basis written into A in place; its exponentials are cached, so
     B and dB are formed only by core and by jac, which builds Kaufman's
     Jacobian D - U(U^T D) only when asked. costs(log_Ts) ranks an (s, 2)
@@ -197,10 +196,10 @@ def _projector(tau, f, w, kind, fix_f0=None, shift=None):
     wcol = (np.ones_like(tau) if w is None else w)[:, None]
     sw = signs * wcol
     target = wcol[:, 0] * (f if fix_f0 is None else f - fix_f0)
-    A = np.empty((tau.size, (2 if shift is None else 1) + (fix_f0 is None)))
+    A = np.empty((tau.size, 2 + (fix_f0 is None)))
     if fix_f0 is None:
         A[:, -1] = wcol[:, 0]
-    Bw = A[:, :2] if shift is None else np.empty((tau.size, 2))
+    Bw = A[:, :2]
     cutoff = np.finfo(float).eps * max(A.shape)
 
     @functools.lru_cache(maxsize=1)
@@ -208,16 +207,12 @@ def _projector(tau, f, w, kind, fix_f0=None, shift=None):
         x = ntcol * np.array([math.exp(-log_T[0]), math.exp(-log_T[1])])  # -tau/T
         e = np.exp(x)
         np.multiply(np.subtract(level, e, out=Bw), sw, out=Bw)
-        y = target
-        if shift is not None:
-            np.subtract(Bw[:, 0], Bw[:, 1], out=A[:, 0])
-            y = target + shift * Bw[:, 1]
         U, sv, Vt = np.linalg.svd(A, full_matrices=False)
         if sv[-1] <= cutoff * sv[0]:  # sv is sorted: keep a prefix
             k = np.count_nonzero(sv > cutoff * sv[0])
             U, sv, Vt = U[:, :k], sv[:k], Vt[:k]
-        uy = U.T @ y
-        return (uy / sv) @ Vt, U @ uy - y, U, e, x
+        uy = U.T @ target
+        return (uy / sv) @ Vt, U @ uy - target, U, e, x
 
     def core(log_T):
         lin, resid, U, e, x = solve(tuple(log_T))
@@ -225,35 +220,31 @@ def _projector(tau, f, w, kind, fix_f0=None, shift=None):
 
     def jac(log_T):
         lin, _, U, e, x = solve(tuple(log_T))
-        # with the shift, dfb = -shift - dfa: one rule for both models and every f0 mode
-        D = e * x * sw * [lin[0], lin[1] if shift is None else -shift - lin[0]]
+        D = e * x * sw * lin[:2]
         return D - U @ (U.T @ D)
 
     def costs(log_Ts):
         Bws = (level - np.exp(ntcol * np.exp(-log_Ts)[:, None, :])) * sw
         As = np.repeat(A[None], len(log_Ts), axis=0)
-        if shift is None:
-            As[..., :2], y = Bws, target
-        else:
-            As[..., 0], y = Bws[..., 0] - Bws[..., 1], target + shift * Bws[..., 1]
+        As[..., :2] = Bws
         U, sv, _ = np.linalg.svd(As, full_matrices=False)
         U *= (sv > cutoff * sv[:, :1])[:, None, :]  # zeroes the columns solve drops
-        y = y[..., None]
+        y = target[:, None]
         r = U @ (U.transpose(0, 2, 1) @ y) - y
         return np.einsum("sni,sni->s", r, r)
 
     return core, lambda log_T: solve(tuple(log_T))[1], jac, costs
 
 
-def _double_exp_fit(tau, f, w, kind, fix_f0, names, shift=None):
+def _double_exp_fit(tau, f, w, kind, fix_f0, names):
     """Variable-projection fit of f0 + dfa*ba(tau; Ta) + dfb*bb(tau; Tb).
 
     kind 'charging' uses ba = 1 - exp(-tau/Ta), bb = -(1 - exp(-tau/Tb));
     'discharge' uses ba = -exp(-tau/Ta), bb = -exp(-tau/Tb). Only
     (log Ta, log Tb) are searched; the amplitudes and a free f0 are solved
-    linearly at each evaluation. With shift set, dfb = -shift - dfa.
-    names labels (dfa, dfb, Ta, Tb). Returns (values, errs, cov, residuals,
-    flags) with Ta <= Tb and cov over (dfa, dfb, log Ta, log Tb[, f0]).
+    linearly at each evaluation. names labels (dfa, dfb, Ta, Tb). Returns
+    (values, errs, cov, residuals, flags) with Ta <= Tb and cov over
+    (dfa, dfb, log Ta, log Tb[, f0]).
     """
     if tau.size < 8:
         raise ValueError("need at least 8 points for a double-exponential fit")
@@ -261,7 +252,7 @@ def _double_exp_fit(tau, f, w, kind, fix_f0, names, shift=None):
     # below the floor exp(-gap/T) < eps: the column is the first sample alone
     floor = math.log(float(tau[1] - tau[0]) / -math.log(np.finfo(float).eps))
     bounds = (floor, math.log(TIME_CONSTANT_CEILING * span))
-    core, resid_fn, jac, costs = _projector(tau, f, w, kind, fix_f0, shift)
+    core, resid_fn, jac, costs = _projector(tau, f, w, kind, fix_f0)
 
     grid = [g for g in (math.log(a * span) for a in TIME_CONSTANT_SEED_GRID) if g > floor]
     seeds = [(a, b) for i, a in enumerate(grid) for b in grid[i + 1 :]]
@@ -270,19 +261,13 @@ def _double_exp_fit(tau, f, w, kind, fix_f0, names, shift=None):
     lin, resid, _, B, dB = core(log_T)
     Ta, Tb = np.exp(log_T)
 
-    # map the free parameters onto (dfa, dfb, log Ta, log Tb[, f0])
-    n_full = 4 if fix_f0 is not None else 5
-    G = np.eye(n_full)
-    dfa = lin[0]
-    dfb = lin[1] if shift is None else -shift - dfa
-    if shift is not None:
-        G = np.delete(G, 1, axis=1)
-        G[1, 0] = -1.0
+    dfa, dfb = lin[:2]
     f0 = lin[-1] if fix_f0 is None else fix_f0
-    J = np.column_stack([B[:, 0], B[:, 1], dfa * dB[:, 0], dfb * dB[:, 1], np.ones_like(tau)][:n_full])
+    cols = [B[:, 0], B[:, 1], dfa * dB[:, 0], dfb * dB[:, 1], np.ones_like(tau)]
+    J = np.column_stack(cols if fix_f0 is None else cols[:4])
     if w is not None:
         J = J * w[:, None]
-    cov = G @ covariance_from_jacobian(J @ G, resid, absolute_sigma=w is not None) @ G.T
+    cov = covariance_from_jacobian(J, resid, absolute_sigma=w is not None)
     sd = np.sqrt(np.clip(np.diag(cov), 0, None))
 
     name_a, name_b, name_Ta, name_Tb = names
@@ -309,7 +294,7 @@ def _double_exp_fit(tau, f, w, kind, fix_f0, names, shift=None):
     return values, errs, cov, resid, flags
 
 
-def _fit_window(series, t_start, t_end, f0_mode, kind, names, shift=None):
+def _fit_window(series, t_start, t_end, f0_mode, kind, names):
     """The double-exponential fit of one kind to the points in [t_start,
     t_end] and its report, before the caller adds its own extras.
 
@@ -325,7 +310,7 @@ def _fit_window(series, t_start, t_end, f0_mode, kind, names, shift=None):
             raise ValueError(f"no points before t = {t_start} s to fix the baseline f0 from")
         fix_f0 = float(np.mean(before))
     t, f, w = _select(series, t_start, t_end)
-    values, errs, cov, resid, flags = _double_exp_fit(t - t_start, f, w, kind, fix_f0, names, shift)
+    values, errs, cov, resid, flags = _double_exp_fit(t - t_start, f, w, kind, fix_f0, names)
     report = FitReport(
         model=f"{kind}-double-exponential",
         params=values,
@@ -366,20 +351,12 @@ def fit_discharge(
     t_off: float,
     t_end: float | None = None,
     f0_mode: str = "fit",
-    continuity_shift: float | None = None,
 ) -> tuple[DischargeModelParams, FitReport]:
     """Fit the light-off discharge model to the points in [t_off, t_end].
 
-    f0_mode 'baseline' fixes f0 to the mean of the pre-t_off points. With
-    continuity_shift set (the charging model's shift above f0 at t_off),
-    the amplitude sum is constrained by df3 + df4 = -shift so the two
-    curves join continuously; this removes one free parameter.
+    f0_mode 'baseline' fixes f0 to the mean of the pre-t_off points.
     """
-    values, _, report = _fit_window(
-        series, t_off, t_end, f0_mode, "discharge", ("df3", "df4", "T3", "T4"), continuity_shift
-    )
-    if continuity_shift is not None:
-        report.flags.append("continuity-constrained")
+    values, _, report = _fit_window(series, t_off, t_end, f0_mode, "discharge", ("df3", "df4", "T3", "T4"))
     report.extras["t_off"] = t_off
     return DischargeModelParams(t_off=t_off, **values), report
 

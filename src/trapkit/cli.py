@@ -49,7 +49,7 @@ def _load_config(path):
 
 
 def _provenance(args, input_path=None) -> dict[str, str]:
-    prov = {"toolkit_version": __version__, "seed": str(getattr(args, "seed", ""))}
+    prov = {"toolkit_version": __version__, "seed": str(args.seed)}
     if input_path is not None:
         prov["input_digest"] = file_digest(input_path)
         prov["input_file"] = Path(input_path).name
@@ -80,11 +80,11 @@ def _sim_kwargs(args) -> dict:
     """simulate.SimConfig's arguments from the command line."""
     shots = None if args.shots == 0 else args.shots
     kwargs = {"seed": args.seed, "shots_per_point": shots}
-    if getattr(args, "rate", None) is not None:
+    if args.rate is not None:
         kwargs["heating_rate"] = args.rate
-    if getattr(args, "initial_nbar", None) is not None:
+    if args.initial_nbar is not None:
         kwargs["initial_nbar"] = args.initial_nbar
-    if getattr(args, "noise", None) is not None:
+    if args.noise is not None:
         kwargs["noise_floor"] = args.noise
     return kwargs
 
@@ -92,8 +92,8 @@ def _sim_kwargs(args) -> dict:
 def cmd_simulate(args):
     if args.points < 2:
         raise ValueError(f"--points must be at least 2, got {args.points}")
-    if args.kind == "heating" and not args.span > 0:
-        raise ValueError(f"--span must be positive for heating, got {args.span}")
+    if args.kind in ("heating", "sideband") and not args.span > 0:
+        raise ValueError(f"--span must be positive for {args.kind}, got {args.span}")
     import numpy as np
 
     from . import beam, simulate
@@ -280,15 +280,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--config", type=str, default=None)
-    common.add_argument("--out-dir", type=str, default=None)
-    common.add_argument("--format", choices=("table", "report"), default="report")
+    # each subcommand takes only the shared flags it reads: --seed where it
+    # writes a seed, --out-dir and --format where it calls _emit
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
+    emitting = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    emitting.add_argument("--out-dir", type=str, default=None)
+    emitting.add_argument("--format", choices=("table", "report"), default="report")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", parents=[common], help="generate a synthetic dataset")
+    p = sub.add_parser("simulate", parents=[seeded], help="generate a synthetic dataset")
     p.add_argument("kind", choices=("heating", "charging", "sideband", "position"))
     p.add_argument("--out", required=True)
     p.add_argument("--shots", type=int, default=500, help="shots per point; 0 for analytic mode")
@@ -308,34 +310,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scan-end", type=float, default=16.0, help="um")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("fit-heating", parents=[common], help="fit nbar(t) to a line")
+    p = sub.add_parser("fit-heating", parents=[emitting], help="fit nbar(t) to a line")
     p.add_argument("--input", required=True)
     p.set_defaults(func=cmd_fit_heating)
 
-    p = sub.add_parser("fit-charging", parents=[common], help="fit the light-on charging model")
+    p = sub.add_parser("fit-charging", parents=[emitting], help="fit the light-on charging model")
     p.add_argument("--input", required=True)
     p.add_argument("--t-on", type=float, default=None)
     p.add_argument("--f0-mode", choices=("fit", "baseline"), default="fit")
     p.set_defaults(func=cmd_fit_charging)
 
-    p = sub.add_parser("fit-discharge", parents=[common], help="fit the light-off discharge model")
+    p = sub.add_parser("fit-discharge", parents=[emitting], help="fit the light-off discharge model")
     p.add_argument("--input", required=True)
     p.add_argument("--t-off", type=float, default=None)
     p.add_argument("--f0-mode", choices=("fit", "baseline"), default="fit")
     p.set_defaults(func=cmd_fit_discharge)
 
-    p = sub.add_parser("thermometry", parents=[common], help="nbar from one red/blue pair")
+    p = sub.add_parser("thermometry", parents=[seeded], help="nbar from one red/blue pair")
     p.add_argument("--p-red", type=float, required=True)
     p.add_argument("--p-blue", type=float, required=True)
     p.add_argument("--shots", type=int, default=None)
     p.set_defaults(func=cmd_thermometry)
 
-    p = sub.add_parser("beam-profile", parents=[common], help="fit a Rabi position scan")
+    p = sub.add_parser("beam-profile", parents=[emitting], help="fit a Rabi position scan")
     p.add_argument("--input", required=True)
     p.add_argument("--mode", choices=BEAM_MODES, default="two-beamlet")
     p.set_defaults(func=cmd_beam_profile)
 
-    p = sub.add_parser("normalize", parents=[common], help="rescale a heating rate to a reference")
+    p = sub.add_parser("normalize", parents=[seeded], help="rescale a heating rate to a reference")
+    p.add_argument("--config", type=str, default=None, help="JSON file whose 'species' entry extends the species table")
     p.add_argument("--rate", type=float, required=True, help="quanta/s")
     p.add_argument("--rate-err", type=float, default=0.0)
     p.add_argument("--species", default="Yb-171")
@@ -345,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref-freq", type=float, default=1e6, help="Hz")
     p.set_defaults(func=cmd_normalize)
 
-    p = sub.add_parser("report", parents=[common], help="reprint a stored fit report")
+    p = sub.add_parser("report", help="reprint a stored fit report")
     p.add_argument("--input", required=True)
     p.set_defaults(func=cmd_report)
 

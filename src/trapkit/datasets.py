@@ -97,7 +97,7 @@ def _parse_header(header: str, kind: str) -> list[tuple[str, float]]:
     return cols
 
 
-_TIME_LIKE = {"heating": "time", "charging": "time", "position-scan": "pos"}
+_TIME_LIKE = {"heating": "time", "charging": "time", "sideband-scan": "wait", "position-scan": "pos"}
 
 
 def load_dataset(path, kind: str) -> Dataset:

@@ -27,6 +27,9 @@ WEAK_IDENTIFIABILITY_THRESHOLD = 0.15
 MAX_POLISHED = 3
 AGREE_RTOL = 1e-9
 
+# The ftol, xtol and gtol of both least-squares solvers
+TOL = 1e-12
+
 
 def check_series(x, y, err, names: tuple[str, str, str]):
     """The contract every measured series keeps: x and y finite and of equal
@@ -85,7 +88,7 @@ def weighted_linear_fit(x, y, yerr=None):
     return beta[0], beta[1], cov
 
 
-def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf), tol=1e-12, max_nfev=1000, method="lm"):
+def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf), max_nfev=1000, method="lm"):
     """Minimise 0.5*|fun(x)|^2 over the box bounds, starting from x0.
 
     jac is the Jacobian of fun, a callable. method "lm" runs the bounded
@@ -96,17 +99,17 @@ def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf), tol=1e-12, max_nfev=10
     the solver that is faster on it. The beam fit uses the trust region:
     the Levenberg-Marquardt also finds both peaks in all of criterion 9's
     first 100 noisy fits, but with about 20x the evaluations. The charging
-    fits, which need the bounds, use the Levenberg-Marquardt. tol is the
-    ftol, xtol and gtol of both. The result has x, fun, jac,
+    fits, which need the bounds, use the Levenberg-Marquardt. Both stop on
+    ftol, xtol and gtol all equal to TOL. The result has x, fun, jac,
     cost = 0.5*fun@fun, nfev and scipy's status codes: 0 max_nfev reached,
     1 gtol, 2 ftol, 3 xtol, 4 ftol and xtol.
     """
     if method == "trf":
-        return _trust_region(fun, jac, x0, tol, max_nfev)
-    return _levenberg_marquardt(fun, jac, x0, bounds, tol, max_nfev)
+        return _trust_region(fun, jac, x0, max_nfev)
+    return _levenberg_marquardt(fun, jac, x0, bounds, max_nfev)
 
 
-def _levenberg_marquardt(fun, jac, x0, bounds, tol, max_nfev):
+def _levenberg_marquardt(fun, jac, x0, bounds, max_nfev):
     """Bounded Levenberg-Marquardt over one or two parameters, with
     Nielsen's damping update (Madsen, Nielsen & Tingleff, Methods for
     non-linear least squares problems, 2004), damping each parameter in
@@ -126,8 +129,8 @@ def _levenberg_marquardt(fun, jac, x0, bounds, tol, max_nfev):
     called only at accepted points. The ftol and gtol tests are MINPACK's
     (Moré, Lecture Notes in Math. 630, 105 (1978)), so neither depends on
     the residuals' units: ftol bounds the actual and the predicted reduction
-    by tol*cost, with ratio <= 2, and gtol the cosine between r and each free
-    parameter's column, max|g_i*scale_i| <= tol*|r|. The xtol test and the
+    by TOL*cost, with ratio <= 2, and gtol the cosine between r and each free
+    parameter's column, max|g_i*scale_i| <= TOL*|r|. The xtol test and the
     status codes follow scipy's."""
     lb, ub = (np.broadcast_to(np.asarray(b, dtype=float), np.shape(x0)).tolist() for b in bounds)
     x = np.clip(np.asarray(x0, dtype=float), lb, ub)
@@ -147,7 +150,7 @@ def _levenberg_marquardt(fun, jac, x0, bounds, tol, max_nfev):
         held = [(xi <= lo and gi > 0) or (xi >= hi and gi < 0) for xi, lo, hi, gi in zip(xs, lb, ub, g)]
         scale = [0.0 if h else 1.0 / (math.sqrt(G[i][i]) or 1.0) for i, h in enumerate(held)]
         g0, g1 = [gi * si for gi, si in zip(g, scale)] + pad
-        if max(abs(g0), abs(g1)) <= tol * math.sqrt(2.0 * cost):
+        if max(abs(g0), abs(g1)) <= TOL * math.sqrt(2.0 * cost):
             status = 1
             break
         s0, s1 = scale + pad
@@ -173,8 +176,8 @@ def _levenberg_marquardt(fun, jac, x0, bounds, tol, max_nfev):
             z0, z1 = [st / si if si else 0.0 for st, si in zip(step, scale)] + pad
             predicted = -_dot(step, g) - 0.5 * (a * z0 * z0 + 2.0 * b * z0 * z1 + d * z1 * z1)
             ratio = actual / predicted if predicted > 0 else 0.0
-            ftol_met = abs(actual) <= tol * cost and predicted <= tol * cost and ratio <= 2.0
-            xtol_met = math.sqrt(_dot(step, step)) < tol * (tol + math.sqrt(_dot(xs, xs)))
+            ftol_met = abs(actual) <= TOL * cost and predicted <= TOL * cost and ratio <= 2.0
+            xtol_met = math.sqrt(_dot(step, step)) < TOL * (TOL + math.sqrt(_dot(xs, xs)))
             if ftol_met or xtol_met:
                 status = 4 if ftol_met and xtol_met else 2 if ftol_met else 3
             if actual > 0:
@@ -200,7 +203,7 @@ def _predicted_reduction(J, g, h):
     return -float(h @ g) - 0.5 * float(Jh @ Jh)
 
 
-def _trust_region(fun, jac, x0, tol, max_nfev):
+def _trust_region(fun, jac, x0, max_nfev):
     """Unbounded trust-region least squares: a numpy port of scipy's
     trf_no_bounds with tr_solver="exact" and x_scale="jac" (Branch, Coleman
     & Li, SIAM J. Sci. Comput. 21, 1 (1999)). Parameters are scaled by the
@@ -220,7 +223,7 @@ def _trust_region(fun, jac, x0, tol, max_nfev):
     alpha, status = 0.0, None
     while True:
         g = J.T @ r
-        if np.max(np.abs(g)) < tol:
+        if np.max(np.abs(g)) < TOL:
             status = 1
         if status is not None or nfev == max_nfev:
             break
@@ -248,8 +251,8 @@ def _trust_region(fun, jac, x0, tol, max_nfev):
                 new_radius = 0.25 * h_norm
             elif ratio > 0.75 and h_norm > 0.95 * radius:
                 new_radius = 2.0 * radius
-            ftol_met = actual < tol * cost and ratio > 0.25
-            xtol_met = np.linalg.norm(step) < tol * (tol + np.linalg.norm(x))
+            ftol_met = actual < TOL * cost and ratio > 0.25
+            xtol_met = np.linalg.norm(step) < TOL * (TOL + np.linalg.norm(x))
             if ftol_met or xtol_met:
                 status = 4 if ftol_met and xtol_met else 2 if ftol_met else 3
                 break

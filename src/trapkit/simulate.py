@@ -17,7 +17,7 @@ from .beam import GratingOutputModel, RabiPositionScan, profile_intensity, rabi_
 from .charging import ChargingModelParams, DischargeModelParams, FrequencySeries, charging_freq, discharge_freq
 from .heating import HeatingSeries
 from .thermometry import RabiParams, SidebandObservation, ThermalMotionalState
-from .units import TWO_PI, TrapContext, make_trap_context
+from .units import TWO_PI
 
 # stream tags keep the per-experiment generators independent
 STREAM_SIDEBAND_RED = 1
@@ -30,10 +30,6 @@ def point_rng(seed: int, stream: int, index: int = 0) -> np.random.Generator:
     """Philox generator for one simulated point; splittable by index."""
     key = (int(seed) & (2**64 - 1)) << 64 | ((stream & 0xFFFF) << 32 | (index & 0xFFFFFFFF))
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _default_trap() -> TrapContext:
-    return make_trap_context("Yb-171", TWO_PI * 5.329e6, TWO_PI * 12.7e6, 20e-6)
 
 
 def _default_rabi() -> RabiParams:
@@ -60,14 +56,12 @@ def _default_discharge() -> DischargeModelParams:
 class SimConfig:
     seed: int = 0
     shots_per_point: int | None = 500  # None means analytic (infinite shots)
-    trap: TrapContext = field(default_factory=_default_trap)
     rabi: RabiParams = field(default_factory=_default_rabi)
     initial_nbar: float = 0.1
     heating_rate: float = 780.0  # quanta/s
     charging: ChargingModelParams = field(default_factory=_default_charging)
     discharge: DischargeModelParams = field(default_factory=_default_discharge)
     noise_floor: float = 1e3  # Hz, charging-measurement noise
-    sideband_probe_time: float | None = None  # s; default set from rabi
     rabi_noise_frac: float = 0.05
 
     def __post_init__(self):
@@ -82,8 +76,6 @@ class SimConfig:
 
     @property
     def probe_time(self) -> float:
-        if self.sideband_probe_time is not None:
-            return self.sideband_probe_time
         # roughly a blue-sideband pi-pulse from n=0
         return math.pi / (self.rabi.base_rabi * self.rabi.lamb_dicke)
 
@@ -178,10 +170,10 @@ def simulate_charging_series(
 
 def simulate_position_scan(cfg: SimConfig, beam: GratingOutputModel, positions) -> RabiPositionScan:
     """Rabi frequency sampled across the beam with multiplicative noise;
-    the beam's peak intensity drives a 2*pi x 121.1 kHz Rabi frequency."""
+    a unit model intensity drives a 2*pi x 121.1 kHz Rabi frequency."""
     x = np.asarray(list(positions), dtype=float)
     intensity = np.asarray(profile_intensity(x, beam), dtype=float)
-    rabi = np.asarray(rabi_from_intensity(intensity, (TWO_PI * 121.1e3, beam.peak_intensity)), dtype=float)
+    rabi = np.asarray(rabi_from_intensity(intensity, (TWO_PI * 121.1e3, 1.0)), dtype=float)
     frac = cfg.rabi_noise_frac
     if frac > 0:
         rng = point_rng(cfg.seed, STREAM_POSITION)

@@ -266,27 +266,6 @@ class TestDischargeFit:
         assert all(floor < a < b for a, b in seeds)
         assert polished and all(np.min(x0) > lo for x0, (lo, _) in polished)
 
-    def test_continuity_constraint(self):
-        shift = charging_freq(2400.0, PAPER_CHARGING) - PAPER_CHARGING.f0
-        scale = -shift / (PAPER_DISCHARGE.df3 + PAPER_DISCHARGE.df4)
-        truth = DischargeModelParams(
-            PAPER_DISCHARGE.df3 * scale,
-            PAPER_DISCHARGE.df4 * scale,
-            360.0,
-            18000.0,
-            2400.0,
-            5.329e6,
-        )
-        t = np.arange(2400.0, 2400.0 + 4 * 18000.0, 60.0)
-        series = series_from_model(t, discharge_freq(t, truth))
-        p, report = fit_discharge(series, 2400.0, continuity_shift=shift)
-        assert "continuity-constrained" in report.flags
-        # joined curves agree at the handoff time
-        assert discharge_freq(2400.0, p) == pytest.approx(
-            charging_freq(2400.0, PAPER_CHARGING), rel=1e-6
-        )
-        assert p.df3 + p.df4 == pytest.approx(-shift, rel=1e-9)
-
 
 @pytest.mark.parametrize("k", [1e-3, 1e-2, 1e2, 1e3])
 def test_fits_do_not_depend_on_the_time_unit(k):
@@ -313,24 +292,23 @@ class TestProjection:
     """charging._projector's linear solve, its Jacobian and cache, and the
     multistart stop rule."""
 
-    # (kind, truth as (dfa, dfb, Ta, Tb, f0), fix_f0, shift); noiseless
-    # data at the true time constants, where Kaufman's Jacobian is exact
+    # (kind, truth as (dfa, dfb, Ta, Tb, f0), fix_f0); noiseless data at
+    # the true time constants, where Kaufman's Jacobian is exact
     SETUPS = {
-        "charging-f0-free": ("charging", (151e3, 50e3, 21.0, 900.0, 5.329e6), None, None),
-        "charging-f0-fixed": ("charging", (151e3, 50e3, 21.0, 900.0, 5.329e6), 5.329e6, None),
-        "discharge": ("discharge", (-80e3, -26.4e3, 360.0, 18000.0, 5.329e6), None, None),
-        "discharge-shift": ("discharge", (-80e3, -26.4e3, 360.0, 18000.0, 5.329e6), None, 106.4e3),
+        "charging-f0-free": ("charging", (151e3, 50e3, 21.0, 900.0, 5.329e6), None),
+        "charging-f0-fixed": ("charging", (151e3, 50e3, 21.0, 900.0, 5.329e6), 5.329e6),
+        "discharge": ("discharge", (-80e3, -26.4e3, 360.0, 18000.0, 5.329e6), None),
     }
 
     @pytest.mark.parametrize("setup", list(SETUPS))
     def test_jacobian_matches_finite_difference(self, setup):
-        kind, (dfa, dfb, Ta, Tb, f0), fix_f0, shift = self.SETUPS[setup]
+        kind, (dfa, dfb, Ta, Tb, f0), fix_f0 = self.SETUPS[setup]
         tau = np.arange(0.0, 5 * Tb, Tb / 100)
         if kind == "charging":
             f = f0 + dfa * (1 - np.exp(-tau / Ta)) - dfb * (1 - np.exp(-tau / Tb))
         else:
             f = f0 - dfa * np.exp(-tau / Ta) - dfb * np.exp(-tau / Tb)
-        core, resid_fn, jac, _ = charging._projector(tau, f, np.full(tau.size, 1e-3), kind, fix_f0, shift)
+        core, resid_fn, jac, _ = charging._projector(tau, f, np.full(tau.size, 1e-3), kind, fix_f0)
         log_T = np.log([Ta, Tb])
         lin, resid = core(log_T)[:2]
         assert lin[0] == pytest.approx(dfa, rel=1e-9)
@@ -378,11 +356,11 @@ class TestProjection:
     def test_stacked_costs_match_the_residuals(self, setup):
         # one stacked SVD ranks the seeds as one solve per seed would; the
         # last member has Ta == Tb, where each member drops its own column
-        kind, (dfa, dfb, Ta, Tb, f0), fix_f0, shift = self.SETUPS[setup]
+        kind, (dfa, dfb, Ta, Tb, f0), fix_f0 = self.SETUPS[setup]
         tau = np.arange(0.0, 2.5 * Tb, 15.0)
         rng = np.random.default_rng(4)
         f = f0 + dfa * (1 - np.exp(-tau / Ta)) + rng.normal(0, 1e3, tau.size)
-        _, resid_fn, _, costs = charging._projector(tau, f, np.full(tau.size, 1e-3), kind, fix_f0, shift)
+        _, resid_fn, _, costs = charging._projector(tau, f, np.full(tau.size, 1e-3), kind, fix_f0)
         stack = np.log([[1.0, 10.0], [Ta, Tb], [0.1 * Tb, 3 * Tb], [50.0, 5e4], [Ta, Ta]])
         want = [float(r @ r) for r in map(resid_fn, stack)]
         np.testing.assert_allclose(costs(stack), want, rtol=1e-12, atol=0)
@@ -393,7 +371,7 @@ class TestProjection:
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a[0].ndim) or svd(*a, **k))
         series, sub = criterion7_series(0)
         fit_charging(series, 400.0, t_end=2400.0, f0_mode="baseline")
-        fit_discharge(sub, 2400.0, continuity_shift=1e5)
+        fit_discharge(sub, 2400.0)
         assert calls.count(3) == 2
 
     def test_discharge_fits_stop_after_two_starts(self, monkeypatch):

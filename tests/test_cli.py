@@ -339,6 +339,30 @@ class TestExitCodes:
         assert "--span" in json.loads(err)["detail"]
         assert not data.exists()
 
+    def test_simulate_sideband_zero_span(self, tmp_path, capsys):
+        # a zero span would write every row at wait 0
+        data = tmp_path / "sim.csv"
+        code, out, err = run(capsys, "simulate", "sideband", "--out", str(data), "--span", "0", "--points", "4")
+        assert (code, out) == (2, "")
+        assert "--span" in json.loads(err)["detail"]
+        assert not data.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "heating", "--out", "h.csv", "--format", "table"],
+        ["thermometry", "--p-red", "0.075", "--p-blue", "0.75", "--out-dir", "x"],
+        ["fit-heating", "--input", "h.csv", "--config", "c.json"],
+        ["report", "--input", "r.json", "--seed", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_flag_the_subcommand_does_not_read(self, tmp_path, capsys, monkeypatch, argv):
+        # each subcommand takes only the shared flags it reads
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        assert (exc.value.code, out.out) == (2, "")
+        assert "unrecognized arguments" in out.err
+        assert not any(tmp_path.iterdir())
+
 
 class TestImportCost:
     def test_cli_import_loads_no_scipy(self):

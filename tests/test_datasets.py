@@ -85,6 +85,13 @@ class TestLoad:
         with pytest.raises(DatasetError, match="row 3"):
             load_dataset(p, "heating")
 
+    @pytest.mark.parametrize("waits", ["0.0,1e-3,1e-3", "0.0,2e-3,1e-3"], ids=["repeated", "falling"])
+    def test_non_monotonic_sideband_wait_names_row(self, tmp_path, waits):
+        rows = [f"{w},0.1,0.5,100" for w in waits.split(",")]
+        p = write_text(tmp_path, "s.csv", "\n".join(["wait:s,p_red,p_blue,shots", *rows]) + "\n")
+        with pytest.raises(DatasetError, match="'wait' not strictly increasing at data row 3"):
+            load_dataset(p, "sideband-scan")
+
     def test_bad_float(self, tmp_path):
         p = write_text(tmp_path, "h.csv", "time:s,nbar\n0.0,abc\n")
         with pytest.raises(DatasetError, match="line 2"):
@@ -135,7 +142,7 @@ class TestLoad:
 # every kind's column names plus one of none; AXIS is each kind's strictly increasing column
 FUZZ_COLUMNS = ("time", "nbar", "nbar_err", "freq", "err", "wait", "p_red", "p_blue", "shots", "pos", "rabi", "bogus")
 FUZZ_UNITS = ("", "s", "ms", "us", "Hz", "kHz", "MHz", "m", "um", "rad/s", "1", "furlongs")
-AXIS = {"heating": "time", "charging": "time", "position-scan": "pos"}
+AXIS = {"heating": "time", "charging": "time", "sideband-scan": "wait", "position-scan": "pos"}
 
 fuzz_cells = st.one_of(
     st.floats().map(repr),

@@ -195,4 +195,3 @@ class TestConfigValidation:
         assert cfg.probe_time == pytest.approx(
             np.pi / (cfg.rabi.base_rabi * cfg.rabi.lamb_dicke)
         )
-        assert SimConfig(sideband_probe_time=3e-6).probe_time == 3e-6

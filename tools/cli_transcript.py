@@ -39,6 +39,7 @@ README = [
     # the README does not say how scan.csv is made; a 41-point scan, as in the benchmark
     ["simulate", "position", "--out", "scan.csv", "--points", "41"],
     ["beam-profile", "--input", "scan.csv", "--mode", "two-beamlet"],
+    ["simulate", "sideband", "--out", "sideband.csv", "--seed", "3"],
 ]
 
 SEED = 1  # the cli-session cycle's first seed
