@@ -17,8 +17,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "units": ("IonSpecies", "TrapContext", "UnknownSpeciesError", "db_chain", "make_trap_context"),
     "thermometry": (
-        "RabiParams", "SidebandObservation", "ThermalMotionalState", "fock_probability",
-        "nbar_from_asymmetry", "nbar_with_uncertainty", "sideband_excitation", "sideband_rabi_frequency",
+        "RabiParams", "SidebandObservation", "ThermalMotionalState", "nbar_from_asymmetry",
+        "nbar_with_uncertainty", "sideband_excitation",
     ),
     "heating": (
         "HeatingRateResult", "HeatingSeries", "PowerLawFit", "fit_heating_rate", "fit_power_law",
@@ -26,12 +26,11 @@ _EXPORTS = {
     ),
     "charging": (
         "ChargingModelParams", "DischargeModelParams", "DutyCycle", "FrequencySeries", "charging_freq",
-        "compensation_field", "discharge_freq", "effective_exposure", "fit_charging", "fit_discharge",
-        "settled_offset", "settled_stability",
+        "compensation_field", "discharge_freq", "fit_charging", "fit_discharge", "settled_offset",
+        "settled_stability",
     ),
     "beam": (
         "GratingOutputModel", "RabiPositionScan", "fit_profile", "pi_time_to_rabi", "rabi_from_intensity",
-        "two_beamlet_intensity",
     ),
     "simulate": (
         "SimConfig", "simulate_charging_series", "simulate_heating_series", "simulate_position_scan",

@@ -54,33 +54,26 @@ class RabiPositionScan:
         check_series(self.positions, self.rabi, self.rabi_err, ("positions", "rabi", "rabi_err"))
 
 
-def two_beamlet_intensity(x, model: GratingOutputModel):
-    """Coherent two-beamlet interference profile along the scan axis.
+def profile_intensity(x, model: GratingOutputModel):
+    """Evaluate the model intensity along the scan axis for either mode.
 
+    Two beamlets give the coherent interference profile
     |a1 g(x-x1) + a2 g(x-x2) e^{i phi}|^2 with Gaussian field envelopes
     g(u) = exp(-u^2/waist^2); a2 = 0 reduces to a single Gaussian of the
     beamlet waist.
     """
-    if model.mode != "two-beamlet":
-        raise ValueError("two_beamlet_intensity requires mode='two-beamlet'")
     x = np.asarray(x, dtype=float)
-    w = model.waist
-    x1 = model.center - 0.5 * model.beamlet_separation
-    x2 = model.center + 0.5 * model.beamlet_separation
-    g1 = np.exp(-((x - x1) ** 2) / (w * w))
-    g2 = model.beamlet_amplitude_ratio * np.exp(-((x - x2) ** 2) / (w * w))
-    out = g1 * g1 + g2 * g2 + 2.0 * g1 * g2 * math.cos(model.beamlet_phase)
-    # the coherent sum is >= (g1-g2)^2; clamp rounding-level negatives
-    out = np.clip(out, 0.0, None)
-    return float(out) if out.ndim == 0 else out
-
-
-def profile_intensity(x, model: GratingOutputModel):
-    """Evaluate the model intensity along the scan axis for either mode."""
     if model.mode == "two-beamlet":
-        return two_beamlet_intensity(x, model)
-    x = np.asarray(x, dtype=float)
-    out = np.exp(-2.0 * (x - model.center) ** 2 / (model.waist**2))
+        w = model.waist
+        x1 = model.center - 0.5 * model.beamlet_separation
+        x2 = model.center + 0.5 * model.beamlet_separation
+        g1 = np.exp(-((x - x1) ** 2) / (w * w))
+        g2 = model.beamlet_amplitude_ratio * np.exp(-((x - x2) ** 2) / (w * w))
+        out = g1 * g1 + g2 * g2 + 2.0 * g1 * g2 * math.cos(model.beamlet_phase)
+        # the coherent sum is >= (g1-g2)^2; clamp rounding-level negatives
+        out = np.clip(out, 0.0, None)
+    else:
+        out = np.exp(-2.0 * (x - model.center) ** 2 / (model.waist**2))
     return float(out) if out.ndim == 0 else out
 
 
@@ -295,7 +288,7 @@ def fit_profile(
         ])[:, cols]
         return jac * w_rows[:, None] if w is not None else jac
 
-    res = multistart_least_squares(residuals, seeds, jac=jacobian, method="trf")
+    res = multistart_least_squares(residuals, seeds, jac=jacobian)
     full, model, scale = _unpack(res.x, mode)
 
     cov = covariance_from_jacobian(res.jac, res.fun, absolute_sigma=True)

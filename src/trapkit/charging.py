@@ -158,13 +158,6 @@ def compensation_field(offset: float, sensitivity: float = DEFAULT_FIELD_SENSITI
     return offset * sensitivity
 
 
-def effective_exposure(duty: DutyCycle, wall_time: float) -> float:
-    """Equivalent continuous light-on time accumulated over wall_time."""
-    if wall_time < 0:
-        raise ValueError("wall_time must be >= 0")
-    return wall_time * duty.duty_fraction
-
-
 def _select(series: FrequencySeries, t_start, t_end):
     t = np.asarray(series.times, dtype=float)
     f = np.asarray(series.freqs, dtype=float)

@@ -76,21 +76,8 @@ def _emit(args, report: FitReport, table_rows, table_header, stem: str):
 # simulate
 
 
-def _sim_kwargs(args) -> dict:
-    """simulate.SimConfig's arguments from the command line."""
-    shots = None if args.shots == 0 else args.shots
-    kwargs = {"seed": args.seed, "shots_per_point": shots}
-    if args.rate is not None:
-        kwargs["heating_rate"] = args.rate
-    if args.initial_nbar is not None:
-        kwargs["initial_nbar"] = args.initial_nbar
-    if args.noise is not None:
-        kwargs["noise_floor"] = args.noise
-    return kwargs
-
-
 def cmd_simulate(args):
-    if args.points < 2:
+    if args.kind != "charging" and args.points < 2:
         raise ValueError(f"--points must be at least 2, got {args.points}")
     if args.kind in ("heating", "sideband") and not args.span > 0:
         raise ValueError(f"--span must be positive for {args.kind}, got {args.span}")
@@ -98,12 +85,8 @@ def cmd_simulate(args):
 
     from . import beam, simulate
 
-    cfg = simulate.SimConfig(**_sim_kwargs(args))
-    if args.kind == "heating":
-        waits = np.linspace(0.0, args.span, args.points)
-        series = simulate.simulate_heating_series(cfg, waits.tolist())
-        ds = datasets.from_heating_series(series, {"seed": str(args.seed)})
-    elif args.kind == "charging":
+    if args.kind == "charging":
+        cfg = simulate.SimConfig(seed=args.seed, noise_floor=args.noise)
         series = simulate.simulate_charging_series(
             cfg,
             sample_interval=args.interval,
@@ -111,14 +94,8 @@ def cmd_simulate(args):
             total=args.total,
         )
         ds = datasets.from_frequency_series(series, {"seed": str(args.seed)})
-    elif args.kind == "sideband":
-        obs = [
-            (w, simulate.simulate_sideband_scan(cfg, w, index=i))
-            for i, w in enumerate(np.linspace(0.0, args.span, args.points).tolist())
-        ]
-        ds = datasets.from_sideband_observations(obs)
-        ds.metadata["seed"] = str(args.seed)
-    else:  # position
+    elif args.kind == "position":
+        cfg = simulate.SimConfig(seed=args.seed)
         model = beam.GratingOutputModel(
             mode="two-beamlet",
             waist=args.beamlet_waist * 1e-6,
@@ -130,6 +107,21 @@ def cmd_simulate(args):
         )
         scan = simulate.simulate_position_scan(cfg, model, positions.tolist())
         ds = datasets.from_position_scan(scan, origin="grating", metadata={"seed": str(args.seed)})
+    else:
+        cfg = simulate.SimConfig(
+            seed=args.seed,
+            shots_per_point=args.shots or None,
+            heating_rate=args.rate,
+            initial_nbar=args.initial_nbar,
+        )
+        waits = np.linspace(0.0, args.span, args.points).tolist()
+        if args.kind == "heating":
+            series = simulate.simulate_heating_series(cfg, waits)
+            ds = datasets.from_heating_series(series, {"seed": str(args.seed)})
+        else:
+            obs = [(w, simulate.simulate_sideband_scan(cfg, w, index=i)) for i, w in enumerate(waits)]
+            ds = datasets.from_sideband_observations(obs)
+            ds.metadata["seed"] = str(args.seed)
     datasets.write_dataset(args.out, ds)
     print(f"wrote {args.out} ({ds.n_rows} rows)")
     return 0
@@ -290,25 +282,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", parents=[seeded], help="generate a synthetic dataset")
-    p.add_argument("kind", choices=("heating", "charging", "sideband", "position"))
-    p.add_argument("--out", required=True)
-    p.add_argument("--shots", type=int, default=500, help="shots per point; 0 for analytic mode")
-    p.add_argument("--rate", type=float, default=None, help="heating rate, quanta/s")
-    p.add_argument("--initial-nbar", type=float, default=None)
-    p.add_argument("--points", type=int, default=7)
-    p.add_argument("--span", type=float, default=2e-3, help="wait-time span, s")
-    p.add_argument("--interval", type=float, default=15.0, help="charging cadence, s")
-    p.add_argument("--on-start", type=float, default=400.0)
-    p.add_argument("--on-duration", type=float, default=2000.0)
-    p.add_argument("--total", type=float, default=5000.0)
-    p.add_argument("--noise", type=float, default=None, help="charging noise floor, Hz")
-    p.add_argument("--separation", type=float, default=1.8, help="beamlet separation, um")
-    p.add_argument("--beamlet-waist", type=float, default=0.9, help="um")
-    p.add_argument("--center", type=float, default=11.0, help="um")
-    p.add_argument("--scan-start", type=float, default=6.0, help="um")
-    p.add_argument("--scan-end", type=float, default=16.0, help="um")
+    # each simulated kind takes only the flags it reads; the defaults are
+    # simulate.SimConfig's, which this module does not import
+    p = sub.add_parser("simulate", help="generate a synthetic dataset")
     p.set_defaults(func=cmd_simulate)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    simulated = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    simulated.add_argument("--out", required=True)
+    points = argparse.ArgumentParser(add_help=False)
+    points.add_argument("--points", type=int, default=7)
+    for kind in ("heating", "sideband"):
+        k = kinds.add_parser(kind, parents=[simulated, points], help=f"{kind} record after wait times over --span")
+        k.add_argument("--shots", type=int, default=500, help="shots per point; 0 for analytic mode")
+        k.add_argument("--rate", type=float, default=780.0, help="heating rate, quanta/s")
+        k.add_argument("--initial-nbar", type=float, default=0.1)
+        k.add_argument("--span", type=float, default=2e-3, help="wait-time span, s")
+    k = kinds.add_parser("charging", parents=[simulated], help="trap-frequency record with one light-on window")
+    k.add_argument("--interval", type=float, default=15.0, help="charging cadence, s")
+    k.add_argument("--on-start", type=float, default=400.0)
+    k.add_argument("--on-duration", type=float, default=2000.0)
+    k.add_argument("--total", type=float, default=5000.0)
+    k.add_argument("--noise", type=float, default=1e3, help="charging noise floor, Hz")
+    k = kinds.add_parser("position", parents=[simulated, points], help="Rabi scan across a two-beamlet grating output")
+    k.add_argument("--separation", type=float, default=1.8, help="beamlet separation, um")
+    k.add_argument("--beamlet-waist", type=float, default=0.9, help="um")
+    k.add_argument("--center", type=float, default=11.0, help="um")
+    k.add_argument("--scan-start", type=float, default=6.0, help="um")
+    k.add_argument("--scan-end", type=float, default=16.0, help="um")
 
     p = sub.add_parser("fit-heating", parents=[emitting], help="fit nbar(t) to a line")
     p.add_argument("--input", required=True)

@@ -27,8 +27,10 @@ WEAK_IDENTIFIABILITY_THRESHOLD = 0.15
 MAX_POLISHED = 3
 AGREE_RTOL = 1e-9
 
-# The ftol, xtol and gtol of both least-squares solvers
+# The ftol, xtol and gtol of both least-squares solvers, and the most
+# residual evaluations either makes
 TOL = 1e-12
+MAX_NFEV = 1000
 
 
 def check_series(x, y, err, names: tuple[str, str, str]):
@@ -84,32 +86,35 @@ def weighted_linear_fit(x, y, yerr=None):
     if yerr is None:
         resid = y - (beta[0] + beta[1] * x)
         dof = x.size - 2
-        cov = cov * (resid @ resid / dof if dof > 0 else np.nan)
+        cov = cov * (resid @ resid / dof)
     return beta[0], beta[1], cov
 
 
-def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf), max_nfev=1000, method="lm"):
+def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf)):
     """Minimise 0.5*|fun(x)|^2 over the box bounds, starting from x0.
 
-    jac is the Jacobian of fun, a callable. method "lm" runs the bounded
-    Levenberg-Marquardt below, which takes one or two parameters, raises
-    ValueError for more, and solves each damped step in closed form from
-    the 2x2 normal matrix, det = max(a*d - b^2, 0) + mu*(a + d + mu); "trf"
-    runs the unbounded trust region below and ignores bounds. Each fit uses
-    the solver that is faster on it. The beam fit uses the trust region:
-    the Levenberg-Marquardt also finds both peaks in all of criterion 9's
-    first 100 noisy fits, but with about 20x the evaluations. The charging
-    fits, which need the bounds, use the Levenberg-Marquardt. Both stop on
-    ftol, xtol and gtol all equal to TOL. The result has x, fun, jac,
-    cost = 0.5*fun@fun, nfev and scipy's status codes: 0 max_nfev reached,
+    jac is the Jacobian of fun, a callable. The solver follows from the
+    number of parameters: one or two run the bounded Levenberg-Marquardt
+    below, which solves each damped step in closed form from the 2x2 normal
+    matrix, det = max(a*d - b^2, 0) + mu*(a + d + mu); more run the
+    unbounded trust region below, and a finite bound then raises
+    ValueError. The charging fits, which need the bounds, search one or
+    two time constants; the beam fit searches three or six parameters
+    without bounds (an n-parameter Levenberg-Marquardt also found both
+    peaks in all of criterion 9's first 100 noisy fits, but with about 20x
+    the evaluations). Both stop on ftol, xtol and gtol all equal to TOL,
+    or after MAX_NFEV evaluations. The result has x, fun, jac,
+    cost = 0.5*fun@fun, nfev and scipy's status codes: 0 MAX_NFEV reached,
     1 gtol, 2 ftol, 3 xtol, 4 ftol and xtol.
     """
-    if method == "trf":
-        return _trust_region(fun, jac, x0, max_nfev)
-    return _levenberg_marquardt(fun, jac, x0, bounds, max_nfev)
+    if np.size(x0) <= 2:
+        return _levenberg_marquardt(fun, jac, x0, bounds)
+    if np.any(np.isfinite(bounds[0])) or np.any(np.isfinite(bounds[1])):
+        raise ValueError("the trust region for more than two parameters takes no bounds")
+    return _trust_region(fun, jac, x0)
 
 
-def _levenberg_marquardt(fun, jac, x0, bounds, max_nfev):
+def _levenberg_marquardt(fun, jac, x0, bounds):
     """Bounded Levenberg-Marquardt over one or two parameters, with
     Nielsen's damping update (Madsen, Nielsen & Tingleff, Methods for
     non-linear least squares problems, 2004), damping each parameter in
@@ -125,17 +130,15 @@ def _levenberg_marquardt(fun, jac, x0, bounds, max_nfev):
     step z = (A + mu I)^-1 (g*scale) in closed form, over
     det = max(a*d - b^2, 0) + mu*(a + d + mu), which stays > 0 for every
     mu > 0 even where the columns coincide, and |J step|^2 = z.A.z for the
-    predicted reduction. More than two parameters raise ValueError. jac is
-    called only at accepted points. The ftol and gtol tests are MINPACK's
-    (Moré, Lecture Notes in Math. 630, 105 (1978)), so neither depends on
-    the residuals' units: ftol bounds the actual and the predicted reduction
-    by TOL*cost, with ratio <= 2, and gtol the cosine between r and each free
-    parameter's column, max|g_i*scale_i| <= TOL*|r|. The xtol test and the
-    status codes follow scipy's."""
+    predicted reduction. jac is called only at accepted points. The ftol
+    and gtol tests are MINPACK's (Moré, Lecture Notes in Math. 630, 105
+    (1978)), so neither depends on the residuals' units: ftol bounds the
+    actual and the predicted reduction by TOL*cost, with ratio <= 2, and
+    gtol the cosine between r and each free parameter's column,
+    max|g_i*scale_i| <= TOL*|r|. The xtol test and the status codes follow
+    scipy's."""
     lb, ub = (np.broadcast_to(np.asarray(b, dtype=float), np.shape(x0)).tolist() for b in bounds)
     x = np.clip(np.asarray(x0, dtype=float), lb, ub)
-    if x.size > 2:
-        raise ValueError("the Levenberg-Marquardt takes one or two parameters")
     r = np.asarray(fun(x), dtype=float)
     if not np.all(np.isfinite(r)):
         raise ValueError("Residuals are not finite in the initial point.")
@@ -158,7 +161,7 @@ def _levenberg_marquardt(fun, jac, x0, bounds, max_nfev):
         b, d = (G[0][1] * s0 * s1, G[1][1] * s1 * s1) if s1 else (0.0, 0.0)  # s1 = 0: held or padded
         minor = max(a * d - b * b, 0.0)  # rounding can make it negative for near-parallel columns
         while status is None:
-            if nfev == max_nfev:
+            if nfev == MAX_NFEV:
                 status = 0
                 break
             det = minor + mu * (a + d + mu)
@@ -203,7 +206,7 @@ def _predicted_reduction(J, g, h):
     return -float(h @ g) - 0.5 * float(Jh @ Jh)
 
 
-def _trust_region(fun, jac, x0, max_nfev):
+def _trust_region(fun, jac, x0):
     """Unbounded trust-region least squares: a numpy port of scipy's
     trf_no_bounds with tr_solver="exact" and x_scale="jac" (Branch, Coleman
     & Li, SIAM J. Sci. Comput. 21, 1 (1999)). Parameters are scaled by the
@@ -225,14 +228,14 @@ def _trust_region(fun, jac, x0, max_nfev):
         g = J.T @ r
         if np.max(np.abs(g)) < TOL:
             status = 1
-        if status is not None or nfev == max_nfev:
+        if status is not None or nfev == MAX_NFEV:
             break
         d = 1.0 / scale_inv
         Jh = J * d
         U, s, Vt = np.linalg.svd(Jh, full_matrices=False)
         ur = U.T @ r
         actual = -1.0
-        while actual <= 0 and nfev < max_nfev:
+        while actual <= 0 and nfev < MAX_NFEV:
             h, alpha = _more_step(ur, s, Vt, r.size, radius, alpha)
             predicted = _predicted_reduction(Jh, d * g, h)
             step = d * h
@@ -304,7 +307,7 @@ def _more_step(ur, s, Vt, m, radius, alpha):
     return h * (radius / np.linalg.norm(h)), alpha
 
 
-def multistart_least_squares(residual_fn, seeds, jac, bounds=(-np.inf, np.inf), method="lm", costs=None):
+def multistart_least_squares(residual_fn, seeds, jac, bounds=(-np.inf, np.inf), costs=None):
     """Polish the best few of several seeds by least squares; keep the best.
 
     seeds: iterable of parameter vectors. The seeds are prescreened by
@@ -312,9 +315,9 @@ def multistart_least_squares(residual_fn, seeds, jac, bounds=(-np.inf, np.inf), 
     given, by costs(stack), which returns those costs for the (s, p) stack
     of all seeds at once (the charging fits' one stacked solve). The best
     MAX_POLISHED are polished, in order of initial cost, by least_squares
-    with the Jacobian jac, the bounds and the method. Polishing stops as
-    soon as a polished cost is within AGREE_RTOL (relative) of the best
-    cost so far. Raises
+    with the Jacobian jac and the bounds; the number of parameters picks
+    the solver. Polishing stops as soon as a polished cost is within
+    AGREE_RTOL (relative) of the best cost so far. Raises
     FitConvergenceError (with best-so-far and every polished start's
     outcome attached) if nothing converges.
     """
@@ -327,7 +330,7 @@ def multistart_least_squares(residual_fn, seeds, jac, bounds=(-np.inf, np.inf), 
     starts = []
     for c, s in scored[:MAX_POLISHED]:
         try:
-            res = least_squares(residual_fn, s, jac=jac, bounds=bounds, method=method)
+            res = least_squares(residual_fn, s, jac=jac, bounds=bounds)
         except Exception as exc:
             starts.append((c, None, None, f"{type(exc).__name__}: {exc}"))
             continue

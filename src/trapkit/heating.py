@@ -129,12 +129,8 @@ def fit_power_law(x, y, yerr=None) -> PowerLawFit:
     y = np.asarray(y, dtype=float)
     if np.any(x <= 0) or np.any(y <= 0):
         raise ValueError("power-law fits require positive x and y")
-    log_err = None
-    if yerr is not None:
-        yerr = np.asarray(yerr, dtype=float)
-        if np.any(yerr <= 0):
-            raise ValueError("errors must be positive")
-        log_err = yerr / y
+    # y > 0, so weighted_linear_fit's check rejects the non-positive yerr
+    log_err = None if yerr is None else np.asarray(yerr, dtype=float) / y
     a, b, cov = weighted_linear_fit(np.log(x), np.log(y), log_err)
     return PowerLawFit(
         amplitude=math.exp(a), exponent=-b, exponent_err=math.sqrt(cov[1, 1])

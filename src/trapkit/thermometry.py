@@ -71,17 +71,6 @@ def fock_cutoff(nbar: float) -> int:
     return max(1, math.ceil(math.log(FOCK_TAIL) / math.log(r)))
 
 
-def fock_probability(state: ThermalMotionalState, n: int) -> float:
-    """Thermal occupation probability p_n = nbar^n / (nbar+1)^(n+1)."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    nbar = state.nbar
-    if nbar == 0:
-        return 1.0 if n == 0 else 0.0
-    # log form avoids overflow for large n
-    return math.exp(n * math.log(nbar) - (n + 1) * math.log(nbar + 1.0))
-
-
 def _fock_probabilities(nbar: float, nmax: int) -> np.ndarray:
     import numpy as np
 
@@ -92,23 +81,6 @@ def _fock_probabilities(nbar: float, nmax: int) -> np.ndarray:
         return p
     r = nbar / (nbar + 1.0)
     return r**n / (nbar + 1.0)
-
-
-def sideband_rabi_frequency(params: RabiParams, n: int, order: int) -> float:
-    """Rabi frequency of the first sideband from Fock state n.
-
-    order=+1 is the blue sideband (n -> n+1), order=-1 the red (n -> n-1).
-    Both models satisfy the n -> n-1 / n-1 -> n symmetry of the matrix
-    element.
-    """
-    if order not in (+1, -1):
-        raise ValueError("order must be +1 (blue) or -1 (red)")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if order == -1 and n == 0:
-        raise ValueError("red sideband undefined for n = 0")
-    n_low = n if order == +1 else n - 1
-    return float(_sideband_rabi_low(params, [n_low])[0])
 
 
 def _sideband_rabi_low(params: RabiParams, n_low) -> np.ndarray:

@@ -14,7 +14,6 @@ from trapkit.beam import (
     profile_intensity,
     rabi_from_intensity,
     rabi_profile,
-    two_beamlet_intensity,
 )
 from trapkit.simulate import SimConfig, simulate_position_scan
 
@@ -38,14 +37,14 @@ class TestTwoBeamlet:
     def test_single_beamlet_limit(self):
         m = double_peak_model(beamlet_amplitude_ratio=0.0)
         x = np.linspace(8e-6, 14e-6, 100)
-        got = two_beamlet_intensity(x, m)
+        got = profile_intensity(x, m)
         x1 = m.center - 0.9e-6
         want = np.exp(-2 * (x - x1) ** 2 / m.waist**2)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_destructive_null_and_two_maxima(self):
         m = double_peak_model(beamlet_phase=math.pi)
-        assert two_beamlet_intensity(m.center, m) == pytest.approx(0.0, abs=1e-12)
+        assert profile_intensity(m.center, m) == pytest.approx(0.0, abs=1e-12)
         peaks, dip = profile_extrema(m)
         assert len(peaks) == 2
         assert peaks[1] - peaks[0] == pytest.approx(1.8e-6, rel=0.05)
@@ -54,21 +53,16 @@ class TestTwoBeamlet:
     def test_constructive_merged_peak(self):
         m = double_peak_model(beamlet_phase=0.0, beamlet_separation=1e-9)
         # constructive limit: 4x the single-beamlet intensity at center
-        assert two_beamlet_intensity(m.center, m) == pytest.approx(4.0, rel=1e-4)
+        assert profile_intensity(m.center, m) == pytest.approx(4.0, rel=1e-4)
         peaks, _ = profile_extrema(m)
         assert len(peaks) == 1
 
     def test_symmetry_about_midpoint(self):
         m = double_peak_model(beamlet_phase=2.0)
         for dx in (0.3e-6, 0.9e-6, 1.5e-6):
-            assert two_beamlet_intensity(m.center + dx, m) == pytest.approx(
-                two_beamlet_intensity(m.center - dx, m), rel=1e-12
+            assert profile_intensity(m.center + dx, m) == pytest.approx(
+                profile_intensity(m.center - dx, m), rel=1e-12
             )
-
-    def test_wrong_mode_rejected(self):
-        m = GratingOutputModel(mode="single-gaussian", waist=2.5e-6)
-        with pytest.raises(ValueError):
-            two_beamlet_intensity(0.0, m)
 
 
 class TestRabiMapping:
@@ -145,12 +139,7 @@ class TestProfileFit:
         }
         for seed, scan in scans.items():
             assert "max-nfev-reached" not in fit_profile(scan, mode="two-beamlet")[1].flags, seed
-        original = trapkit.fitting.least_squares
-
-        def capped(*args, **kwargs):
-            return original(*args, **kwargs, max_nfev=5)
-
-        monkeypatch.setattr(trapkit.fitting, "least_squares", capped)
+        monkeypatch.setattr(trapkit.fitting, "MAX_NFEV", 5)
         for seed, scan in scans.items():
             assert "max-nfev-reached" in fit_profile(scan, mode="two-beamlet")[1].flags, seed
 

@@ -12,7 +12,6 @@ from trapkit.charging import (
     charging_freq,
     compensation_field,
     discharge_freq,
-    effective_exposure,
     fit_charging,
     fit_discharge,
     settled_offset,
@@ -119,12 +118,6 @@ class TestSettledQuantities:
     def test_duty_cycle_period(self):
         duty = DutyCycle(probe_time=15e-6, duty_fraction=0.0061)
         assert duty.cycle_period == pytest.approx(2.459e-3, rel=1e-3)
-
-    def test_effective_exposure(self):
-        duty = DutyCycle(probe_time=15e-6, duty_fraction=0.0061)
-        assert effective_exposure(duty, 1000.0) == pytest.approx(6.1)
-        full = DutyCycle(probe_time=15e-6, duty_fraction=1.0)
-        assert effective_exposure(full, 123.0) == 123.0
 
     def test_duty_fraction_bounds(self):
         with pytest.raises(ValueError):
@@ -405,14 +398,13 @@ class TestProjection:
         Returns the list the starts' seeds are appended to."""
         lm, starts = fitting.least_squares, []
 
-        def on_ridge(fun, x0, jac, bounds, method):
+        def on_ridge(fun, x0, jac, bounds):
             starts.append(x0)
             res = lm(
                 lambda z: fun(np.repeat(z, 2)),
                 [np.mean(x0)],
                 jac=lambda z: jac(np.repeat(z, 2)).sum(axis=1, keepdims=True),
                 bounds=bounds,
-                method=method,
             )
             res.x = res.x + [-offset, offset]
             return res

@@ -12,7 +12,7 @@ import trapkit.fitting
 from test_charging import criterion7_series
 from trapkit.beam import RabiPositionScan
 from trapkit.charging import FrequencySeries, fit_charging, fit_discharge
-from trapkit.fitting import FitConvergenceError, least_squares, multistart_least_squares
+from trapkit.fitting import FitConvergenceError, _trust_region, least_squares, multistart_least_squares
 from trapkit.heating import HeatingSeries
 
 # a valid (x, y, err) triple for each series type
@@ -115,12 +115,13 @@ def _rosenbrock_jac(x):
 
 
 class TestLevenbergMarquardt:
-    def test_converges_and_stops_at_max_nfev(self):
+    def test_converges_and_stops_at_max_nfev(self, monkeypatch):
         res = least_squares(_rosenbrock, [-1.2, 1.0], jac=_rosenbrock_jac)
         assert res.status in (1, 2, 3, 4)
         np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-8)
         assert res.cost == pytest.approx(0.5 * res.fun @ res.fun)
-        cut = least_squares(_rosenbrock, [-1.2, 1.0], jac=_rosenbrock_jac, max_nfev=5)
+        monkeypatch.setattr(trapkit.fitting, "MAX_NFEV", 5)
+        cut = least_squares(_rosenbrock, [-1.2, 1.0], jac=_rosenbrock_jac)
         assert cut.status == 0 and cut.nfev == 5
 
     def test_minimum_outside_the_box_ends_on_the_bound(self):
@@ -153,7 +154,7 @@ class TestLevenbergMarquardt:
         assert np.linalg.norm(calls[2] - calls[0]) < np.linalg.norm(calls[1] - calls[0])
 
     @pytest.mark.parametrize("case", ["two", "one", "held"])
-    def test_first_trial_is_the_damped_least_squares_step(self, case):
+    def test_first_trial_is_the_damped_least_squares_step(self, monkeypatch, case):
         # the closed-form step against the damped least-squares problem it
         # solves, min |J scale z - r|^2 + mu |z|^2 with mu = 1, by lstsq on
         # the stacked system [J scale; I] z = [r; 0]
@@ -171,7 +172,8 @@ class TestLevenbergMarquardt:
             calls.append(x.copy())
             return r0 + J @ x
 
-        least_squares(fun, np.zeros(p), jac=lambda x: J, bounds=(lb, np.inf), max_nfev=2)
+        monkeypatch.setattr(trapkit.fitting, "MAX_NFEV", 2)
+        least_squares(fun, np.zeros(p), jac=lambda x: J, bounds=(lb, np.inf))
         scale = 1.0 / np.linalg.norm(J, axis=0)
         if case == "held":
             scale[0] = 0.0
@@ -202,10 +204,6 @@ class TestLevenbergMarquardt:
         # evenly between the two parameters
         assert res.nfev > 300
         np.testing.assert_allclose(np.diff(calls[-20:], axis=0), 0.5, rtol=1e-9)
-
-    def test_more_than_two_parameters_raise(self):
-        with pytest.raises(ValueError, match="one or two parameters"):
-            least_squares(lambda x: x - 1.0, np.zeros(3), jac=lambda x: np.eye(3))
 
     def test_rosenbrock_makes_no_svd(self, monkeypatch):
         # each step comes from the 2x2 normal matrix on floats
@@ -250,7 +248,7 @@ class TestLevenbergMarquardt:
 
         numpy_lm = costs()
 
-        def scipy_trf(fun, x0, jac, bounds, method):
+        def scipy_trf(fun, x0, jac, bounds):
             from scipy.optimize import least_squares as trf
 
             return trf(fun, x0, jac=jac, bounds=bounds, method="trf", x_scale="jac",
@@ -275,13 +273,43 @@ def test_predicted_reduction_beside_a_large_irreducible_residual():
     assert abs(difference_of_costs - exact) > 0.1 * exact
 
 
+def test_more_than_two_parameters_with_a_bound_raise():
+    # the trust region that polishes three or more parameters takes no bounds
+    for bounds in ((0.0, np.inf), (-np.inf, [1.0, np.inf, np.inf])):
+        with pytest.raises(ValueError, match="takes no bounds"):
+            least_squares(lambda x: x - 1.0, np.zeros(3), jac=lambda x: np.eye(3), bounds=bounds)
+
+
+def test_the_parameter_count_picks_the_solver(monkeypatch):
+    called = []
+
+    def spy(name):
+        solver = getattr(trapkit.fitting, name)
+
+        def spied(*args):
+            called.append(name)
+            return solver(*args)
+
+        return spied
+
+    for name in ("_levenberg_marquardt", "_trust_region"):
+        monkeypatch.setattr(trapkit.fitting, name, spy(name))
+    for p in (1, 2, 3):
+        res = least_squares(lambda x: x - 1.0, np.zeros(p), jac=lambda x: np.eye(x.size))
+        np.testing.assert_allclose(res.x, np.ones(p))
+    assert called == ["_levenberg_marquardt", "_levenberg_marquardt", "_trust_region"]
+
+
 class TestTrustRegion:
-    def test_converges_and_stops_at_max_nfev(self):
-        res = least_squares(_rosenbrock, [-1.2, 1.0], jac=_rosenbrock_jac, method="trf")
+    # least_squares runs the trust region on three or more parameters; these
+    # call it directly on two
+    def test_converges_and_stops_at_max_nfev(self, monkeypatch):
+        res = _trust_region(_rosenbrock, _rosenbrock_jac, [-1.2, 1.0])
         assert res.status in (1, 2, 3, 4)
         np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-8)
         assert res.cost == pytest.approx(0.5 * res.fun @ res.fun)
-        cut = least_squares(_rosenbrock, [-1.2, 1.0], jac=_rosenbrock_jac, method="trf", max_nfev=5)
+        monkeypatch.setattr(trapkit.fitting, "MAX_NFEV", 5)
+        cut = _trust_region(_rosenbrock, _rosenbrock_jac, [-1.2, 1.0])
         assert cut.status == 0 and cut.nfev == 5
 
     def test_follows_scipy_trf(self):
@@ -289,7 +317,7 @@ class TestTrustRegion:
         # and the same minimum on a problem without rounding-level chaos
         from scipy.optimize import least_squares as trf
 
-        res = least_squares(_rosenbrock, [-1.2, 1.0], jac=_rosenbrock_jac, method="trf")
+        res = _trust_region(_rosenbrock, _rosenbrock_jac, [-1.2, 1.0])
         ref = trf(_rosenbrock, [-1.2, 1.0], jac=_rosenbrock_jac, method="trf", x_scale="jac",
                   ftol=1e-12, xtol=1e-12, gtol=1e-12, max_nfev=1000)
         assert (res.nfev, res.status) == (ref.nfev, ref.status)
@@ -297,9 +325,7 @@ class TestTrustRegion:
 
     def test_nan_initial_residual_raises(self):
         with pytest.raises(ValueError, match="not finite"):
-            least_squares(
-                lambda x: np.array([np.nan, x[0]]), [0.0], jac=lambda x: np.array([[0.0], [1.0]]), method="trf"
-            )
+            _trust_region(lambda x: np.array([np.nan, x[0]]), lambda x: np.array([[0.0], [1.0]]), [0.0])
 
     def test_non_finite_trial_step_shrinks_the_radius(self):
         calls = []
@@ -308,6 +334,6 @@ class TestTrustRegion:
             calls.append(x.copy())
             return np.full(2, np.inf) if len(calls) == 2 else _rosenbrock(x)
 
-        res = least_squares(fun, [-1.2, 1.0], jac=_rosenbrock_jac, method="trf")
+        res = _trust_region(fun, _rosenbrock_jac, [-1.2, 1.0])
         np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-8)
         assert np.linalg.norm(calls[2] - calls[0]) < np.linalg.norm(calls[1] - calls[0])

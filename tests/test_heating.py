@@ -179,6 +179,9 @@ class TestPowerLaw:
             fit_power_law([1.0, 2.0, 3.0], [1.0, -2.0, 3.0])
         with pytest.raises(ValueError):
             fit_power_law([0.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+        for err in (0.0, -0.1):
+            with pytest.raises(ValueError, match="errors must be positive"):
+                fit_power_law([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [0.1, err, 0.1])
 
 
 class TestPositionScanSummary:
