@@ -4,9 +4,9 @@ Two superimposed exponentials describe the secular-frequency shift while
 light is on (fast negative metal effect, slow positive dielectric effect)
 and again while it discharges. Both models are fitted by variable
 projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)): the
-nonlinear search runs over (log Ta, log Tb) only, multi-started from
-decade-spaced pairs ranked by one stacked solve, and the amplitudes and a
-free f0 are solved by linear least squares at every step. The optimizer,
+nonlinear search runs over (log Ta, log Tb) only, multi-started from pairs
+a third of a decade apart ranked by one matrix product, and the amplitudes
+and a free f0 are solved by linear least squares at every step. The optimizer,
 fitting's numpy Levenberg-Marquardt (so these fits load no scipy.optimize),
 gets Kaufman's Jacobian of the projected residuals (BIT 15, 49 (1975)) from
 the SVD that solves the linear part, and polishing stops once two starts
@@ -30,9 +30,9 @@ import numpy as np
 from .fitting import check_series, covariance_from_jacobian, multistart_least_squares, weak_parameter_flags
 from .reports import FitReport
 
-# Decade grid for time-constant seeding, as fractions of the fit window's
-# span, so that a fit does not depend on the time unit
-TIME_CONSTANT_SEED_GRID = (5e-4, 5e-3, 5e-2, 0.5, 5.0)
+# Time-constant seeds a third of a decade apart, as fractions of the fit
+# window's span, so that a fit does not depend on the time unit
+TIME_CONSTANT_SEED_GRID = tuple(5e-4 * 10 ** (k / 3) for k in range(13))
 
 # Time-constant ceiling as a multiple of the fit window's span
 TIME_CONSTANT_CEILING = 1e3
@@ -181,8 +181,10 @@ def _projector(tau, f, w, kind, fix_f0=None):
     weighted basis written into A in place; its exponentials are cached, so
     B and dB are formed only by core and by jac, which builds Kaufman's
     Jacobian D - U(U^T D) only when asked. costs(log_Ts) ranks an (s, 2)
-    stack of points by |resid|^2 from one stacked SVD, each truncated as
-    one solve truncates."""
+    stack of points by |resid|^2, without an SVD, from one matrix product:
+    the Gram matrix of the target and the weighted basis columns at the
+    stack's distinct values, less the f0 column, reduced in closed form for
+    each point; where its two columns coincide, the second is dropped."""
     level = 1.0 if kind == "charging" else 0.0
     signs = np.array([1.0, -1.0] if kind == "charging" else [1.0, 1.0])
     ntcol = -tau[:, None]
@@ -217,14 +219,16 @@ def _projector(tau, f, w, kind, fix_f0=None):
         return D - U @ (U.T @ D)
 
     def costs(log_Ts):
-        Bws = (level - np.exp(ntcol * np.exp(-log_Ts)[:, None, :])) * sw
-        As = np.repeat(A[None], len(log_Ts), axis=0)
-        As[..., :2] = Bws
-        U, sv, _ = np.linalg.svd(As, full_matrices=False)
-        U *= (sv > cutoff * sv[:, :1])[:, None, :]  # zeroes the columns solve drops
-        y = target[:, None]
-        r = U @ (U.transpose(0, 2, 1) @ y) - y
-        return np.einsum("sni,sni->s", r, r)
+        grid, pair = np.unique(log_Ts, return_inverse=True)
+        X = np.column_stack([(level - np.exp(ntcol * np.exp(-grid))) * wcol, target])
+        if fix_f0 is None:  # project out the f0 column
+            X -= wcol @ (wcol.T @ X) / (wcol[:, 0] @ wcol[:, 0])
+        G = X.T @ X
+        a, b = pair.reshape(-1, 2).T
+        ya, gab, gaa = G[a, -1], G[a, b], G[a, a]
+        yb, gbb = G[b, -1] - gab * ya / gaa, G[b, b] - gab * gab / gaa  # b less its part along a
+        keep = gbb > cutoff * G[b, b]  # where the columns coincide, b is dropped as solve drops it
+        return G[-1, -1] - ya * ya / gaa - np.divide(yb * yb, gbb, out=np.zeros_like(gbb), where=keep)
 
     return core, lambda log_T: solve(tuple(log_T))[1], jac, costs
 

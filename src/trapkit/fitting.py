@@ -27,10 +27,11 @@ WEAK_IDENTIFIABILITY_THRESHOLD = 0.15
 MAX_POLISHED = 3
 AGREE_RTOL = 1e-9
 
-# The ftol, xtol and gtol of both least-squares solvers, and the most
-# residual evaluations either makes
+# The ftol, xtol and gtol of both least-squares solvers, the most residual
+# evaluations either makes, and the Levenberg-Marquardt's first damping
 TOL = 1e-12
 MAX_NFEV = 1000
+FIRST_DAMPING = 0.1
 
 
 def check_series(x, y, err, names: tuple[str, str, str]):
@@ -118,7 +119,10 @@ def _levenberg_marquardt(fun, jac, x0, bounds):
     """Bounded Levenberg-Marquardt over one or two parameters, with
     Nielsen's damping update (Madsen, Nielsen & Tingleff, Methods for
     non-linear least squares problems, 2004), damping each parameter in
-    units of its Jacobian column's current norm (Marquardt 1963). A running
+    units of its Jacobian column's current norm (Marquardt 1963). The first
+    damping is their tau, FIRST_DAMPING = 0.1: tau = 1 is meant for poor
+    starts, and from 0.05 in log T off a minimum, about as near as the
+    charging seeds start, it still took ~8 evaluations. A running
     maximum of the norms, as in scipy's x_scale="jac", sent criterion 7
     seed 50's first discharge start into the swapped (Tb, Ta) basin. Steps
     are clipped to the box, and a parameter on a bound whose gradient points
@@ -144,7 +148,7 @@ def _levenberg_marquardt(fun, jac, x0, bounds):
         raise ValueError("Residuals are not finite in the initial point.")
     nfev, cost, J, xs = 1, 0.5 * float(r @ r), jac(x), x.tolist()
     pad = [0.0] * (2 - len(xs))  # one parameter: a second one with a zero column
-    mu, nu = 1.0, 2.0  # mu: the largest diagonal entry of the scaled J^T J
+    mu, nu = FIRST_DAMPING, 2.0  # mu in units of the scaled J^T J's unit diagonal
     status = None
     while status is None:
         g = (J.T @ r).tolist()
@@ -313,7 +317,7 @@ def multistart_least_squares(residual_fn, seeds, jac, bounds=(-np.inf, np.inf), 
     seeds: iterable of parameter vectors. The seeds are prescreened by
     initial cost |residual_fn(seed)|^2, one call per seed, or, if costs is
     given, by costs(stack), which returns those costs for the (s, p) stack
-    of all seeds at once (the charging fits' one stacked solve). The best
+    of all seeds at once (the charging fits' one matrix product). The best
     MAX_POLISHED are polished, in order of initial cost, by least_squares
     with the Jacobian jac and the bounds; the number of parameters picks
     the solver. Polishing stops as soon as a polished cost is within

@@ -150,14 +150,17 @@ class TestLevenbergMarquardt:
         res = least_squares(fun, [-1.2, 1.0], jac=_rosenbrock_jac)
         assert res.status in (1, 2, 3, 4)
         np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-8)
-        # the next trial starts again from x0, with more damping
-        assert np.linalg.norm(calls[2] - calls[0]) < np.linalg.norm(calls[1] - calls[0])
+        # the next trial starts again from x0, with more damping, so its step
+        # is shorter in the solver's metric, each parameter scaled by its
+        # Jacobian column's norm at x0 (Moré 1978)
+        norms = np.linalg.norm(_rosenbrock_jac(calls[0]), axis=0)
+        assert np.linalg.norm(norms * (calls[2] - calls[0])) < np.linalg.norm(norms * (calls[1] - calls[0]))
 
     @pytest.mark.parametrize("case", ["two", "one", "held"])
     def test_first_trial_is_the_damped_least_squares_step(self, monkeypatch, case):
         # the closed-form step against the damped least-squares problem it
-        # solves, min |J scale z - r|^2 + mu |z|^2 with mu = 1, by lstsq on
-        # the stacked system [J scale; I] z = [r; 0]
+        # solves, min |J scale z - r|^2 + mu |z|^2 with mu the first damping,
+        # by lstsq on the stacked system [J scale; sqrt(mu) I] z = [r; 0]
         rng = np.random.default_rng(["two", "one", "held"].index(case))
         p = 1 if case == "one" else 2
         J = rng.normal(size=(12, p)) * [3.0, 0.02][:p]
@@ -177,7 +180,7 @@ class TestLevenbergMarquardt:
         scale = 1.0 / np.linalg.norm(J, axis=0)
         if case == "held":
             scale[0] = 0.0
-        A = np.vstack([J * scale, np.eye(p)])
+        A = np.vstack([J * scale, math.sqrt(trapkit.fitting.FIRST_DAMPING) * np.eye(p)])
         z = np.linalg.lstsq(A, np.concatenate([r0, np.zeros(p)]), rcond=None)[0]
         np.testing.assert_allclose(calls[1], -scale * z, rtol=1e-10, atol=0)
 

@@ -6,18 +6,24 @@
 Fits, under ``PYTHONPATH=SRC_A`` and under ``PYTHONPATH=SRC_B``, each in its
 own interpreter, acceptance criterion 7's records, seeds 0-199 (the charging
 window with the baseline f0, as criterion 7 fits it, and the discharge
-window after light-off), and criterion 9's noisy two-beamlet scans, seeds
-0-99 on its 41-point grid. For each criterion it prints the worst
+window after light-off), criterion 9's noisy two-beamlet scans, seeds 0-99
+on its 41-point grid, and criterion 7's held-out seeds 200-999, which no
+seed grid or damping was chosen on. For each block it prints the worst
 |delta param| / sigma over every reported parameter, sigma being tree A's
-reported error, then every fit whose flags (or whose failure) differ, then,
-for each fit kind and over the criterion, each tree's polishing evaluations
-(nfev), polished starts and fits that polished a third start, counted on
-``trapkit.fitting.least_squares``, and its ``np.linalg.svd`` calls, a
-measure of each evaluation's cost that does not depend on the machine. The
-beam's phase is left out of the drift: criterion 9's grid measures the
-truth's field zero as exactly 0, so every fitted phase is pi to rounding
-with an error of ~1e-7 rad, and its drift in sigma means nothing. Two trees
-give the same fits when the drift is at rounding level and no flag differs:
+reported error, then every fit whose flags (or whose failure) differ, then
+the fits whose chi^2 (residual_rms^2 * n_points) rises, and those whose
+chi^2 falls, by more than CHI2_RTOL (relative), each with both chi^2 and
+both sets of flags: a fit whose minimum moves shows there even when its
+drift is hidden by a large error. Then, for each fit kind and over the
+block, each tree's polishing evaluations (nfev), polished starts and fits
+that polished a third start, counted on ``trapkit.fitting.least_squares``,
+and its ``np.linalg.svd`` calls, a measure of each evaluation's cost that
+does not depend on the machine. The beam's phase is left out of the drift:
+criterion 9's grid measures the truth's field zero as exactly 0, so every
+fitted phase is pi to rounding with an error of ~1e-7 rad, and its drift in
+sigma means nothing. A fit that raises ValueError, its parameters failing
+their model's check, counts as failed. Two trees give the same fits when
+the drift is at rounding level and no flag differs:
 
     python3 tools/fit_drift.py PARENT/src src
 """
@@ -35,7 +41,9 @@ from pathlib import Path
 CRITERIA = {
     "criterion 7": (range(200), ("charging", "discharge")),
     "criterion 9": (range(100), ("beam",)),
+    "criterion 7 held out": (range(200, 1000), ("charging", "discharge")),
 }
+CHI2_RTOL = 1e-9
 NO_DRIFT = {"phase"}
 # each count over one fit's line
 COUNTS = {
@@ -87,17 +95,23 @@ def emit() -> int:
             "discharge": lambda: fit_discharge(sub, 2400.0),
         }
 
-    for seeds, kinds in CRITERIA.values():
+    for criterion, (seeds, kinds) in CRITERIA.items():
         for seed in seeds:
             for kind, fit in fits_of(seed, kinds).items():
                 nfev.clear()
                 svds.clear()
                 try:
                     _, report = fit()
-                    out = {"params": report.params, "errs": report.param_errs, "flags": sorted(report.flags)}
-                except fitting.FitConvergenceError as exc:
+                    out = {
+                        "params": report.params,
+                        "errs": report.param_errs,
+                        "flags": sorted(report.flags),
+                        "chi2": report.residual_rms**2 * report.n_points,
+                    }
+                except (fitting.FitConvergenceError, ValueError) as exc:
                     out = {"failed": str(exc)}
-                print(json.dumps({"seed": seed, "kind": kind, "nfev": nfev, "svd": len(svds), **out}))
+                line = {"criterion": criterion, "seed": seed, "kind": kind, "nfev": nfev, "svd": len(svds)}
+                print(json.dumps({**line, **out}))
     return 0
 
 
@@ -126,8 +140,8 @@ def drift(a: dict, b: dict) -> tuple[float, str]:
 def main(src_a: str, src_b: str) -> int:
     fits_a, fits_b = fits(src_a), fits(src_b)
     for criterion, (seeds, kinds) in CRITERIA.items():
-        pairs = [(a, b) for a, b in zip(fits_a, fits_b) if a["kind"] in kinds]
-        worst, where, differ = 0.0, "none", []
+        pairs = [(a, b) for a, b in zip(fits_a, fits_b) if a["criterion"] == criterion]
+        worst, where, differ, moved = 0.0, "none", [], {"rises": [], "falls": []}
         for a, b in pairs:
             label = f"seed {a['seed']} {a['kind']}"
             if "failed" in a or "failed" in b:
@@ -137,13 +151,22 @@ def main(src_a: str, src_b: str) -> int:
             d, name = drift(a, b)
             if d > worst:
                 worst, where = d, f"{label} {name}"
+            flags = f"{' '.join(a['flags']) or '-'} | {' '.join(b['flags']) or '-'}"
             if a["flags"] != b["flags"]:
-                differ.append(f"{label}: {' '.join(a['flags']) or '-'} | {' '.join(b['flags']) or '-'}")
+                differ.append(f"{label}: {flags}")
+            if abs(b["chi2"] - a["chi2"]) > CHI2_RTOL * a["chi2"]:
+                moved["rises" if b["chi2"] > a["chi2"] else "falls"].append(
+                    f"{label}: chi2 {a['chi2']:.6g} -> {b['chi2']:.6g}; flags {flags}"
+                )
         print(f"{criterion} seeds {seeds.start}-{seeds.stop - 1}: {len(pairs)} fits")
         print(f"worst |delta param|/sigma: {worst:.3g} ({where})")
         print(f"flag differences: {len(differ)}")
         for line in differ:
             print(f"  {line}")
+        for way, lines in moved.items():
+            print(f"chi2 {way} by more than {CHI2_RTOL:g}: {len(lines)}")
+            for line in lines:
+                print(f"  {line}")
         for kind in (*kinds, None) if len(kinds) > 1 else kinds:
             for label, count in COUNTS.items():
                 a, b = (sum(count(pair[i]) for pair in pairs if kind in (None, pair[i]["kind"])) for i in (0, 1))
