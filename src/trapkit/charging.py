@@ -6,15 +6,16 @@ and again while it discharges. Both models are fitted by variable
 projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)): the
 nonlinear search runs over (log Ta, log Tb) only, multi-started from pairs
 a third of a decade apart ranked by one matrix product, and the amplitudes
-and a free f0 are solved by linear least squares at every step. The optimizer,
-fitting's numpy Levenberg-Marquardt (so these fits load no scipy.optimize),
-gets Kaufman's Jacobian of the projected residuals (BIT 15, 49 (1975)) from
-the SVD that solves the linear part, and polishing stops once two starts
-reach the same cost. The seeds are 5e-4..5 times the fit window's span; the
-bounds run from the gap between its first two samples over ln(1/eps) ~ 36,
-below which exp(-gap/T) < eps and a basis column is its first sample alone,
-to 1e3 times the span, and seeds below the floor are dropped, so a fit does
-not depend on the time unit. A time constant the data cannot identify runs
+and a free f0 are solved in closed form from a 2x2 Gram matrix at every
+step. The optimizer, fitting's numpy Levenberg-Marquardt (so these fits
+load no scipy.optimize), gets Kaufman's Jacobian of the projected residuals
+(BIT 15, 49 (1975)) from the same 2x2 inverse; polishing stops once two
+starts reach the same cost, and only the covariance takes an SVD. The
+seeds are 5e-4..5 times the fit window's span; the bounds run from the gap
+between its first two samples over ln(1/eps) ~ 36, below which
+exp(-gap/T) < eps and a basis column is its first sample alone, to 1e3
+times the span, and seeds below the floor are dropped, so a fit does not
+depend on the time unit. A time constant the data cannot identify runs
 to a bound and is flagged as sitting at it, and two that meet are flagged
 as coinciding.
 """
@@ -172,57 +173,68 @@ def _select(series: FrequencySeries, t_start, t_end):
 
 def _projector(tau, f, w, kind, fix_f0=None):
     """(core, resid, jac, costs) for the model of _double_exp_fit at fixed
-    time constants log_T. core(log_T) -> (lin, resid, U, B, dB): the linear
-    parameters (dfa, dfb, then f0 if free), the weighted residuals
-    U(U^T y) - y, U of the SVD of the weighted design matrix A that gives
-    lin (singular values below eps*max(A.shape)*s0 dropped, as by
-    np.linalg.lstsq(rcond=None)), and the unweighted basis B and its
-    derivative dB in log T. A new point costs one SVD, with the
-    weighted basis written into A in place; its exponentials are cached, so
-    B and dB are formed only by core and by jac, which builds Kaufman's
-    Jacobian D - U(U^T D) only when asked. costs(log_Ts) ranks an (s, 2)
-    stack of points by |resid|^2, without an SVD, from one matrix product:
-    the Gram matrix of the target and the weighted basis columns at the
-    stack's distinct values, less the f0 column, reduced in closed form for
-    each point; where its two columns coincide, the second is dropped."""
+    time constants log_T. core(log_T) -> (lin, resid, J): the linear
+    parameters (dfa, dfb, then f0 if free), the weighted residuals A lin - y
+    and the weighted model's Jacobian in (dfa, dfb, log Ta, log Tb[, f0]).
+    With w projected out of y once per fit, a point costs one matrix
+    product: the basis columns' Gram matrix G less its part along w gives
+    lin from G^-1, or where they coincide from G's pseudo-inverse
+    G/tr(G)^2, as lstsq's minimum-norm split; with f0 free they are
+    sign*(1 - e)*w from expm1, exact where T >> tau. jac builds Kaufman's
+    Jacobian D - A (A^T A)^-1 A^T D, D = dA/dlog T lin, from the same cached
+    solve. costs(log_Ts) ranks an (s, 2) stack of points by |resid|^2 from
+    one Gram matrix of y and the weighted basis at the stack's distinct
+    values, reduced as solve reduces G; where a point's two columns
+    coincide, the second is dropped."""
     level = 1.0 if kind == "charging" else 0.0
-    signs = np.array([1.0, -1.0] if kind == "charging" else [1.0, 1.0])
+    free = fix_f0 is None
     ntcol = -tau[:, None]
     wcol = (np.ones_like(tau) if w is None else w)[:, None]
-    sw = signs * wcol
-    target = wcol[:, 0] * (f if fix_f0 is None else f - fix_f0)
-    A = np.empty((tau.size, 2 + (fix_f0 is None)))
-    if fix_f0 is None:
-        A[:, -1] = wcol[:, 0]
-    Bw = A[:, :2]
+    nsw = wcol * ([-1.0, 1.0] if kind == "charging" else [-1.0, -1.0])  # -sign*w
+    ntsw = tau[:, None] * nsw  # -tau*sign*w
+    target = wcol[:, 0] * (f if free else f - fix_f0)
+    A = np.zeros((tau.size, 4))  # [the weighted basis, w (0 if f0 is fixed), y less its part along w]
+    A[:, 2] = wcol[:, 0] * free
+    ww = float(A[:, 2] @ A[:, 2]) or 1.0
+    f0_y = float(A[:, 2] @ target) / ww  # the f0 that fits y alone
+    A[:, 3] = target - f0_y * A[:, 2]
+    Bw, design = A[:, :2], A[:, :3]
+    shift = 0.0 if free else level - 1.0  # a basis column is (em1 - shift)*(-sign*w)
     cutoff = np.finfo(float).eps * max(A.shape)
 
     @functools.lru_cache(maxsize=1)
     def solve(log_T):
-        x = ntcol * np.array([math.exp(-log_T[0]), math.exp(-log_T[1])])  # -tau/T
-        e = np.exp(x)
-        np.multiply(np.subtract(level, e, out=Bw), sw, out=Bw)
-        U, sv, Vt = np.linalg.svd(A, full_matrices=False)
-        if sv[-1] <= cutoff * sv[0]:  # sv is sorted: keep a prefix
-            k = np.count_nonzero(sv > cutoff * sv[0])
-            U, sv, Vt = U[:, :k], sv[:k], Vt[:k]
-        uy = U.T @ target
-        return (uy / sv) @ Vt, U @ uy - target, U, e, x
+        k = [math.exp(-log_T[0]), math.exp(-log_T[1])]  # 1/T
+        em1 = np.expm1(ntcol * k)
+        np.multiply(em1 - shift if shift else em1, nsw, out=Bw)
+        (g00, g01, p0, h0), (_, g11, p1, h1) = (Bw.T @ A).tolist()
+        q0, q1 = p0 / ww, p1 / ww  # each column's part along w
+        g00, g01, g11 = g00 - q0 * p0, g01 - q0 * p1, g11 - q1 * p1
+        det, t2 = g00 * g11 - g01 * g01, (g00 + g11) ** 2 or 1.0
+        # G^-1, or where the columns coincide (where costs drops the second) G's pseudo-inverse
+        inv = (g11 / det, -g01 / det, g00 / det) if det > cutoff * g00 * g11 else (g00 / t2, g01 / t2, g11 / t2)
+        c0, c1 = inv[0] * h0 + inv[1] * h1, inv[1] * h0 + inv[2] * h1
+        df0 = -q0 * c0 - q1 * c1
+        lin = [c0, c1, f0_y + df0 + (1.0 - level) * (c0 + c1)]  # the discharge's -e*w is (1 - e)*w - w
+        return lin[: 2 + free], A @ [c0, c1, df0, -1.0], (*inv, q0, q1), em1, k
 
     def core(log_T):
-        lin, resid, U, e, x = solve(tuple(log_T))
-        return lin, resid, U, signs * (level - e), signs * e * x
+        lin, resid, _, em1, k = solve(tuple(log_T))
+        D = (em1 + 1.0) * (ntsw * [k[0] * lin[0], k[1] * lin[1]])
+        return lin, resid, np.hstack([(em1 + 1.0 - level) * nsw, D, wcol])[:, : 4 + free]
 
     def jac(log_T):
-        lin, _, U, e, x = solve(tuple(log_T))
-        D = e * x * sw * lin[:2]
-        return D - U @ (U.T @ D)
+        lin, _, (i00, i01, i11, q0, q1), em1, k = solve(tuple(log_T))
+        D = (em1 + 1.0) * (ntsw * [k[0] * lin[0], k[1] * lin[1]])  # (dA/dlog T) lin
+        u0, u1 = i00 * q0 + i01 * q1, i01 * q0 + i11 * q1  # (A^T A)^-1: the 2x2 inverse bordered by w's part
+        inv = [[i00, i01, -u0], [i01, i11, -u1], [-u0, -u1, 1.0 / ww + q0 * u0 + q1 * u1]]
+        return D - design @ (np.array(inv) @ (design.T @ D))
 
     def costs(log_Ts):
         grid, pair = np.unique(log_Ts, return_inverse=True)
         X = np.column_stack([(level - np.exp(ntcol * np.exp(-grid))) * wcol, target])
-        if fix_f0 is None:  # project out the f0 column
-            X -= wcol @ (wcol.T @ X) / (wcol[:, 0] @ wcol[:, 0])
+        if free:  # project out the f0 column
+            X -= wcol @ (wcol.T @ X) / ww
         G = X.T @ X
         a, b = pair.reshape(-1, 2).T
         ya, gab, gaa = G[a, -1], G[a, b], G[a, a]
@@ -251,19 +263,15 @@ def _double_exp_fit(tau, f, w, kind, fix_f0, names):
     bounds = (floor, math.log(TIME_CONSTANT_CEILING * span))
     core, resid_fn, jac, costs = _projector(tau, f, w, kind, fix_f0)
 
-    grid = [g for g in (math.log(a * span) for a in TIME_CONSTANT_SEED_GRID) if g > floor]
-    seeds = [(a, b) for i, a in enumerate(grid) for b in grid[i + 1 :]]
-    res = multistart_least_squares(resid_fn, seeds, bounds=bounds, jac=jac, costs=costs)
+    grid = np.array([g for g in (math.log(a * span) for a in TIME_CONSTANT_SEED_GRID) if g > floor])
+    pairs = np.triu_indices(grid.size, 1)  # each pair (Ta, Tb) with Ta < Tb, as one (s, 2) array
+    res = multistart_least_squares(resid_fn, grid[np.column_stack(pairs)], bounds=bounds, jac=jac, costs=costs)
     log_T = np.sort(res.x)
-    lin, resid, _, B, dB = core(log_T)
+    lin, resid, J = core(log_T)
     Ta, Tb = np.exp(log_T)
 
     dfa, dfb = lin[:2]
     f0 = lin[-1] if fix_f0 is None else fix_f0
-    cols = [B[:, 0], B[:, 1], dfa * dB[:, 0], dfb * dB[:, 1], np.ones_like(tau)]
-    J = np.column_stack(cols if fix_f0 is None else cols[:4])
-    if w is not None:
-        J = J * w[:, None]
     cov = covariance_from_jacobian(J, resid, absolute_sigma=w is not None)
     sd = np.sqrt(np.clip(np.diag(cov), 0, None))
 
@@ -355,7 +363,9 @@ def fit_discharge(
     """
     values, _, report = _fit_window(series, t_off, t_end, f0_mode, "discharge", ("df3", "df4", "T3", "T4"))
     report.extras["t_off"] = t_off
-    return DischargeModelParams(t_off=t_off, **values), report
+    params = object.__new__(DischargeModelParams)  # unchecked: an f0 the window cannot pin down may be <= 0
+    vars(params).update(t_off=t_off, **values)
+    return params, report
 
 
 def settled_window_start(params: ChargingModelParams) -> float:

@@ -106,7 +106,8 @@ def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf)):
     the evaluations). Both stop on ftol, xtol and gtol all equal to TOL,
     or after MAX_NFEV evaluations. The result has x, fun, jac,
     cost = 0.5*fun@fun, nfev and scipy's status codes: 0 MAX_NFEV reached,
-    1 gtol, 2 ftol, 3 xtol, 4 ftol and xtol.
+    1 gtol, 2 ftol, 3 xtol, 4 ftol and xtol, and decrement, True where the
+    Levenberg-Marquardt's ftol was its Gauss-Newton decrement.
     """
     if np.size(x0) <= 2:
         return _levenberg_marquardt(fun, jac, x0, bounds)
@@ -139,8 +140,10 @@ def _levenberg_marquardt(fun, jac, x0, bounds):
     (1978)), so neither depends on the residuals' units: ftol bounds the
     actual and the predicted reduction by TOL*cost, with ratio <= 2, and
     gtol the cosine between r and each free parameter's column,
-    max|g_i*scale_i| <= TOL*|r|. The xtol test and the status codes follow
-    scipy's."""
+    max|g_i*scale_i| <= TOL*|r|. ftol also ends the polish before a trial,
+    once the Gauss-Newton decrement 0.5 g.A^-1.g over the free parameters
+    (untested where two coincide) is <= TOL times the cost less it and each
+    held parameter's own. The xtol test and the status codes follow scipy's."""
     lb, ub = (np.broadcast_to(np.asarray(b, dtype=float), np.shape(x0)).tolist() for b in bounds)
     x = np.clip(np.asarray(x0, dtype=float), lb, ub)
     r = np.asarray(fun(x), dtype=float)
@@ -149,7 +152,7 @@ def _levenberg_marquardt(fun, jac, x0, bounds):
     nfev, cost, J, xs = 1, 0.5 * float(r @ r), jac(x), x.tolist()
     pad = [0.0] * (2 - len(xs))  # one parameter: a second one with a zero column
     mu, nu = FIRST_DAMPING, 2.0  # mu in units of the scaled J^T J's unit diagonal
-    status = None
+    status, decrement = None, False
     while status is None:
         g = (J.T @ r).tolist()
         G = (J.T @ J).tolist()
@@ -164,6 +167,11 @@ def _levenberg_marquardt(fun, jac, x0, bounds):
         a = G[0][0] * s0 * s0
         b, d = (G[0][1] * s0 * s1, G[1][1] * s1 * s1) if s1 else (0.0, 0.0)  # s1 = 0: held or padded
         minor = max(a * d - b * b, 0.0)  # rounding can make it negative for near-parallel columns
+        if minor > 0 or not (s0 and s1):  # the decrement, doubled, over one free parameter or two
+            gain = (d * g0 * g0 - 2.0 * b * g0 * g1 + a * g1 * g1) / minor if minor else (g0 * g0 + g1 * g1) / (a + d)
+            if gain <= TOL * (2.0 * cost - gain - sum(gi * gi / G[i][i] for i, gi in enumerate(g) if held[i])):
+                status, decrement = 2, True
+                break
         while status is None:
             if nfev == MAX_NFEV:
                 status = 0
@@ -194,7 +202,7 @@ def _levenberg_marquardt(fun, jac, x0, bounds):
                 break
             mu *= nu
             nu *= 2.0
-    return SimpleNamespace(x=x, fun=r, jac=J, cost=cost, nfev=nfev, status=status)
+    return SimpleNamespace(x=x, fun=r, jac=J, cost=cost, nfev=nfev, status=status, decrement=decrement)
 
 
 def _dot(u, v):
@@ -314,10 +322,11 @@ def _more_step(ur, s, Vt, m, radius, alpha):
 def multistart_least_squares(residual_fn, seeds, jac, bounds=(-np.inf, np.inf), costs=None):
     """Polish the best few of several seeds by least squares; keep the best.
 
-    seeds: iterable of parameter vectors. The seeds are prescreened by
-    initial cost |residual_fn(seed)|^2, one call per seed, or, if costs is
-    given, by costs(stack), which returns those costs for the (s, p) stack
-    of all seeds at once (the charging fits' one matrix product). The best
+    seeds: an (s, p) array of parameter vectors, or what np.asarray makes
+    one of. The seeds are prescreened by initial cost |residual_fn(seed)|^2,
+    one call per seed, or, if costs is given, by costs(seeds), which returns
+    those costs for all seeds at once (the charging fits' one matrix
+    product), and ranked by one stable argsort. The best
     MAX_POLISHED are polished, in order of initial cost, by least_squares
     with the Jacobian jac and the bounds; the number of parameters picks
     the solver. Polishing stops as soon as a polished cost is within
@@ -325,14 +334,15 @@ def multistart_least_squares(residual_fn, seeds, jac, bounds=(-np.inf, np.inf), 
     FitConvergenceError (with best-so-far and every polished start's
     outcome attached) if nothing converges.
     """
-    seeds = [np.asarray(s, dtype=float) for s in seeds]
-    if not seeds:
+    seeds = np.asarray(seeds, dtype=float)
+    if not len(seeds):
         raise ValueError("at least one seed is required")
-    initial = [float(r @ r) for r in map(residual_fn, seeds)] if costs is None else costs(np.array(seeds)).tolist()
-    scored = sorted(((c if math.isfinite(c) else math.inf, s) for c, s in zip(initial, seeds)), key=lambda t: t[0])
+    initial = np.array([r @ r for r in map(residual_fn, seeds)]) if costs is None else costs(seeds)
+    initial[~np.isfinite(initial)] = np.inf
+    order = np.argsort(initial, kind="stable")[:MAX_POLISHED]
     best = None
     starts = []
-    for c, s in scored[:MAX_POLISHED]:
+    for c, s in zip(initial[order].tolist(), seeds[order]):
         try:
             res = least_squares(residual_fn, s, jac=jac, bounds=bounds)
         except Exception as exc:
@@ -348,8 +358,8 @@ def multistart_least_squares(residual_fn, seeds, jac, bounds=(-np.inf, np.inf), 
         if agree:
             break
     if best is None or not np.all(np.isfinite(best.fun)):
-        bp = scored[0][1] if best is None else best.x
-        bc = scored[0][0] if best is None else 2 * best.cost
+        bp = seeds[order[0]] if best is None else best.x
+        bc = float(initial[order[0]]) if best is None else 2 * best.cost
         raise FitConvergenceError(
             "nonlinear fit failed to converge from all seeds",
             best_params=bp,

@@ -257,8 +257,10 @@ class TestDischargeFit:
         assert floor == pytest.approx(math.log(15.0 / math.log(2.0**52)))
         kept = sum(math.log(a * 19 * 15.0) > floor for a in charging.TIME_CONSTANT_SEED_GRID)
         assert kept < len(charging.TIME_CONSTANT_SEED_GRID)
-        assert len(set(seeds)) == len(seeds) == kept * (kept - 1) // 2  # pairs of the seeds above the floor
-        assert all(floor < a < b for a, b in seeds)
+        # one (s, 2) array of the distinct pairs of the seeds above the floor
+        assert seeds.shape == (kept * (kept - 1) // 2, 2)
+        assert len(np.unique(seeds, axis=0)) == len(seeds)
+        assert np.all((floor < seeds[:, 0]) & (seeds[:, 0] < seeds[:, 1]))
         assert polished and all(np.min(x0) > lo for x0, (lo, _) in polished)
 
 
@@ -318,34 +320,52 @@ class TestProjection:
     @pytest.mark.parametrize("kind", ["charging", "discharge"])
     @pytest.mark.parametrize("Tb, rank", [(900.0, 3), (21.0, 2)])
     def test_linear_solve_matches_lstsq(self, kind, Tb, rank):
-        # with Ta == Tb the two basis columns coincide and one singular value
-        # is dropped; both paths give np.linalg.lstsq's minimum-norm solution
+        # the closed-form solve gives np.linalg.lstsq's amplitudes, f0 and
+        # residuals; with Ta == Tb the two basis columns coincide and both
+        # give the minimum-norm split, |dfa| = |dfb|
         tau = np.arange(0.0, 4500.0, 15.0)
         f = 5.329e6 + 1e5 * (1 - np.exp(-tau / 300.0)) + np.random.default_rng(5).normal(0, 1e3, tau.size)
         w = np.full(tau.size, 1e-3)
         core, resid_fn, _, _ = charging._projector(tau, f, w, kind)
         log_T = np.log([21.0, Tb])
-        lin, resid, U, _, _ = core(log_T)
+        lin, resid = core(log_T)[:2]
         e = np.exp(-tau[:, None] / np.array([21.0, Tb]))
         basis = [1 - e[:, 0], e[:, 1] - 1] if kind == "charging" else [-e[:, 0], -e[:, 1]]
         A = w[:, None] * np.column_stack(basis + [np.ones_like(tau)])
-        want = np.linalg.lstsq(A, w * f, rcond=None)[0]
-        assert U.shape[1] == np.linalg.matrix_rank(A) == rank
+        want, _, got_rank, _ = np.linalg.lstsq(A, w * f, rcond=None)
+        assert got_rank == rank
         np.testing.assert_allclose(lin, want, rtol=1e-9)
-        np.testing.assert_allclose(resid_fn(log_T), A @ want - w * f, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(resid, A @ want - w * f, rtol=0, atol=1e-6)
+        np.testing.assert_array_equal(resid_fn(log_T), resid)
+        if rank == 2:
+            assert abs(lin[0]) == pytest.approx(abs(lin[1]), rel=1e-12)
+            # a hair off the ridge the columns coincide to rounding, and the
+            # amplitudes stay that split, not two huge ones that cancel
+            np.testing.assert_allclose(core(np.log([21.0, 21.0 * (1 + 1e-10)]))[0], lin, rtol=1e-6)
 
     def test_one_solve_per_point(self, monkeypatch):
-        # the residual at a new point costs one SVD; the Jacobian there, none
-        svd, calls = np.linalg.svd, []
-        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a) or svd(*a, **k))
+        # the residual at a new point costs one solve, one exponential of
+        # the basis and no SVD; the Jacobian there reuses that solve. A whole
+        # fit makes one SVD, the covariance's
+        svd, svds, exps = np.linalg.svd, [], []
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(a) or svd(*a, **k))
         tau = np.arange(0.0, 4500.0, 15.0)
         f = 5.329e6 + 151e3 * (1 - np.exp(-tau / 21.0)) - 50e3 * (1 - np.exp(-tau / 900.0))
         _, resid_fn, jac, _ = charging._projector(tau, f, None, "charging")
-        for k, log_T in enumerate((np.log([21.0, 900.0]), np.log([30.0, 800.0])), start=1):
-            resid_fn(log_T)
-            assert len(calls) == k
-            jac(log_T)
-            assert len(calls) == k
+        with monkeypatch.context() as m:
+            for name in ("exp", "expm1"):
+                m.setattr(np, name, lambda *a, f=getattr(np, name), **k: exps.append(a) or f(*a, **k))
+            for k, log_T in enumerate((np.log([21.0, 900.0]), np.log([30.0, 800.0])), start=1):
+                resid_fn(log_T)
+                assert len(exps) == k
+                jac(log_T)
+                assert len(exps) == k
+        assert svds == []
+        series, sub = criterion7_series(0)
+        fit_charging(series, 400.0, t_end=2400.0, f0_mode="baseline")
+        assert len(svds) == 1
+        fit_discharge(sub, 2400.0)
+        assert len(svds) == 2
 
     @pytest.mark.parametrize("setup", list(SETUPS))
     def test_stacked_costs_match_the_residuals(self, setup):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import trapkit.fitting
-from trapkit.charging import FrequencySeries, fit_charging, fit_discharge
+from trapkit.charging import DischargeModelParams, FrequencySeries, fit_charging, fit_discharge
 from trapkit.cli import build_parser, main
 from trapkit.datasets import from_frequency_series, write_dataset
 from trapkit.simulate import SimConfig, simulate_charging_series
@@ -73,6 +73,20 @@ class TestSimulateAndFit:
         assert code == 0
         report = json.loads(out)
         assert report["params"]["T3"] == pytest.approx(360.0, rel=0.3)
+
+    def test_discharge_with_an_unidentified_f0_below_zero(self, tmp_path, capsys):
+        # seed 851's record is valid, but its discharge window cannot pin
+        # down T4 (at the ceiling) nor the level f0 it relaxes to, which
+        # comes out below 0: the fit is reported, flagged, not rejected
+        data = tmp_path / "c.csv"
+        run(capsys, "simulate", "charging", "--out", str(data), "--noise", "1000", "--seed", "851")
+        code, out, err = run(capsys, "fit-discharge", "--input", str(data))
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["params"]["f0"] < 0
+        assert {"weakly-identified:f0", "time-constant-at-bound:T4"} <= set(report["flags"])
+        with pytest.raises(ValueError, match="f0 must be positive"):
+            DischargeModelParams(df3=1e3, df4=1e3, T3=360.0, T4=18000.0, t_off=2400.0, f0=report["params"]["f0"])
 
     def test_discharge_stops_at_next_light_on(self, tmp_path, capsys):
         # a second light pulse from 4000 s shifts the frequency by +60 kHz;

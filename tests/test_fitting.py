@@ -10,6 +10,7 @@ import pytest
 
 import trapkit.fitting
 from test_charging import criterion7_series
+from trapkit import charging
 from trapkit.beam import RabiPositionScan
 from trapkit.charging import FrequencySeries, fit_charging, fit_discharge
 from trapkit.fitting import FitConvergenceError, _trust_region, least_squares, multistart_least_squares
@@ -207,6 +208,51 @@ class TestLevenbergMarquardt:
         # evenly between the two parameters
         assert res.nfev > 300
         np.testing.assert_allclose(np.diff(calls[-20:], axis=0), 0.5, rtol=1e-9)
+
+    def test_linear_residual_stops_on_the_decrement(self):
+        # a linear residual with a nonzero minimum: the solver stops once the
+        # Gauss-Newton decrement, the most any step could gain, is below TOL
+        # of the cost, so every evaluation it makes is an accepted step that
+        # gains more than that, and none is a trial that only confirms it
+        rng = np.random.default_rng(7)
+        J, y = rng.normal(size=(10, 2)), rng.normal(size=10)
+        costs = []
+
+        def fun(x):
+            costs.append(0.5 * float((J @ x - y) @ (J @ x - y)))
+            return J @ x - y
+
+        res = least_squares(fun, [0.0, 0.0], jac=lambda x: J)
+        assert (res.status, res.decrement, res.nfev) == (2, True, 6)
+        assert costs[-1] == res.cost
+        assert np.all(np.diff(costs) < -trapkit.fitting.TOL * res.cost)
+        best = np.linalg.lstsq(J, y, rcond=None)[0]
+        assert res.cost - 0.5 * float((J @ best - y) @ (J @ best - y)) <= trapkit.fitting.TOL * res.cost
+
+    def test_a_held_parameter_still_stops_on_the_free_one(self):
+        # x0's gradient points out of the box through its lower bound, so x0
+        # is held there; the decrement over x1 alone stops the solver at x1's
+        # least-squares value. x0's residual stays in the cost, so the test
+        # takes x0's own decrement out of the cost it compares with
+        res = least_squares(
+            lambda x: np.array([x[0] + 1.0, x[1] - 2.0, x[1] + 1.0]), [0.0, 0.0],
+            jac=lambda x: np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]), bounds=([0.0, -np.inf], np.inf),
+        )
+        assert (res.status, res.decrement) == (2, True)
+        assert res.x[0] == 0.0
+        assert res.x[1] == pytest.approx(0.5, abs=1e-5)
+
+    def test_the_time_constant_ridge_never_stops_on_the_decrement(self):
+        # a discharge polish started at Ta = Tb: the basis columns, and so
+        # J's two columns, coincide, J^T J is singular, and the gradient
+        # across the ridge vanishes, so the polish stays on the ridge. It
+        # ends by MINPACK's ftol, never by the decrement test
+        sub = criterion7_series(2)[1]
+        tau = np.asarray(sub.times) - 2400.0
+        _, resid, jac, _ = charging._projector(tau, np.asarray(sub.freqs), 1 / np.asarray(sub.freq_errs), "discharge")
+        res = least_squares(resid, np.log([300.0, 300.0]), jac=jac, bounds=(0.0, math.log(2.6e6)))
+        assert res.x[0] == res.x[1]
+        assert (res.status, res.decrement) == (2, False)
 
     def test_rosenbrock_makes_no_svd(self, monkeypatch):
         # each step comes from the 2x2 normal matrix on floats

@@ -17,11 +17,14 @@ both sets of flags: a fit whose minimum moves shows there even when its
 drift is hidden by a large error. Then, for each fit kind and over the
 block, each tree's polishing evaluations (nfev), polished starts and fits
 that polished a third start, counted on ``trapkit.fitting.least_squares``,
-and its ``np.linalg.svd`` calls, a measure of each evaluation's cost that
-does not depend on the machine. The beam's phase is left out of the drift:
-criterion 9's grid measures the truth's field zero as exactly 0, so every
-fitted phase is pi to rounding with an error of ~1e-7 rad, and its drift in
-sigma means nothing. A fit that raises ValueError, its parameters failing
+its polished starts by the test that ended them (the Gauss-Newton
+decrement, ftol, xtol, both, gtol or max-nfev), and its ``np.linalg.svd``
+calls. The charging and discharge fits solve each evaluation in closed
+form, so for them the SVD calls count the covariance's alone, one per fit;
+the beam's trust region adds one per iteration. The beam's phase is left
+out of the drift: criterion 9's grid measures the truth's field zero as
+exactly 0, so every fitted phase is pi to rounding with an error of ~1e-7
+rad, and its drift in sigma means nothing. A fit that raises ValueError, its parameters failing
 their model's check, counts as failed. Two trees give the same fits when
 the drift is at rounding level and no flag differs:
 
@@ -45,6 +48,9 @@ CRITERIA = {
 }
 CHI2_RTOL = 1e-9
 NO_DRIFT = {"phase"}
+# the test that ended a polished start, by fitting.least_squares' status,
+# unless the Levenberg-Marquardt stopped on the Gauss-Newton decrement
+STOPS = {0: "max-nfev", 1: "gtol", 2: "ftol", 3: "xtol", 4: "ftol and xtol"}
 # each count over one fit's line
 COUNTS = {
     "nfev": lambda fit: sum(fit["nfev"]),
@@ -56,7 +62,8 @@ COUNTS = {
 
 def emit() -> int:
     """Fit every record with the trapkit on the path; one JSON line per fit,
-    with the nfev of each polished start and the fit's SVD count."""
+    with the nfev and the end of each polished start and the fit's SVD
+    count."""
     import numpy as np
 
     from trapkit import fitting
@@ -64,11 +71,12 @@ def emit() -> int:
     from trapkit.charging import FrequencySeries, fit_charging, fit_discharge
     from trapkit.simulate import SimConfig, simulate_charging_series, simulate_position_scan
 
-    polish, nfev = fitting.least_squares, []
+    polish, nfev, stops = fitting.least_squares, [], []
 
     def counted(*args, **kwargs):
         res = polish(*args, **kwargs)
         nfev.append(res.nfev)
+        stops.append("decrement" if getattr(res, "decrement", False) else STOPS[res.status])
         return res
 
     fitting.least_squares = counted
@@ -99,6 +107,7 @@ def emit() -> int:
         for seed in seeds:
             for kind, fit in fits_of(seed, kinds).items():
                 nfev.clear()
+                stops.clear()
                 svds.clear()
                 try:
                     _, report = fit()
@@ -110,7 +119,8 @@ def emit() -> int:
                     }
                 except (fitting.FitConvergenceError, ValueError) as exc:
                     out = {"failed": str(exc)}
-                line = {"criterion": criterion, "seed": seed, "kind": kind, "nfev": nfev, "svd": len(svds)}
+                line = {"criterion": criterion, "seed": seed, "kind": kind}
+                line.update(nfev=nfev, stops=stops, svd=len(svds))
                 print(json.dumps({**line, **out}))
     return 0
 
@@ -121,6 +131,11 @@ def fits(src: str):
         [sys.executable, __file__, "--emit"], env=env, capture_output=True, text=True, check=True, timeout=1800
     )
     return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+def ended_by(fits: list, stop: str) -> int:
+    """The polished starts of the fits that ended by stop."""
+    return sum(fit["stops"].count(stop) for fit in fits)
 
 
 def drift(a: dict, b: dict) -> tuple[float, str]:
@@ -168,9 +183,11 @@ def main(src_a: str, src_b: str) -> int:
             for line in lines:
                 print(f"  {line}")
         for kind in (*kinds, None) if len(kinds) > 1 else kinds:
+            of_a, of_b = ([pair[i] for pair in pairs if kind in (None, pair[i]["kind"])] for i in (0, 1))
             for label, count in COUNTS.items():
-                a, b = (sum(count(pair[i]) for pair in pairs if kind in (None, pair[i]["kind"])) for i in (0, 1))
-                print(f"{kind or 'all'} {label}: {a} -> {b}")
+                print(f"{kind or 'all'} {label}: {sum(map(count, of_a))} -> {sum(map(count, of_b))}")
+            ends = (f"{stop} {ended_by(of_a, stop)} -> {ended_by(of_b, stop)}" for stop in ("decrement", *STOPS.values()))
+            print(f"{kind or 'all'} polished starts by end: {', '.join(ends)}")
     return 0
 
 
