@@ -30,7 +30,7 @@ _EXPORTS = {
         "settled_stability",
     ),
     "beam": (
-        "GratingOutputModel", "RabiPositionScan", "fit_profile", "pi_time_to_rabi", "rabi_from_intensity",
+        "GratingOutputModel", "RabiPositionScan", "fit_profile", "pi_time_to_rabi",
     ),
     "simulate": (
         "SimConfig", "simulate_charging_series", "simulate_heating_series", "simulate_position_scan",

@@ -78,29 +78,14 @@ def profile_intensity(x, model: GratingOutputModel):
 
 
 def rabi_profile(x, model: GratingOutputModel, rabi_scale: float):
-    """Model Rabi frequency along the scan axis, rabi_scale * sqrt(I(x)).
+    """Model Rabi frequency along the scan axis, rabi_scale * sqrt(I(x)):
+    the Rabi frequency is proportional to the field amplitude, and
+    rabi_scale is the Rabi frequency at unit model intensity.
 
-    The fit's residuals and the CLI's model column both use this curve. It
-    skips rabi_from_intensity's input checks because the fit calls it on
-    every residual evaluation.
+    The simulator, the fit's residuals and the CLI's model column all use
+    this curve.
     """
     return rabi_scale * np.sqrt(np.asarray(profile_intensity(x, model)))
-
-
-def rabi_from_intensity(intensity, reference: tuple[float, float]):
-    """Map intensity to Rabi frequency via field-amplitude proportionality.
-
-    reference is a (rabi_ref, intensity_ref) calibration pair; the map is
-    Omega = rabi_ref * sqrt(I / I_ref).
-    """
-    rabi_ref, intensity_ref = reference
-    if intensity_ref <= 0:
-        raise ValueError("reference intensity must be positive")
-    intensity = np.asarray(intensity, dtype=float)
-    if np.any(intensity < 0):
-        raise ValueError("intensity must be >= 0")
-    out = rabi_ref * np.sqrt(intensity / intensity_ref)
-    return float(out) if out.ndim == 0 else out
 
 
 def pi_time_to_rabi(t_pi: float) -> float:

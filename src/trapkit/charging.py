@@ -172,7 +172,7 @@ def _select(series: FrequencySeries, t_start, t_end):
 
 
 def _projector(tau, f, w, kind, fix_f0=None):
-    """(core, resid, jac, costs) for the model of _double_exp_fit at fixed
+    """(core, resid, jac, costs) for the model of _fit_window at fixed
     time constants log_T. core(log_T) -> (lin, resid, J): the linear
     parameters (dfa, dfb, then f0 if free), the weighted residuals A lin - y
     and the weighted model's Jacobian in (dfa, dfb, log Ta, log Tb[, f0]).
@@ -245,16 +245,29 @@ def _projector(tau, f, w, kind, fix_f0=None):
     return core, lambda log_T: solve(tuple(log_T))[1], jac, costs
 
 
-def _double_exp_fit(tau, f, w, kind, fix_f0, names):
-    """Variable-projection fit of f0 + dfa*ba(tau; Ta) + dfb*bb(tau; Tb).
+def _fit_window(series, t_start, t_end, f0_mode, kind, names):
+    """Variable-projection fit of f0 + dfa*ba(tau; Ta) + dfb*bb(tau; Tb) to
+    the points in [t_start, t_end], tau = t - t_start, and its report,
+    before the caller adds its own extras.
 
     kind 'charging' uses ba = 1 - exp(-tau/Ta), bb = -(1 - exp(-tau/Tb));
     'discharge' uses ba = -exp(-tau/Ta), bb = -exp(-tau/Tb). Only
     (log Ta, log Tb) are searched; the amplitudes and a free f0 are solved
-    linearly at each evaluation. names labels (dfa, dfb, Ta, Tb). Returns
-    (values, errs, cov, residuals, flags) with Ta <= Tb and cov over
+    linearly at each evaluation. names labels (dfa, dfb, Ta, Tb). f0_mode:
+    'fit' floats the baseline, 'baseline' fixes it to the mean of the points
+    before t_start. Returns (values, cov, report) with Ta <= Tb and cov over
     (dfa, dfb, log Ta, log Tb[, f0]).
     """
+    if f0_mode not in ("fit", "baseline"):
+        raise ValueError("f0_mode must be 'fit' or 'baseline'")
+    fix_f0 = None
+    if f0_mode == "baseline":
+        before = np.asarray(series.freqs, dtype=float)[np.asarray(series.times, dtype=float) < t_start]
+        if not before.size:
+            raise ValueError(f"no points before t = {t_start} s to fix the baseline f0 from")
+        fix_f0 = float(np.mean(before))
+    t, f, w = _select(series, t_start, t_end)
+    tau = t - t_start
     if tau.size < 8:
         raise ValueError("need at least 8 points for a double-exponential fit")
     span = float(tau[-1])
@@ -296,26 +309,6 @@ def _double_exp_fit(tau, f, w, kind, fix_f0, names):
         flags.append("time-constants-coincide")
     if res.status == 0:
         flags.append("max-nfev-reached")
-    return values, errs, cov, resid, flags
-
-
-def _fit_window(series, t_start, t_end, f0_mode, kind, names):
-    """The double-exponential fit of one kind to the points in [t_start,
-    t_end] and its report, before the caller adds its own extras.
-
-    f0_mode: 'fit' floats the baseline, 'baseline' fixes it to the mean of
-    the points before t_start. Returns (values, cov, report).
-    """
-    if f0_mode not in ("fit", "baseline"):
-        raise ValueError("f0_mode must be 'fit' or 'baseline'")
-    fix_f0 = None
-    if f0_mode == "baseline":
-        before = np.asarray(series.freqs, dtype=float)[np.asarray(series.times, dtype=float) < t_start]
-        if not before.size:
-            raise ValueError(f"no points before t = {t_start} s to fix the baseline f0 from")
-        fix_f0 = float(np.mean(before))
-    t, f, w = _select(series, t_start, t_end)
-    values, errs, cov, resid, flags = _double_exp_fit(t - t_start, f, w, kind, fix_f0, names)
     report = FitReport(
         model=f"{kind}-double-exponential",
         params=values,

@@ -56,8 +56,11 @@ def _provenance(args, input_path=None) -> dict[str, str]:
     return prov
 
 
-def _emit(args, report: FitReport, table_rows, table_header, stem: str):
-    """Write report + table artifacts and print the requested view."""
+def _emit(args, report: FitReport, table_rows, table_header, kind: str):
+    """Stamp the report with the input's provenance, write report + table
+    artifacts named after the input and kind, and print the requested view."""
+    report.provenance = _provenance(args, args.input)
+    stem = f"{Path(args.input).stem}_{kind}"
     table_lines = [",".join(table_header)]
     for row in table_rows:
         table_lines.append(",".join(repr(float(v)) for v in row))
@@ -137,53 +140,44 @@ def cmd_fit_heating(args):
 
     series = datasets.to_heating_series(ds)
     result = heating.fit_heating_rate(series)
-    report = heating.heating_report(series, result)
-    report.provenance = _provenance(args, args.input)
     rows = zip(series.wait_times, series.nbar, result.nbar(series.wait_times))
-    _emit(args, report, rows, ("time:s", "nbar", "model"), Path(args.input).stem + "_heating")
+    _emit(args, heating.heating_report(series, result), rows, ("time:s", "nbar", "model"), "heating")
     return 0
 
 
-def _light_edge(series, given, edge):
-    """given if set, else the start (edge 0) or end (edge 1) of the first
-    light_on interval in the input."""
-    if given is not None:
-        return given
-    if series.light_on_intervals:
-        return series.light_on_intervals[0][edge]
-    flag = ("--t-on", "--t-off")[edge]
-    raise DatasetError(f"no {flag} flag and no light_on metadata in the input")
+# each charging-record fit -> the light state its window holds, which names
+# its edge flag --t-on or --t-off, and the light_on edge that flag defaults
+# to: the first interval's start (0) or end (1)
+_EDGES = {"charging": ("on", 0), "discharge": ("off", 1)}
 
 
-def cmd_fit_charging(args):
+def cmd_fit_window(args):
+    """fit-charging and fit-discharge: fit one window of a charging record.
+
+    The light-on window runs from --t-on, else the first light_on start, to
+    the end of the first interval that ends after it; the dark window runs
+    from --t-off, else the first light_on end, to the next start after it.
+    """
     ds = datasets.load_dataset(args.input, "charging")
     from . import charging
 
+    kind = args.command.removeprefix("fit-")
+    light, edge = _EDGES[kind]
     series = datasets.to_frequency_series(ds)
-    t_on = _light_edge(series, args.t_on, 0)
-    # the window ends with the first light_on interval that ends after t_on
-    t_end = next((end for _, end in series.light_on_intervals if end > t_on), None)
-    params, report = charging.fit_charging(series, t_on, t_end=t_end, f0_mode=args.f0_mode)
-    report.provenance = _provenance(args, args.input)
-    t, f, _ = charging._select(series, t_on, t_end)
-    rows = zip(t, f, charging.charging_freq(t, params))
-    _emit(args, report, rows, ("time:s", "freq:Hz", "model:Hz"), Path(args.input).stem + "_charging")
-    return 0
-
-
-def cmd_fit_discharge(args):
-    ds = datasets.load_dataset(args.input, "charging")
-    from . import charging
-
-    series = datasets.to_frequency_series(ds)
-    t_off = _light_edge(series, args.t_off, 1)
-    # the discharge ends where the light next comes on
-    t_end = min((start for start, _ in series.light_on_intervals if start > t_off), default=None)
-    params, report = charging.fit_discharge(series, t_off, t_end=t_end, f0_mode=args.f0_mode)
-    report.provenance = _provenance(args, args.input)
-    t, f, _ = charging._select(series, t_off, t_end)
-    rows = zip(t, f, charging.discharge_freq(t, params))
-    _emit(args, report, rows, ("time:s", "freq:Hz", "model:Hz"), Path(args.input).stem + "_discharge")
+    intervals = series.light_on_intervals
+    t_start = args.edge
+    if t_start is None:
+        if not intervals:
+            raise DatasetError(f"no --t-{light} flag and no light_on metadata in the input")
+        t_start = intervals[0][edge]
+    if kind == "charging":
+        t_end = next((end for _, end in intervals if end > t_start), None)
+    else:
+        t_end = min((start for start, _ in intervals if start > t_start), default=None)
+    params, report = getattr(charging, f"fit_{kind}")(series, t_start, t_end=t_end, f0_mode=args.f0_mode)
+    t, f, _ = charging._select(series, t_start, t_end)
+    rows = zip(t, f, getattr(charging, f"{kind}_freq")(t, params))
+    _emit(args, report, rows, ("time:s", "freq:Hz", "model:Hz"), kind)
     return 0
 
 
@@ -216,9 +210,8 @@ def cmd_beam_profile(args):
 
     scan = datasets.to_position_scan(ds)
     model, report = beam.fit_profile(scan, mode=args.mode)
-    report.provenance = _provenance(args, args.input)
     rows = zip(scan.positions, scan.rabi, beam.rabi_profile(scan.positions, model, report.params["rabi_scale"]))
-    _emit(args, report, rows, ("pos:m", "rabi:rad/s", "model:rad/s"), Path(args.input).stem + "_profile")
+    _emit(args, report, rows, ("pos:m", "rabi:rad/s", "model:rad/s"), "profile")
     return 0
 
 
@@ -314,17 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.set_defaults(func=cmd_fit_heating)
 
-    p = sub.add_parser("fit-charging", parents=[emitting], help="fit the light-on charging model")
-    p.add_argument("--input", required=True)
-    p.add_argument("--t-on", type=float, default=None)
-    p.add_argument("--f0-mode", choices=("fit", "baseline"), default="fit")
-    p.set_defaults(func=cmd_fit_charging)
-
-    p = sub.add_parser("fit-discharge", parents=[emitting], help="fit the light-off discharge model")
-    p.add_argument("--input", required=True)
-    p.add_argument("--t-off", type=float, default=None)
-    p.add_argument("--f0-mode", choices=("fit", "baseline"), default="fit")
-    p.set_defaults(func=cmd_fit_discharge)
+    for kind, (light, _) in _EDGES.items():
+        p = sub.add_parser(f"fit-{kind}", parents=[emitting], help=f"fit the light-{light} {kind} model")
+        p.add_argument("--input", required=True)
+        p.add_argument(f"--t-{light}", dest="edge", metavar=f"T_{light.upper()}", type=float, default=None)
+        p.add_argument("--f0-mode", choices=("fit", "baseline"), default="fit")
+        p.set_defaults(func=cmd_fit_window)
 
     p = sub.add_parser("thermometry", parents=[seeded], help="nbar from one red/blue pair")
     p.add_argument("--p-red", type=float, required=True)

@@ -28,7 +28,7 @@ class DatasetError(ValueError):
     """Schema, unit, or monotonicity violation in a dataset file."""
 
 
-# unit -> SI multiplier, per column role
+# unit -> SI multiplier, per column role; each role lists its SI unit first
 _UNIT_TABLES = {
     "time": {"s": 1.0, "ms": 1e-3, "us": 1e-6},
     "freq": {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6},
@@ -37,7 +37,8 @@ _UNIT_TABLES = {
     "plain": {"": 1.0, "1": 1.0},
 }
 
-# kind -> ordered list of (column, role, required)
+# kind -> ordered list of (column, role, required); the first column is
+# the kind's axis, which must be strictly increasing
 _SCHEMAS = {
     "heating": (("time", "time", True), ("nbar", "plain", True), ("nbar_err", "plain", False)),
     "charging": (("time", "time", True), ("freq", "freq", True), ("err", "freq", False)),
@@ -97,9 +98,6 @@ def _parse_header(header: str, kind: str) -> list[tuple[str, float]]:
     return cols
 
 
-_TIME_LIKE = {"heating": "time", "charging": "time", "sideband-scan": "wait", "position-scan": "pos"}
-
-
 def load_dataset(path, kind: str) -> Dataset:
     """Load and validate a dataset file; converts all columns to SI."""
     if kind not in DATASET_KINDS:
@@ -144,8 +142,8 @@ def load_dataset(path, kind: str) -> Dataset:
     if not rows:
         raise DatasetError(f"{path}: no data rows")
     columns = {name: col for (name, _), col in zip(header, zip(*rows))}
-    axis = _TIME_LIKE.get(kind)
-    values = columns.get(axis, ())
+    axis = _SCHEMAS[kind][0][0]
+    values = columns[axis]
     bad = next((i for i in range(1, len(values)) if not values[i] > values[i - 1]), None)
     if bad is not None:
         raise DatasetError(f"column {axis!r} not strictly increasing at data row {bad + 1}")
@@ -167,18 +165,13 @@ def _atomic_write(path: Path, text: str) -> None:
 
 def write_dataset(path, dataset: Dataset) -> None:
     """Write a dataset in SI units, atomically."""
-    names = [name for name, _, _ in _SCHEMAS[dataset.kind] if name in dataset.columns]
-    roles = {name: role for name, role, _ in _SCHEMAS[dataset.kind]}
-    si_unit = {"time": "s", "freq": "Hz", "pos": "m", "rabi": "rad/s", "plain": ""}
+    # each column present, in schema order, with its role's SI unit
+    si = {name: next(iter(_UNIT_TABLES[role])) for name, role, _ in _SCHEMAS[dataset.kind] if name in dataset.columns}
     lines = [f"# kind: {dataset.kind}"]
     for key in sorted(dataset.metadata.keys() - {"kind"}):  # a loaded file's own kind line
         lines.append(f"# {key}: {dataset.metadata[key]}")
-    header = []
-    for name in names:
-        unit = si_unit[roles[name]]
-        header.append(f"{name}:{unit}" if unit else name)
-    lines.append(",".join(header))
-    for row in zip(*(dataset.columns[name] for name in names)):
+    lines.append(",".join(f"{name}:{unit}" if unit else name for name, unit in si.items()))
+    for row in zip(*(dataset.columns[name] for name in si)):
         lines.append(",".join(repr(float(v)) for v in row))
     _atomic_write(Path(path), "\n".join(lines) + "\n")
 

@@ -37,8 +37,11 @@ class HeatingRateResult:
     intercept_err: float = 0.0
 
     def __post_init__(self):
-        if self.ndot_err < 0:
-            raise ValueError("ndot_err must be >= 0")
+        for name, v in (("ndot", self.ndot), ("intercept", self.intercept)):
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
+        if not 0 <= self.ndot_err < math.inf:
+            raise ValueError(f"ndot_err must be >= 0 and finite, got {self.ndot_err}")
 
     def nbar(self, t):
         """The fitted line intercept + ndot*t at wait times t (s)."""
@@ -56,9 +59,6 @@ class PowerLawFit:
     def __post_init__(self):
         if self.amplitude <= 0:
             raise ValueError("amplitude must be positive")
-
-    def __call__(self, x):
-        return self.amplitude * np.asarray(x, dtype=float) ** (-self.exponent)
 
 
 def fit_heating_rate(series: HeatingSeries) -> HeatingRateResult:
@@ -111,8 +111,8 @@ def normalize_rate(
     ndot = q^2 S_E/(4 m hbar omega) gives
     ndot_ref = ndot * (m/m_ref) * (omega/omega_ref)^2.
     """
-    if ref_freq <= 0:
-        raise ValueError("ref_freq must be positive")
+    if not 0 < ref_freq < math.inf:
+        raise ValueError(f"ref_freq must be positive and finite, got {ref_freq}")
     m_ratio = ctx.species.mass / ref_species.mass
     f_ratio = ctx.axial_freq / ref_freq
     return result.ndot * m_ratio * f_ratio * f_ratio

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import thermometry
-from .beam import GratingOutputModel, RabiPositionScan, profile_intensity, rabi_from_intensity
+from .beam import GratingOutputModel, RabiPositionScan, rabi_profile
 from .charging import ChargingModelParams, DischargeModelParams, FrequencySeries, charging_freq, discharge_freq
 from .heating import HeatingSeries
 from .thermometry import RabiParams, SidebandObservation, ThermalMotionalState
@@ -172,8 +172,7 @@ def simulate_position_scan(cfg: SimConfig, beam: GratingOutputModel, positions) 
     """Rabi frequency sampled across the beam with multiplicative noise;
     a unit model intensity drives a 2*pi x 121.1 kHz Rabi frequency."""
     x = np.asarray(list(positions), dtype=float)
-    intensity = np.asarray(profile_intensity(x, beam), dtype=float)
-    rabi = np.asarray(rabi_from_intensity(intensity, (TWO_PI * 121.1e3, 1.0)), dtype=float)
+    rabi = rabi_profile(x, beam, TWO_PI * 121.1e3)
     frac = cfg.rabi_noise_frac
     if frac > 0:
         rng = point_rng(cfg.seed, STREAM_POSITION)

@@ -76,10 +76,6 @@ class TrapContext:
             if not (v > 0 and math.isfinite(v)):
                 raise ValueError(f"{name} must be positive and finite, got {v}")
 
-    @property
-    def axial_freq_hz(self) -> float:
-        return self.axial_freq / TWO_PI
-
 
 def make_trap_context(
     species_name: str,

@@ -12,7 +12,6 @@ from trapkit.beam import (
     pi_time_to_rabi,
     profile_extrema,
     profile_intensity,
-    rabi_from_intensity,
     rabi_profile,
 )
 from trapkit.simulate import SimConfig, simulate_position_scan
@@ -66,22 +65,6 @@ class TestTwoBeamlet:
 
 
 class TestRabiMapping:
-    def test_reference_point(self):
-        assert rabi_from_intensity(2.0, (TWO_PI * 121.1e3, 2.0)) == pytest.approx(
-            TWO_PI * 121.1e3
-        )
-
-    def test_quadratic_intensity_scaling(self):
-        ref = (TWO_PI * 121.1e3, 1.0)
-        assert rabi_from_intensity(4.0, ref) == pytest.approx(2 * TWO_PI * 121.1e3)
-
-    def test_scale_invariance(self):
-        ref_rabi = TWO_PI * 100e3
-        for c in (0.5, 3.0, 1e4):
-            assert rabi_from_intensity(c * 2.0, (ref_rabi, c * 1.0)) == pytest.approx(
-                rabi_from_intensity(2.0, (ref_rabi, 1.0)), rel=1e-12
-            )
-
     def test_pi_time_anchor(self):
         rabi = pi_time_to_rabi(4.13e-6)
         assert rabi / TWO_PI == pytest.approx(121.06e3, rel=1e-4)
@@ -94,8 +77,6 @@ class TestRabiMapping:
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             pi_time_to_rabi(0.0)
-        with pytest.raises(ValueError):
-            rabi_from_intensity(1.0, (TWO_PI * 1e3, 0.0))
 
 
 class TestProfileFit:

@@ -305,6 +305,33 @@ class TestExitCodes:
         assert json.loads(err)["error"] == "validation"
         assert "cfg.json" in json.loads(err)["detail"]
 
+    @pytest.mark.parametrize("command, flag", [("fit-charging", "--t-on"), ("fit-discharge", "--t-off")])
+    def test_no_edge_flag_and_no_light_on_metadata(self, tmp_path, capsys, command, flag):
+        # with neither, the command has no window to fit and names the flag that sets one
+        data = tmp_path / "dark.csv"
+        data.write_text("time:s,freq:Hz\n" + "".join(f"{15.0 * i},5329000.0\n" for i in range(12)))
+        code, out, err = run(capsys, command, "--input", str(data))
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "validation", "detail": f"no {flag} flag and no light_on metadata in the input",
+        }
+
+    @pytest.mark.parametrize("flag, value, quantity", [
+        ("--ref-freq", "inf", "ref_freq"),
+        ("--ref-freq", "nan", "ref_freq"),
+        ("--rate", "nan", "ndot"),
+        ("--rate", "inf", "ndot"),
+        ("--rate-err", "nan", "ndot_err"),
+        ("--rate-err", "inf", "ndot_err"),
+    ])
+    def test_normalize_non_finite_input(self, capsys, flag, value, quantity):
+        # rejected where the quantity is checked, not by the JSON encoder,
+        # and never reported as a number; a repeated flag's last value holds
+        code, out, err = run(capsys, "normalize", "--rate", "780", "--freq", "5.329e6", flag, value)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "validation"
+        assert json.loads(err)["detail"].startswith(f"{quantity} must be")
+
     def test_report_of_non_report_json(self, tmp_path, capsys):
         bad = tmp_path / "not_a_report.json"
         bad.write_text(json.dumps({"params": {"nbar": 0.1}, "flags": []}))
@@ -378,9 +405,12 @@ class TestExitCodes:
         ["simulate", "charging", "--out", "c.csv", "--points", "4"],
         ["simulate", "heating", "--out", "h.csv", "--separation", "2"],
         ["simulate", "sideband", "--out", "s.csv", "--interval", "30"],
+        ["fit-charging", "--input", "c.csv", "--t-off", "1"],
+        ["fit-discharge", "--input", "c.csv", "--t-on", "1"],
     ], ids=[
         "simulate", "thermometry", "fit-heating", "report",
         "simulate-position", "simulate-charging", "simulate-heating", "simulate-sideband",
+        "fit-charging", "fit-discharge",
     ])
     def test_flag_the_subcommand_does_not_read(self, tmp_path, capsys, monkeypatch, argv):
         # each subcommand, and each simulated kind, takes only the flags it reads
@@ -506,7 +536,7 @@ PACKAGE_EXPORTS = (
     "UnknownSpeciesError", "charging_freq", "compensation_field", "db_chain", "discharge_freq",
     "fit_charging", "fit_discharge", "fit_heating_rate", "fit_power_law", "fit_profile",
     "make_trap_context", "nbar_from_asymmetry", "nbar_with_uncertainty", "normalize_rate",
-    "pi_time_to_rabi", "position_scan_summary", "rabi_from_intensity", "rate_from_spectral_density",
+    "pi_time_to_rabi", "position_scan_summary", "rate_from_spectral_density",
     "settled_offset", "settled_stability", "sideband_excitation",
     "simulate_charging_series", "simulate_heating_series", "simulate_position_scan", "simulate_sideband_scan",
     "spectral_density_from_rate",

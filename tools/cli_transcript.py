@@ -3,12 +3,14 @@
 
     python3 tools/cli_transcript.py SRC_DIR > transcript.txt
 
-Runs, with ``PYTHONPATH=SRC_DIR``, the README's CLI examples and one
-``cli-session`` cycle of the benchmark (``perfbench/workloads.py``: two
-analysis sessions and the four malformed inputs) in a fresh temporary
-directory. For each call it prints the exit code and the sha256 of stdout,
-then the sha256 of every file the calls left (datasets, reports and
-tables). Two source trees give CLI output that is byte-identical when
+Runs, with ``PYTHONPATH=SRC_DIR``, the README's CLI examples, three calls
+that take the flag branches the README leaves out (an explicit charging
+and discharge edge, a table with artifacts, a non-finite reference
+frequency) and one ``cli-session`` cycle of the benchmark
+(``perfbench/workloads.py``: two analysis sessions and the four malformed
+inputs) in a fresh temporary directory. For each call it prints the exit
+code and the sha256 of stdout, then the sha256 of every file the calls
+left (datasets, reports and tables). Two source trees give CLI output that is byte-identical when
 their transcripts are:
 
     diff <(python3 tools/cli_transcript.py PARENT/src) <(python3 tools/cli_transcript.py src)
@@ -42,6 +44,13 @@ README = [
     ["simulate", "sideband", "--out", "sideband.csv", "--seed", "3"],
 ]
 
+# the flag branches the README's examples leave out, on its charging.csv
+BRANCHES = [
+    ["fit-charging", "--input", "charging.csv", "--t-on", "400"],
+    ["fit-discharge", "--input", "charging.csv", "--t-off", "2400", "--format", "table", "--out-dir", "out/"],
+    ["normalize", "--rate", "780", "--freq", "5.329e6", "--ref-freq", "inf"],
+]
+
 SEED = 1  # the cli-session cycle's first seed
 
 
@@ -72,7 +81,7 @@ def main(src: str) -> int:
             )
             print(f"{proc.returncode} {hashlib.sha256(proc.stdout).hexdigest()} trapkit {' '.join(argv)}")
 
-        for argv in README:
+        for argv in README + BRANCHES:
             run(argv)
         session_calls(workdir, run)
         for path in sorted(p for p in workdir.rglob("*") if p.is_file()):
