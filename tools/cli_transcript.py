@@ -3,10 +3,11 @@
 
     python3 tools/cli_transcript.py SRC_DIR > transcript.txt
 
-Runs, with ``PYTHONPATH=SRC_DIR``, the README's CLI examples, three calls
+Runs, with ``PYTHONPATH=SRC_DIR``, the README's CLI examples, five calls
 that take the flag branches the README leaves out (an explicit charging
 and discharge edge, a table with artifacts, a non-finite reference
-frequency) and one ``cli-session`` cycle of the benchmark
+frequency, a single-Gaussian beam fit and a discharge fit with the
+baseline f0) and one ``cli-session`` cycle of the benchmark
 (``perfbench/workloads.py``: two analysis sessions and the four malformed
 inputs) in a fresh temporary directory. For each call it prints the exit
 code and the sha256 of stdout, then the sha256 of every file the calls
@@ -44,11 +45,13 @@ README = [
     ["simulate", "sideband", "--out", "sideband.csv", "--seed", "3"],
 ]
 
-# the flag branches the README's examples leave out, on its charging.csv
+# the flag branches the README's examples leave out, on its charging.csv and scan.csv
 BRANCHES = [
     ["fit-charging", "--input", "charging.csv", "--t-on", "400"],
     ["fit-discharge", "--input", "charging.csv", "--t-off", "2400", "--format", "table", "--out-dir", "out/"],
     ["normalize", "--rate", "780", "--freq", "5.329e6", "--ref-freq", "inf"],
+    ["beam-profile", "--input", "scan.csv", "--mode", "single-gaussian"],
+    ["fit-discharge", "--input", "charging.csv", "--f0-mode", "baseline"],
 ]
 
 SEED = 1  # the cli-session cycle's first seed
