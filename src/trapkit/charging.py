@@ -28,8 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datasets import DatasetError, to_frequency_series
 from .fitting import check_series, covariance_from_jacobian, multistart_least_squares, weak_parameter_flags
 from .reports import FitReport
+from .units import CHARGING_WINDOWS
 
 # Time-constant seeds a third of a decade apart, as fractions of the fit
 # window's span, so that a fit does not depend on the time unit
@@ -359,6 +361,33 @@ def fit_discharge(
     params = object.__new__(DischargeModelParams)  # unchecked: an f0 the window cannot pin down may be <= 0
     vars(params).update(t_off=t_off, **values)
     return params, report
+
+
+def fit_record(ds, window, edge=None, f0_mode="fit") -> tuple[FitReport, list]:
+    """Fit one window of a charging record: its report and rows, each time,
+    frequency and model frequency.
+
+    window 'charging' runs from edge, else the first light_on start, to the
+    end of the first interval that ends after it; 'discharge' runs from
+    edge, else the first light_on end, to the next start after it.
+    """
+    light, first = CHARGING_WINDOWS[window]
+    series = to_frequency_series(ds)
+    intervals = series.light_on_intervals
+    t_start = edge
+    if t_start is None:
+        if not intervals:
+            raise DatasetError(f"no --t-{light} flag and no light_on metadata in the input")
+        t_start = intervals[0][first]
+    if window == "charging":
+        t_end = next((end for _, end in intervals if end > t_start), None)
+        fit, model = fit_charging, charging_freq
+    else:
+        t_end = min((start for start, _ in intervals if start > t_start), default=None)
+        fit, model = fit_discharge, discharge_freq
+    params, report = fit(series, t_start, t_end=t_end, f0_mode=f0_mode)
+    t, f, _ = _select(series, t_start, t_end)
+    return report, list(zip(t, f, model(t, params)))
 
 
 def settled_window_start(params: ChargingModelParams) -> float:

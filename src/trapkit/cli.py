@@ -4,6 +4,12 @@ plot-ready tables plus structured fit reports.
 Exit codes: 0 success, 2 validation error, 3 fit non-convergence, 4 I/O
 error. All outputs are deterministic for fixed inputs, flags, and seed.
 
+The four fit commands share one path, cmd_fit: it loads the --input record,
+passes it with the command's own flags to the fit_record of the record's
+domain module (heating, charging or beam), which fits it and returns the
+report and the table rows, and writes those out. This module does only
+I/O for them.
+
 Each subcommand imports the domain module it computes with, and a command
 that reads a dataset does so only after the loader has accepted the file:
 `report`, `thermometry`, `--help` and every rejected input run without
@@ -17,12 +23,13 @@ import json
 import math
 import sys
 from dataclasses import replace
+from importlib import import_module
 from pathlib import Path
 
 from . import __version__, datasets
 from .datasets import DatasetError, _atomic_write, file_digest
 from .reports import FitConvergenceError, FitReport
-from .units import ATOMIC_MASS_KG, BEAM_MODES, ELEMENTARY_CHARGE, SPECIES_TABLE, TWO_PI, IonSpecies, get_species, make_trap_context
+from .units import ATOMIC_MASS_KG, BEAM_MODES, CHARGING_WINDOWS, ELEMENTARY_CHARGE, SPECIES_TABLE, TWO_PI, IonSpecies, get_species, make_trap_context
 
 
 def _load_config(path):
@@ -54,25 +61,6 @@ def _provenance(args, input_path=None) -> dict[str, str]:
         prov["input_digest"] = file_digest(input_path)
         prov["input_file"] = Path(input_path).name
     return prov
-
-
-def _emit(args, report: FitReport, table_rows, table_header, kind: str):
-    """Stamp the report with the input's provenance, write report + table
-    artifacts named after the input and kind, and print the requested view."""
-    report.provenance = _provenance(args, args.input)
-    stem = f"{Path(args.input).stem}_{kind}"
-    table_lines = [",".join(table_header)]
-    for row in table_rows:
-        table_lines.append(",".join(repr(float(v)) for v in row))
-    table_text = "\n".join(table_lines) + "\n"
-    if args.out_dir is not None:
-        out = Path(args.out_dir)
-        _atomic_write(out / f"{stem}_report.json", report.to_json())
-        _atomic_write(out / f"{stem}_table.csv", table_text)
-    if args.format == "table":
-        sys.stdout.write(table_text)
-    else:
-        sys.stdout.write(report.to_json())
 
 
 # ---------------------------------------------------------------------------
@@ -134,50 +122,33 @@ def cmd_simulate(args):
 # fits
 
 
-def cmd_fit_heating(args):
-    ds = datasets.load_dataset(args.input, "heating")
-    from . import heating
-
-    series = datasets.to_heating_series(ds)
-    result = heating.fit_heating_rate(series)
-    rows = zip(series.wait_times, series.nbar, result.nbar(series.wait_times))
-    _emit(args, heating.heating_report(series, result), rows, ("time:s", "nbar", "model"), "heating")
-    return 0
-
-
-# each charging-record fit -> the light state its window holds, which names
-# its edge flag --t-on or --t-off, and the light_on edge that flag defaults
-# to: the first interval's start (0) or end (1)
-_EDGES = {"charging": ("on", 0), "discharge": ("off", 1)}
+# fit command -> (dataset kind, the module whose fit_record fits it, table
+# header, artifact name); the command's own flags are fit_record's options
+_FITS = {
+    "fit-heating": ("heating", "heating", ("time:s", "nbar", "model"), "heating"),
+    "fit-charging": ("charging", "charging", ("time:s", "freq:Hz", "model:Hz"), "charging"),
+    "fit-discharge": ("charging", "charging", ("time:s", "freq:Hz", "model:Hz"), "discharge"),
+    "beam-profile": ("position-scan", "beam", ("pos:m", "rabi:rad/s", "model:rad/s"), "profile"),
+}
+_NOT_OPTIONS = ("command", "func", "input", "out_dir", "format", "seed")
 
 
-def cmd_fit_window(args):
-    """fit-charging and fit-discharge: fit one window of a charging record.
-
-    The light-on window runs from --t-on, else the first light_on start, to
-    the end of the first interval that ends after it; the dark window runs
-    from --t-off, else the first light_on end, to the next start after it.
-    """
-    ds = datasets.load_dataset(args.input, "charging")
-    from . import charging
-
-    kind = args.command.removeprefix("fit-")
-    light, edge = _EDGES[kind]
-    series = datasets.to_frequency_series(ds)
-    intervals = series.light_on_intervals
-    t_start = args.edge
-    if t_start is None:
-        if not intervals:
-            raise DatasetError(f"no --t-{light} flag and no light_on metadata in the input")
-        t_start = intervals[0][edge]
-    if kind == "charging":
-        t_end = next((end for _, end in intervals if end > t_start), None)
-    else:
-        t_end = min((start for start, _ in intervals if start > t_start), default=None)
-    params, report = getattr(charging, f"fit_{kind}")(series, t_start, t_end=t_end, f0_mode=args.f0_mode)
-    t, f, _ = charging._select(series, t_start, t_end)
-    rows = zip(t, f, getattr(charging, f"{kind}_freq")(t, params))
-    _emit(args, report, rows, ("time:s", "freq:Hz", "model:Hz"), kind)
+def cmd_fit(args):
+    """Fit the --input record with its module's fit_record, stamp the
+    report with the input's provenance, write report + table artifacts
+    named after the input and artifact name, and print the requested view."""
+    kind, module, header, name = _FITS[args.command]
+    ds = datasets.load_dataset(args.input, kind)
+    options = {k: v for k, v in vars(args).items() if k not in _NOT_OPTIONS}
+    report, rows = import_module(f".{module}", __package__).fit_record(ds, **options)
+    report.provenance = _provenance(args, args.input)
+    lines = [",".join(header), *(",".join(repr(float(v)) for v in row) for row in rows)]
+    table_text = "\n".join(lines) + "\n"
+    if args.out_dir is not None:
+        out, stem = Path(args.out_dir), f"{Path(args.input).stem}_{name}"
+        _atomic_write(out / f"{stem}_report.json", report.to_json())
+        _atomic_write(out / f"{stem}_table.csv", table_text)
+    sys.stdout.write(table_text if args.format == "table" else report.to_json())
     return 0
 
 
@@ -201,17 +172,6 @@ def cmd_thermometry(args):
         provenance=_provenance(args),
     )
     sys.stdout.write(report.to_json())
-    return 0
-
-
-def cmd_beam_profile(args):
-    ds = datasets.load_dataset(args.input, "position-scan")
-    from . import beam
-
-    scan = datasets.to_position_scan(ds)
-    model, report = beam.fit_profile(scan, mode=args.mode)
-    rows = zip(scan.positions, scan.rabi, beam.rabi_profile(scan.positions, model, report.params["rabi_scale"]))
-    _emit(args, report, rows, ("pos:m", "rabi:rad/s", "model:rad/s"), "profile")
     return 0
 
 
@@ -266,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
 
     # each subcommand takes only the shared flags it reads: --seed where it
-    # writes a seed, --out-dir and --format where it calls _emit
+    # writes a seed, --out-dir and --format where it emits a fit's artifacts
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=0)
     emitting = argparse.ArgumentParser(add_help=False, parents=[seeded])
@@ -303,16 +263,15 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--scan-start", type=float, default=6.0, help="um")
     k.add_argument("--scan-end", type=float, default=16.0, help="um")
 
-    p = sub.add_parser("fit-heating", parents=[emitting], help="fit nbar(t) to a line")
-    p.add_argument("--input", required=True)
-    p.set_defaults(func=cmd_fit_heating)
-
-    for kind, (light, _) in _EDGES.items():
-        p = sub.add_parser(f"fit-{kind}", parents=[emitting], help=f"fit the light-{light} {kind} model")
-        p.add_argument("--input", required=True)
+    fitted = argparse.ArgumentParser(add_help=False, parents=[emitting])
+    fitted.add_argument("--input", required=True)
+    fitted.set_defaults(func=cmd_fit)
+    sub.add_parser("fit-heating", parents=[fitted], help="fit nbar(t) to a line")
+    for window, (light, _) in CHARGING_WINDOWS.items():
+        p = sub.add_parser(f"fit-{window}", parents=[fitted], help=f"fit the light-{light} {window} model")
         p.add_argument(f"--t-{light}", dest="edge", metavar=f"T_{light.upper()}", type=float, default=None)
         p.add_argument("--f0-mode", choices=("fit", "baseline"), default="fit")
-        p.set_defaults(func=cmd_fit_window)
+        p.set_defaults(window=window)
 
     p = sub.add_parser("thermometry", parents=[seeded], help="nbar from one red/blue pair")
     p.add_argument("--p-red", type=float, required=True)
@@ -320,10 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=int, default=None)
     p.set_defaults(func=cmd_thermometry)
 
-    p = sub.add_parser("beam-profile", parents=[emitting], help="fit a Rabi position scan")
-    p.add_argument("--input", required=True)
+    p = sub.add_parser("beam-profile", parents=[fitted], help="fit a Rabi position scan")
     p.add_argument("--mode", choices=BEAM_MODES, default="two-beamlet")
-    p.set_defaults(func=cmd_beam_profile)
 
     p = sub.add_parser("normalize", parents=[seeded], help="rescale a heating rate to a reference")
     p.add_argument("--config", type=str, default=None, help="JSON file whose 'species' entry extends the species table")

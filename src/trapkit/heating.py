@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datasets import to_heating_series
 from .fitting import check_series, weighted_linear_fit
 from .reports import FitReport
 from .units import HBAR, IonSpecies, TrapContext
@@ -43,10 +44,6 @@ class HeatingRateResult:
         if not 0 <= self.ndot_err < math.inf:
             raise ValueError(f"ndot_err must be >= 0 and finite, got {self.ndot_err}")
 
-    def nbar(self, t):
-        """The fitted line intercept + ndot*t at wait times t (s)."""
-        return self.intercept + self.ndot * np.asarray(t, dtype=float)
-
 
 @dataclass(frozen=True)
 class PowerLawFit:
@@ -69,17 +66,21 @@ def fit_heating_rate(series: HeatingSeries) -> HeatingRateResult:
     )
 
 
-def heating_report(series: HeatingSeries, result: HeatingRateResult) -> FitReport:
-    """The 'heating-linear' fit report of a heating-rate fit to series."""
-    resid = np.asarray(series.nbar) - result.nbar(series.wait_times)
-    return FitReport(
+def fit_record(ds) -> tuple[FitReport, list]:
+    """The 'heating-linear' report of a heating record's rate fit, and its
+    rows: each wait time, nbar and the fitted line there."""
+    series = to_heating_series(ds)
+    result = fit_heating_rate(series)
+    model = result.intercept + result.ndot * np.asarray(series.wait_times, dtype=float)
+    report = FitReport(
         model="heating-linear",
         params={"ndot": result.ndot, "intercept": result.intercept},
         param_errs={"ndot": result.ndot_err, "intercept": result.intercept_err},
-        residual_rms=float(np.sqrt(np.mean(resid**2))),
+        residual_rms=float(np.sqrt(np.mean((np.asarray(series.nbar) - model) ** 2))),
         n_points=len(series.wait_times),
         extras={"ndot_q_per_ms": result.ndot / 1e3},
     )
+    return report, list(zip(series.wait_times, series.nbar, model))
 
 
 def spectral_density_from_rate(result: HeatingRateResult, ctx: TrapContext) -> float:

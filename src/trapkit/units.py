@@ -1,5 +1,5 @@
 """Physical constants, ion species, the shared trap context, and the names
-of the output-beam models.
+of the output-beam models and charging-record windows.
 
 All frequencies are stored as angular frequencies (rad/s) internally; the
 CLI layer converts from Hz on the way in. Masses are exact isotope masses
@@ -18,9 +18,13 @@ HBAR = 1.054571817e-34
 
 TWO_PI = 2.0 * math.pi
 
-# Output-beam models of trapkit.beam; named here so that the CLI can offer
-# them without importing numpy
+# Output-beam models of trapkit.beam, and the windows of a charging record
+# that trapkit.charging fits, each -> the light state it holds, which names
+# its edge flag --t-on or --t-off, and the light_on edge that flag defaults
+# to: the first interval's start (0) or end (1). Named here so that the CLI
+# can offer them without importing numpy
 BEAM_MODES = ("single-gaussian", "two-beamlet")
+CHARGING_WINDOWS = {"charging": ("on", 0), "discharge": ("off", 1)}
 
 
 class UnknownSpeciesError(ValueError):
