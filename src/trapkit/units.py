@@ -38,10 +38,10 @@ class IonSpecies:
     charge: float  # C, +1e for everything used here
 
     def __post_init__(self):
-        if self.mass <= 0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
-        if self.charge <= 0:
-            raise ValueError(f"charge must be positive, got {self.charge}")
+        for name in ("mass", "charge"):
+            v = getattr(self, name)
+            if not (v > 0 and math.isfinite(v)):
+                raise ValueError(f"{name} must be positive and finite, got {v}")
 
 
 # Exact isotope masses (u): Yb-171 170.936, Ca-40 39.963
