@@ -68,7 +68,7 @@ def emit() -> int:
 
     from trapkit import fitting
     from trapkit.beam import GratingOutputModel, fit_profile
-    from trapkit.charging import FrequencySeries, fit_charging, fit_discharge
+    from trapkit.charging import fit_charging, fit_discharge
     from trapkit.simulate import SimConfig, simulate_charging_series, simulate_position_scan
 
     polish, nfev, stops = fitting.least_squares, [], []
@@ -91,16 +91,9 @@ def emit() -> int:
             scan = simulate_position_scan(SimConfig(seed=seed, rabi_noise_frac=0.05), beam, grid)
             return {"beam": lambda: fit_profile(scan, mode="two-beamlet")}
         series = simulate_charging_series(SimConfig(seed=seed, noise_floor=1e3), 15.0, (400.0, 2400.0), 5000.0)
-        t = np.asarray(series.times)
-        off = t >= 2400.0
-        sub = FrequencySeries(
-            tuple(t[off].tolist()),
-            tuple(np.asarray(series.freqs)[off].tolist()),
-            tuple(np.asarray(series.freq_errs)[off].tolist()),
-        )
         return {
             "charging": lambda: fit_charging(series, 400.0, t_end=2400.0, f0_mode="baseline"),
-            "discharge": lambda: fit_discharge(sub, 2400.0),
+            "discharge": lambda: fit_discharge(series, 2400.0),
         }
 
     for criterion, (seeds, kinds) in CRITERIA.items():
