@@ -2,7 +2,7 @@
 plot-ready tables plus structured fit reports.
 
 Exit codes: 0 success, 2 validation error, 3 fit non-convergence, 4 I/O
-error. All outputs are deterministic for fixed inputs, flags, and seed.
+error. All outputs are deterministic for fixed inputs and flags.
 
 The four fit commands share one path, cmd_fit: it loads the --input record,
 passes it with the command's own flags to the fit_record of the record's
@@ -55,8 +55,8 @@ def _load_config(path):
     return table
 
 
-def _provenance(args, input_path=None) -> dict[str, str]:
-    prov = {"toolkit_version": __version__, "seed": str(args.seed)}
+def _provenance(input_path=None) -> dict[str, str]:
+    prov = {"toolkit_version": __version__}
     if input_path is not None:
         prov["input_digest"] = file_digest(input_path)
         prov["input_file"] = Path(input_path).name
@@ -130,7 +130,7 @@ _FITS = {
     "fit-discharge": ("charging", "charging", ("time:s", "freq:Hz", "model:Hz"), "discharge"),
     "beam-profile": ("position-scan", "beam", ("pos:m", "rabi:rad/s", "model:rad/s"), "profile"),
 }
-_NOT_OPTIONS = ("command", "func", "input", "out_dir", "format", "seed")
+_NOT_OPTIONS = ("command", "func", "input", "out_dir", "format")
 
 
 def cmd_fit(args):
@@ -141,7 +141,7 @@ def cmd_fit(args):
     ds = datasets.load_dataset(args.input, kind)
     options = {k: v for k, v in vars(args).items() if k not in _NOT_OPTIONS}
     report, rows = import_module(f".{module}", __package__).fit_record(ds, **options)
-    report.provenance = _provenance(args, args.input)
+    report.provenance = _provenance(args.input)
     lines = [",".join(header), *(",".join(repr(float(v)) for v in row) for row in rows)]
     table_text = "\n".join(lines) + "\n"
     if args.out_dir is not None:
@@ -169,7 +169,7 @@ def cmd_thermometry(args):
         residual_rms=0.0,
         n_points=1,
         extras={"ratio": args.p_red / args.p_blue},
-        provenance=_provenance(args),
+        provenance=_provenance(),
     )
     sys.stdout.write(report.to_json())
     return 0
@@ -203,7 +203,7 @@ def cmd_normalize(args):
         residual_rms=0.0,
         n_points=1,
         extras={"ndot_input": args.rate},
-        provenance=_provenance(args),
+        provenance=_provenance(),
     )
     sys.stdout.write(report.to_json())
     return 0
@@ -225,22 +225,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
 
-    # each subcommand takes only the shared flags it reads: --seed where it
-    # writes a seed, --out-dir and --format where it emits a fit's artifacts
-    seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0)
-    emitting = argparse.ArgumentParser(add_help=False, parents=[seeded])
-    emitting.add_argument("--out-dir", type=str, default=None)
-    emitting.add_argument("--format", choices=("table", "report"), default="report")
-
+    # each subcommand takes only the flags it reads
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # each simulated kind takes only the flags it reads; the defaults are
-    # simulate.SimConfig's, which this module does not import
+    # each simulated kind takes --seed, --out and only the flags it reads;
+    # the defaults are simulate.SimConfig's, which this module does not import
     p = sub.add_parser("simulate", help="generate a synthetic dataset")
     p.set_defaults(func=cmd_simulate)
     kinds = p.add_subparsers(dest="kind", required=True)
-    simulated = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    simulated = argparse.ArgumentParser(add_help=False)
+    simulated.add_argument("--seed", type=int, default=0)
     simulated.add_argument("--out", required=True)
     points = argparse.ArgumentParser(add_help=False)
     points.add_argument("--points", type=int, default=7)
@@ -263,7 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--scan-start", type=float, default=6.0, help="um")
     k.add_argument("--scan-end", type=float, default=16.0, help="um")
 
-    fitted = argparse.ArgumentParser(add_help=False, parents=[emitting])
+    # the fit commands share --out-dir, --format and --input, and cmd_fit
+    fitted = argparse.ArgumentParser(add_help=False)
+    fitted.add_argument("--out-dir", type=str, default=None)
+    fitted.add_argument("--format", choices=("table", "report"), default="report")
     fitted.add_argument("--input", required=True)
     fitted.set_defaults(func=cmd_fit)
     sub.add_parser("fit-heating", parents=[fitted], help="fit nbar(t) to a line")
@@ -273,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--f0-mode", choices=("fit", "baseline"), default="fit")
         p.set_defaults(window=window)
 
-    p = sub.add_parser("thermometry", parents=[seeded], help="nbar from one red/blue pair")
+    p = sub.add_parser("thermometry", help="nbar from one red/blue pair")
     p.add_argument("--p-red", type=float, required=True)
     p.add_argument("--p-blue", type=float, required=True)
     p.add_argument("--shots", type=int, default=None)
@@ -282,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("beam-profile", parents=[fitted], help="fit a Rabi position scan")
     p.add_argument("--mode", choices=BEAM_MODES, default="two-beamlet")
 
-    p = sub.add_parser("normalize", parents=[seeded], help="rescale a heating rate to a reference")
+    p = sub.add_parser("normalize", help="rescale a heating rate to a reference")
     p.add_argument("--config", type=str, default=None, help="JSON file whose 'species' entry extends the species table")
     p.add_argument("--rate", type=float, required=True, help="quanta/s")
     p.add_argument("--rate-err", type=float, default=0.0)

@@ -12,7 +12,7 @@ import pytest
 import trapkit.fitting
 from trapkit.charging import DischargeModelParams, FrequencySeries, fit_charging, fit_discharge
 from trapkit.cli import build_parser, main
-from trapkit.datasets import from_frequency_series, write_dataset
+from trapkit.datasets import DatasetError, from_frequency_series, load_dataset, write_dataset
 from trapkit.simulate import SimConfig, simulate_charging_series
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -145,6 +145,49 @@ class TestSimulateAndFit:
         )
         assert code == 0
         assert out.splitlines()[0] == "time:s,nbar,model"
+
+
+class TestFitRecord:
+    """Each fit command emits its record's fit_record: the same report but
+    for the input's provenance, and a table of its rows."""
+
+    @pytest.mark.parametrize("simulate, argv, kind, module, options", [
+        (("heating", "--seed", "3"), ["fit-heating"], "heating", "heating", {}),
+        (
+            ("charging", "--noise", "1000"), ["fit-charging", "--f0-mode", "baseline"], "charging", "charging",
+            {"window": "charging", "f0_mode": "baseline"},
+        ),
+        (
+            ("charging", "--noise", "1000"), ["fit-discharge", "--t-off", "2400"], "charging", "charging",
+            {"window": "discharge", "edge": 2400.0},
+        ),
+        (
+            ("position", "--points", "41"), ["beam-profile", "--mode", "single-gaussian"], "position-scan", "beam",
+            {"mode": "single-gaussian"},
+        ),
+    ], ids=["fit-heating", "fit-charging", "fit-discharge", "beam-profile"])
+    def test_cli_emits_the_fit_record(self, tmp_path, capsys, simulate, argv, kind, module, options):
+        data = tmp_path / "data.csv"
+        assert run(capsys, "simulate", *simulate, "--out", str(data))[0] == 0
+        report, rows = importlib.import_module(f"trapkit.{module}").fit_record(load_dataset(data, kind), **options)
+        code, out, _ = run(capsys, *argv, "--input", str(data))
+        assert code == 0
+        emitted = json.loads(out)
+        assert emitted["provenance"]["input_file"] == "data.csv"
+        assert {**emitted, "provenance": {}} == json.loads(report.to_json())
+        code, out, _ = run(capsys, *argv, "--input", str(data), "--format", "table")
+        assert code == 0
+        assert out.splitlines()[1:] == [",".join(repr(float(v)) for v in row) for row in rows]
+
+    @pytest.mark.parametrize("module, options", [
+        ("heating", {}), ("charging", {"window": "charging"}), ("charging", {"window": "discharge"}), ("beam", {}),
+    ], ids=["heating", "charging", "discharge", "beam"])
+    def test_fit_record_of_the_wrong_kind(self, tmp_path, capsys, module, options):
+        data = tmp_path / "sideband.csv"
+        assert run(capsys, "simulate", "sideband", "--out", str(data))[0] == 0
+        fit_record = importlib.import_module(f"trapkit.{module}").fit_record
+        with pytest.raises(DatasetError, match="expected .* dataset, got 'sideband-scan'"):
+            fit_record(load_dataset(data, "sideband-scan"), **options)
 
 
 class TestDirectCommands:
@@ -316,6 +359,25 @@ class TestExitCodes:
             "error": "validation", "detail": f"no {flag} flag and no light_on metadata in the input",
         }
 
+    @pytest.mark.parametrize("flag", ["--species", "--ref-species"])
+    @pytest.mark.parametrize("entry, quantity", [
+        ({"mass_u": math.nan}, "mass"),
+        ({"mass_u": math.inf}, "mass"),
+        ({"mass_u": 137.905, "charge_e": math.nan}, "charge"),
+        ({"mass_u": 137.905, "charge_e": math.inf}, "charge"),
+    ], ids=["mass-nan", "mass-inf", "charge-nan", "charge-inf"])
+    def test_normalize_non_finite_species(self, tmp_path, capsys, flag, entry, quantity):
+        # the config's JSON may spell NaN and Infinity; such a species is
+        # rejected where it is built, not reported as a rate of 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"species": {"Ba-138": entry}}))
+        code, out, err = run(
+            capsys, "normalize", "--rate", "780", "--freq", "5.329e6", "--config", str(cfg), flag, "Ba-138",
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "validation"
+        assert json.loads(err)["detail"].startswith(f"{quantity} must be")
+
     @pytest.mark.parametrize("flag, value, quantity", [
         ("--ref-freq", "inf", "ref_freq"),
         ("--ref-freq", "nan", "ref_freq"),
@@ -407,10 +469,18 @@ class TestExitCodes:
         ["simulate", "sideband", "--out", "s.csv", "--interval", "30"],
         ["fit-charging", "--input", "c.csv", "--t-off", "1"],
         ["fit-discharge", "--input", "c.csv", "--t-on", "1"],
+        ["fit-heating", "--input", "h.csv", "--seed", "3"],
+        ["fit-charging", "--input", "c.csv", "--seed", "3"],
+        ["fit-discharge", "--input", "c.csv", "--seed", "3"],
+        ["beam-profile", "--input", "p.csv", "--seed", "3"],
+        ["thermometry", "--p-red", "0.075", "--p-blue", "0.75", "--seed", "3"],
+        ["normalize", "--rate", "780", "--freq", "5.329e6", "--seed", "3"],
     ], ids=[
         "simulate", "thermometry", "fit-heating", "report",
         "simulate-position", "simulate-charging", "simulate-heating", "simulate-sideband",
         "fit-charging", "fit-discharge",
+        *(f"{command}-seed" for command in ("fit-heating", "fit-charging", "fit-discharge", "beam-profile",
+                                            "thermometry", "normalize")),
     ])
     def test_flag_the_subcommand_does_not_read(self, tmp_path, capsys, monkeypatch, argv):
         # each subcommand, and each simulated kind, takes only the flags it reads
