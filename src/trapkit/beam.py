@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import to_position_scan
 from .fitting import check_series, covariance_from_jacobian, multistart_least_squares
 from .reports import FitReport
 from .units import BEAM_MODES
@@ -324,6 +323,9 @@ def fit_profile(
 def fit_record(ds, mode="two-beamlet") -> tuple[FitReport, list]:
     """Fit a position-scan record: fit_profile's report and the rows, each
     position, Rabi frequency and model Rabi frequency."""
+    # here, so that a fit of a series alone never loads the dataset I/O
+    from .datasets import to_position_scan
+
     scan = to_position_scan(ds)
     model, report = fit_profile(scan, mode=mode)
     rows = zip(scan.positions, scan.rabi, rabi_profile(scan.positions, model, report.params["rabi_scale"]))

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import DatasetError, to_frequency_series
 from .fitting import check_series, covariance_from_jacobian, multistart_least_squares, weak_parameter_flags
 from .reports import FitReport
 from .units import CHARGING_WINDOWS
@@ -371,6 +370,9 @@ def fit_record(ds, window, edge=None, f0_mode="fit") -> tuple[FitReport, list]:
     end of the first interval that ends after it; 'discharge' runs from
     edge, else the first light_on end, to the next start after it.
     """
+    # here, so that a fit of a series alone never loads the dataset I/O
+    from .datasets import DatasetError, to_frequency_series
+
     light, first = CHARGING_WINDOWS[window]
     series = to_frequency_series(ds)
     intervals = series.light_on_intervals

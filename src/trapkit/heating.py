@@ -8,7 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import to_heating_series
 from .fitting import check_series, weighted_linear_fit
 from .reports import FitReport
 from .units import HBAR, IonSpecies, TrapContext
@@ -69,6 +68,9 @@ def fit_heating_rate(series: HeatingSeries) -> HeatingRateResult:
 def fit_record(ds) -> tuple[FitReport, list]:
     """The 'heating-linear' report of a heating record's rate fit, and its
     rows: each wait time, nbar and the fitted line there."""
+    # here, so that a fit of a series alone never loads the dataset I/O
+    from .datasets import to_heating_series
+
     series = to_heating_series(ds)
     result = fit_heating_rate(series)
     model = result.intercept + result.ndot * np.asarray(series.wait_times, dtype=float)
