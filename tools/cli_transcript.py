@@ -3,11 +3,13 @@
 
     python3 tools/cli_transcript.py SRC_DIR > transcript.txt
 
-Runs, with ``PYTHONPATH=SRC_DIR``, the README's CLI examples, five calls
-that take the flag branches the README leaves out (an explicit charging
-and discharge edge, a table with artifacts, a non-finite reference
-frequency, a single-Gaussian beam fit and a discharge fit with the
-baseline f0) and one ``cli-session`` cycle of the benchmark
+Runs, with ``PYTHONPATH=SRC_DIR``, the README's CLI examples, nine calls
+that take the branches the README leaves out (an explicit charging and
+discharge edge, a table with artifacts, a non-finite reference frequency,
+a single-Gaussian beam fit, a discharge fit with the baseline f0, a
+two-beamlet fit of the default 7-point scan, and an unweighted charging
+fit of a noiseless record, which has no err column) and one
+``cli-session`` cycle of the benchmark
 (``perfbench/workloads.py``: two analysis sessions and the four malformed
 inputs) in a fresh temporary directory. For each call it prints the exit
 code and the sha256 of stdout, then the sha256 of every file the calls
@@ -45,13 +47,18 @@ README = [
     ["simulate", "sideband", "--out", "sideband.csv", "--seed", "3"],
 ]
 
-# the flag branches the README's examples leave out, on its charging.csv and scan.csv
+# the branches the README's examples leave out, on its charging.csv and scan.csv
+# and on two files of their own
 BRANCHES = [
     ["fit-charging", "--input", "charging.csv", "--t-on", "400"],
     ["fit-discharge", "--input", "charging.csv", "--t-off", "2400", "--format", "table", "--out-dir", "out/"],
     ["normalize", "--rate", "780", "--freq", "5.329e6", "--ref-freq", "inf"],
     ["beam-profile", "--input", "scan.csv", "--mode", "single-gaussian"],
     ["fit-discharge", "--input", "charging.csv", "--f0-mode", "baseline"],
+    ["simulate", "position", "--out", "scan7.csv", "--seed", "3"],
+    ["beam-profile", "--input", "scan7.csv"],
+    ["simulate", "charging", "--out", "flat.csv", "--noise", "0"],
+    ["fit-charging", "--input", "flat.csv"],
 ]
 
 SEED = 1  # the cli-session cycle's first seed
