@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fitting import check_series, covariance_from_jacobian, multistart_least_squares
+from .fitting import check_series, fit_report, multistart_least_squares
 from .reports import FitReport
 from .units import BEAM_MODES
 
@@ -276,9 +276,6 @@ def fit_profile(
     res = multistart_least_squares(residuals, seeds, jac=jacobian)
     full, model, scale = _unpack(res.x, mode)
 
-    cov = covariance_from_jacobian(res.jac, res.fun, absolute_sigma=True)
-    if w is None:  # scaled by the residual variance over the samples, not the rows
-        cov = cov * 2.0 * res.cost / max(x.size - len(cols), 1)
     # the reported parameters' derivatives in the fitted ones: the fit
     # searches log(waist), and the phase and ratio are those of a + ib
     G = np.eye(6)
@@ -290,33 +287,22 @@ def fit_profile(
     names = [_NAMES[i] for i in cols]
     values = (model.center, model.beamlet_separation, model.waist, model.beamlet_phase, model.beamlet_amplitude_ratio, scale)
     params = dict(zip(names, (values[i] for i in cols)))
-    errs = dict(zip(names, np.sqrt(np.clip(np.einsum("ij,jk,ik->i", G, cov, G), 0, None))))
 
     peaks, dip_depth = profile_extrema(model)
-    flags = []
-    # a vanishing second beamlet, or two beamlets that coincide
-    if mode == "two-beamlet" and (
-        model.beamlet_amplitude_ratio < 1e-3
-        or errs["amplitude_ratio"] > 10 * max(model.beamlet_amplitude_ratio, 1e-12)
-        or model.beamlet_separation < 1e-3 * model.waist
-    ):
-        flags.append("degenerate-two-beamlet-fit")
-    if res.status == 0:
-        flags.append("max-nfev-reached")
     extras = {"dip_depth": dip_depth, "n_peaks": float(len(peaks))}
     for i, p in enumerate(peaks[:2]):
         extras[f"peak_{i}"] = p
     if len(peaks) >= 2:
         extras["peak_separation"] = peaks[-1] - peaks[0]
-    report = FitReport(
-        model=f"beam-profile-{mode}",
-        params=params,
-        param_errs=errs,
-        residual_rms=float(np.sqrt(2.0 * res.cost / x.size)),
-        n_points=x.size,
-        flags=flags,
-        extras=extras,
-    )
+    # a sample measured as zero gives two rows: n_points counts the samples
+    report, _ = fit_report(f"beam-profile-{mode}", params, G, res.jac, res.fun, x.size, w is not None, res.status, extras)
+    # a vanishing second beamlet, or two beamlets that coincide
+    if mode == "two-beamlet" and (
+        model.beamlet_amplitude_ratio < 1e-3
+        or report.param_errs["amplitude_ratio"] > 10 * max(model.beamlet_amplitude_ratio, 1e-12)
+        or model.beamlet_separation < 1e-3 * model.waist
+    ):
+        report.flags.append("degenerate-two-beamlet-fit")
     return model, report
 
 

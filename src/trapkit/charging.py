@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fitting import check_series, covariance_from_jacobian, multistart_least_squares, weak_parameter_flags
+from .fitting import check_series, fit_report, multistart_least_squares
 from .reports import FitReport
 from .units import CHARGING_WINDOWS
 
@@ -285,20 +285,12 @@ def _fit_window(series, t_start, t_end, f0_mode, kind, names):
     Ta, Tb = np.exp(log_T)
 
     dfa, dfb = lin[:2]
-    f0 = lin[-1] if fix_f0 is None else fix_f0
-    cov = covariance_from_jacobian(J, resid, absolute_sigma=w is not None)
-    sd = np.sqrt(np.clip(np.diag(cov), 0, None))
-
     name_a, name_b, name_Ta, name_Tb = names
-    values = {name_a: dfa, name_b: dfb, name_Ta: Ta, name_Tb: Tb, "f0": f0}
-    errs = {
-        name_a: sd[0],
-        name_b: sd[1],
-        name_Ta: Ta * sd[2],
-        name_Tb: Tb * sd[3],
-        "f0": sd[4] if fix_f0 is None else 0.0,
-    }
-    flags = weak_parameter_flags(values, errs)
+    values = {name_a: dfa, name_b: dfb, name_Ta: Ta, name_Tb: Tb, "f0": lin[-1] if fix_f0 is None else fix_f0}
+    G = np.diag([1.0, 1.0, Ta, Tb, 1.0])[:, : J.shape[1]]  # the fit searches log T; a fixed f0 has no column
+    extras = {"f0_fixed": 0.0 if f0_mode == "fit" else 1.0}
+    report, cov = fit_report(f"{kind}-double-exponential", values, G, J, resid, t.size, w is not None, res.status, extras)
+    errs, flags = report.param_errs, report.flags
     if abs(dfa) <= errs[name_a] and abs(dfb) <= errs[name_b]:
         flags.append("amplitudes-consistent-with-zero")
     for name, x in ((name_Ta, log_T[0]), (name_Tb, log_T[1])):
@@ -308,17 +300,6 @@ def _fit_window(series, t_start, t_end, f0_mode, kind, names):
     # starts can stop and agree there
     if log_T[1] - log_T[0] <= BOUND_TOLERANCE:
         flags.append("time-constants-coincide")
-    if res.status == 0:
-        flags.append("max-nfev-reached")
-    report = FitReport(
-        model=f"{kind}-double-exponential",
-        params=values,
-        param_errs=errs,
-        residual_rms=float(np.sqrt(np.mean(resid**2))),
-        n_points=t.size,
-        flags=flags,
-        extras={"f0_fixed": 0.0 if f0_mode == "fit" else 1.0},
-    )
     return values, cov, report
 
 

@@ -1,12 +1,14 @@
-"""Shared fit machinery: weighted linear regression and multi-start
-nonlinear least squares. The fit report every pipeline emits is in
-trapkit.reports.
+"""Shared fit machinery: weighted linear regression, multi-start nonlinear
+least squares, and the report of every nonlinear fit. The FitReport class
+itself is in trapkit.reports.
 
 Every nonlinear fit has an analytic Jacobian and is polished by a numpy
 solver: for the charging fits a bounded Levenberg-Marquardt over one or two
 parameters, which solves each damped step in closed form from the 2x2
 normal matrix J^T J, and for the beam fit an unbounded trust region, which
-solves each step from an SVD of J. No subcommand imports scipy.optimize."""
+solves each step from an SVD of J. No subcommand imports scipy.optimize.
+Both end in fit_report, which writes every nonlinear report's covariance,
+errors, shared flags and residual RMS."""
 
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .reports import FitConvergenceError, FitReport  # noqa: F401 (FitReport is re-exported)
+from .reports import FitConvergenceError, FitReport
 
 # Relative parameter uncertainty above which a parameter is reported as
 # weakly identified by the data.
@@ -369,8 +371,9 @@ def multistart_least_squares(residual_fn, seeds, jac, bounds=(-np.inf, np.inf), 
     return best
 
 
-def covariance_from_jacobian(jac: np.ndarray, residuals: np.ndarray, absolute_sigma: bool):
-    """Parameter covariance from the weighted Jacobian at the solution.
+def covariance_from_jacobian(jac: np.ndarray) -> np.ndarray:
+    """Parameter covariance (J^T J)^-1 from the weighted Jacobian at the
+    solution, at face value: fit_report scales it for an unweighted fit.
 
     Takes the SVD of J with its columns scaled to unit norm, not the
     pseudo-inverse of J^T J: forming J^T J squares the condition number,
@@ -385,20 +388,31 @@ def covariance_from_jacobian(jac: np.ndarray, residuals: np.ndarray, absolute_si
     _, s, vt = np.linalg.svd(jac / norms, full_matrices=False)
     keep = s > np.finfo(float).eps * max(n, p) * s[0]
     v = vt[keep].T / s[keep]
-    cov = (v @ v.T) / np.outer(norms, norms)
-    if not absolute_sigma:
-        dof = max(n - p, 1)
-        cov = cov * float(residuals @ residuals) / dof
-    return cov
+    return (v @ v.T) / np.outer(norms, norms)
 
 
-def weak_parameter_flags(params: dict[str, float], errs: dict[str, float]) -> list[str]:
-    """Flag parameters whose relative uncertainty exceeds the threshold."""
-    flags = []
-    for name, value in params.items():
-        err = errs.get(name, 0.0)
-        if not math.isfinite(err):
-            flags.append(f"weakly-identified:{name}")
-        elif value != 0 and err / abs(value) > WEAK_IDENTIFIABILITY_THRESHOLD:
-            flags.append(f"weakly-identified:{name}")
-    return flags
+def fit_report(model, params, G, J, resid, n_points, weighted, status, extras):
+    """The report of a polished nonlinear fit, and the covariance C of its
+    fitted parameters, from their Jacobian J and residuals resid at the
+    solution. params maps each reported name to its value, G is those
+    values' Jacobian in the fitted parameters, and n_points counts samples,
+    which may be fewer than J's rows. C is covariance_from_jacobian(J),
+    scaled for an unweighted fit by |resid|^2 / (n_points - p); each error
+    is sqrt(diag(G C G^T)); residual_rms is sqrt(|resid|^2 / n_points). A
+    value whose error is not finite or above WEAK_IDENTIFIABILITY_THRESHOLD
+    of its size is flagged weakly-identified:<name>, and a polish that
+    stopped at MAX_NFEV (status 0) max-nfev-reached; the fitter appends its
+    own flags."""
+    chi2 = float(resid @ resid)
+    cov = covariance_from_jacobian(J)
+    if not weighted:
+        cov = cov * chi2 / max(n_points - J.shape[1], 1)
+    errs = dict(zip(params, np.sqrt(np.clip(np.einsum("ij,jk,ik->i", G, cov, G), 0, None)).tolist()))
+    flags = [
+        f"weakly-identified:{name}"
+        for name, value in params.items()
+        if not math.isfinite(errs[name]) or (value != 0 and errs[name] / abs(value) > WEAK_IDENTIFIABILITY_THRESHOLD)
+    ]
+    if status == 0:
+        flags.append("max-nfev-reached")
+    return FitReport(model, params, errs, math.sqrt(chi2 / n_points), n_points, flags, extras), cov

@@ -1,6 +1,7 @@
 """The series contract that every measured series keeps (fitting.check_series),
 the numpy Levenberg-Marquardt and trust region behind fitting.least_squares,
-and the multistart's stop rule and diagnostics."""
+the multistart's stop rule and diagnostics, and the report every nonlinear
+fit ends in (fitting.fit_report)."""
 
 import math
 from fractions import Fraction
@@ -13,7 +14,7 @@ from test_charging import criterion7_series
 from trapkit import charging
 from trapkit.beam import RabiPositionScan
 from trapkit.charging import FrequencySeries, fit_charging, fit_discharge
-from trapkit.fitting import FitConvergenceError, _trust_region, least_squares, multistart_least_squares
+from trapkit.fitting import FitConvergenceError, _trust_region, fit_report, least_squares, multistart_least_squares
 from trapkit.heating import HeatingSeries
 
 # a valid (x, y, err) triple for each series type
@@ -386,3 +387,24 @@ class TestTrustRegion:
         res = _trust_region(fun, _rosenbrock_jac, [-1.2, 1.0])
         np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-8)
         assert np.linalg.norm(calls[2] - calls[0]) < np.linalg.norm(calls[1] - calls[0])
+
+
+class TestFitReport:
+    def test_unweighted_errors_scale_by_the_residual_variance_over_the_samples(self):
+        # 8 rows from 6 samples, as a beam scan with two samples measured as
+        # zero gives, and 3 fitted parameters
+        rng = np.random.default_rng(0)
+        J, resid = rng.normal(size=(8, 3)), rng.normal(size=8)
+        G = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.5], [0.0, 0.0, 3.0]])
+        report, cov = fit_report("toy", {"a": 1.0, "b": 2.0, "c": 3.0}, G, J, resid, 6, False, 1, {})
+        C = np.linalg.inv(J.T @ J) * (resid @ resid) / (6 - 3)
+        np.testing.assert_allclose(cov, C, rtol=1e-12)
+        np.testing.assert_allclose(list(report.param_errs.values()), np.sqrt(np.diag(G @ C @ G.T)), rtol=1e-12)
+        assert report.residual_rms == pytest.approx(math.sqrt(resid @ resid / 6), rel=1e-15)
+        assert report.n_points == 6
+
+    def test_shared_flags(self):
+        # weighted: the covariance is (J^T J)^-1 = I, so each error is 1
+        report, _ = fit_report("toy", {"a": 10.0, "b": 2.0}, np.eye(2), np.eye(2), np.ones(2), 2, True, 0, {})
+        assert report.param_errs == {"a": 1.0, "b": 1.0}
+        assert sorted(report.flags) == ["max-nfev-reached", "weakly-identified:b"]
