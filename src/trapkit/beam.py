@@ -206,6 +206,8 @@ def fit_profile(
     r = np.asarray(scan.rabi, dtype=float)
     if x.size < 7:
         raise ValueError("need at least 7 scan points")
+    if not np.any(r):
+        raise ValueError("no scan point has a nonzero Rabi frequency to fit")
     w = None
     if scan.rabi_err is not None:
         w = 1.0 / np.asarray(scan.rabi_err, dtype=float)

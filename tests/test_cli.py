@@ -458,6 +458,16 @@ class TestExitCodes:
         assert "--span" in json.loads(err)["detail"]
         assert not data.exists()
 
+    @pytest.mark.parametrize("mode", ["two-beamlet", "single-gaussian"])
+    def test_beam_profile_of_an_all_zero_scan(self, tmp_path, capsys, mode):
+        # no sample carries a Rabi frequency: there is no profile to fit,
+        # though every parameter set with rabi_scale 0 fits it exactly
+        scan = tmp_path / "zero.csv"
+        scan.write_text("# origin: grating\npos:um,rabi:Hz\n" + "".join(f"{i}.0,0.0\n" for i in range(11)))
+        code, out, err = run(capsys, "beam-profile", "--input", str(scan), "--mode", mode)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "validation"
+
     @pytest.mark.parametrize("argv", [
         ["simulate", "heating", "--out", "h.csv", "--format", "table"],
         ["thermometry", "--p-red", "0.075", "--p-blue", "0.75", "--out-dir", "x"],
