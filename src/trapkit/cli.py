@@ -84,7 +84,7 @@ def cmd_simulate(args):
             on_window=(args.on_start, args.on_start + args.on_duration),
             total=args.total,
         )
-        ds = datasets.from_frequency_series(series, {"seed": str(args.seed)})
+        ds = datasets.from_frequency_series(series)
     elif args.kind == "position":
         cfg = simulate.SimConfig(seed=args.seed)
         model = beam.GratingOutputModel(
@@ -97,7 +97,7 @@ def cmd_simulate(args):
             args.scan_start * 1e-6, args.scan_end * 1e-6, args.points
         )
         scan = simulate.simulate_position_scan(cfg, model, positions.tolist())
-        ds = datasets.from_position_scan(scan, origin="grating", metadata={"seed": str(args.seed)})
+        ds = datasets.from_position_scan(scan, origin="grating")
     else:
         cfg = simulate.SimConfig(
             seed=args.seed,
@@ -108,11 +108,11 @@ def cmd_simulate(args):
         waits = np.linspace(0.0, args.span, args.points).tolist()
         if args.kind == "heating":
             series = simulate.simulate_heating_series(cfg, waits)
-            ds = datasets.from_heating_series(series, {"seed": str(args.seed)})
+            ds = datasets.from_heating_series(series)
         else:
             obs = [(w, simulate.simulate_sideband_scan(cfg, w, index=i)) for i, w in enumerate(waits)]
             ds = datasets.from_sideband_observations(obs)
-            ds.metadata["seed"] = str(args.seed)
+    ds.metadata["seed"] = str(args.seed)
     datasets.write_dataset(args.out, ds)
     print(f"wrote {args.out} ({ds.n_rows} rows)")
     return 0
