@@ -286,9 +286,8 @@ def fit_profile(
         a, b, ratio = full[3], full[4], model.beamlet_amplitude_ratio
         G[3:5, 3:5] = [[-b / ratio**2, a / ratio**2], [a / ratio, b / ratio]]
     G = G[np.ix_(cols, cols)]
-    names = [_NAMES[i] for i in cols]
     values = (model.center, model.beamlet_separation, model.waist, model.beamlet_phase, model.beamlet_amplitude_ratio, scale)
-    params = dict(zip(names, (values[i] for i in cols)))
+    params = {_NAMES[i]: values[i] for i in cols}
 
     peaks, dip_depth = profile_extrema(model)
     extras = {"dip_depth": dip_depth, "n_peaks": float(len(peaks))}
