@@ -3,12 +3,14 @@
 
     python3 tools/cli_transcript.py SRC_DIR > transcript.txt
 
-Runs, with ``PYTHONPATH=SRC_DIR``, the README's CLI examples, nine calls
-that take the branches the README leaves out (an explicit charging and
-discharge edge, a table with artifacts, a non-finite reference frequency,
-a single-Gaussian beam fit, a discharge fit with the baseline f0, a
-two-beamlet fit of the default 7-point scan, and an unweighted charging
-fit of a noiseless record, which has no err column) and one
+Runs, with ``PYTHONPATH=SRC_DIR``, the README's CLI examples, thirteen
+calls that take the branches the README leaves out (an explicit charging
+and discharge edge, a table with artifacts, a non-finite reference
+frequency, a single-Gaussian beam fit, a discharge fit with the baseline
+f0, a two-beamlet fit of the default 7-point scan, an unweighted charging
+fit of a noiseless record, which has no err column, analytic heating and
+sideband records, and the help of two simulated kinds, which argparse
+prints to stdout) and one
 ``cli-session`` cycle of the benchmark
 (``perfbench/workloads.py``: two analysis sessions and the four malformed
 inputs) in a fresh temporary directory. For each call it prints the exit
@@ -59,6 +61,10 @@ BRANCHES = [
     ["beam-profile", "--input", "scan7.csv"],
     ["simulate", "charging", "--out", "flat.csv", "--noise", "0"],
     ["fit-charging", "--input", "flat.csv"],
+    ["simulate", "heating", "--out", "analytic.csv", "--shots", "0"],
+    ["simulate", "sideband", "--out", "analytic_sideband.csv", "--shots", "0", "--points", "4"],
+    ["simulate", "heating", "--help"],
+    ["simulate", "charging", "--help"],
 ]
 
 SEED = 1  # the cli-session cycle's first seed
