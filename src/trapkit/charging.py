@@ -153,11 +153,9 @@ def settled_offset(p: ChargingModelParams) -> float:
     return p.df1 - p.df2
 
 
-def compensation_field(offset: float, sensitivity: float = DEFAULT_FIELD_SENSITIVITY) -> float:
+def compensation_field(offset: float) -> float:
     """Vertical electric field (V/m) needed to null a settled offset (Hz)."""
-    if sensitivity <= 0:
-        raise ValueError("sensitivity must be positive")
-    return offset * sensitivity
+    return offset * DEFAULT_FIELD_SENSITIVITY
 
 
 def _select(series: FrequencySeries, t_start, t_end):

@@ -22,7 +22,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from importlib import import_module
 from pathlib import Path
 
@@ -76,8 +76,12 @@ def cmd_simulate(args):
 
     from . import beam, simulate
 
+    # the simulator flags given, by SimConfig field; --shots 0 is analytic
+    given = {f.name: getattr(args, f.name) for f in fields(simulate.SimConfig) if hasattr(args, f.name)}
+    if given.get("shots_per_point") == 0:
+        given["shots_per_point"] = None
+    cfg = simulate.SimConfig(**given)
     if args.kind == "charging":
-        cfg = simulate.SimConfig(seed=args.seed, noise_floor=args.noise)
         series = simulate.simulate_charging_series(
             cfg,
             sample_interval=args.interval,
@@ -86,7 +90,6 @@ def cmd_simulate(args):
         )
         ds = datasets.from_frequency_series(series)
     elif args.kind == "position":
-        cfg = simulate.SimConfig(seed=args.seed)
         model = beam.GratingOutputModel(
             mode="two-beamlet",
             waist=args.beamlet_waist * 1e-6,
@@ -99,12 +102,6 @@ def cmd_simulate(args):
         scan = simulate.simulate_position_scan(cfg, model, positions.tolist())
         ds = datasets.from_position_scan(scan, origin="grating")
     else:
-        cfg = simulate.SimConfig(
-            seed=args.seed,
-            shots_per_point=args.shots or None,
-            heating_rate=args.rate,
-            initial_nbar=args.initial_nbar,
-        )
         waits = np.linspace(0.0, args.span, args.points).tolist()
         if args.kind == "heating":
             series = simulate.simulate_heating_series(cfg, waits)
@@ -112,7 +109,7 @@ def cmd_simulate(args):
         else:
             obs = [(w, simulate.simulate_sideband_scan(cfg, w, index=i)) for i, w in enumerate(waits)]
             ds = datasets.from_sideband_observations(obs)
-    ds.metadata["seed"] = str(args.seed)
+    ds.metadata["seed"] = str(cfg.seed)
     datasets.write_dataset(args.out, ds)
     print(f"wrote {args.out} ({ds.n_rows} rows)")
     return 0
@@ -229,27 +226,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # each simulated kind takes --seed, --out and only the flags it reads;
-    # the defaults are simulate.SimConfig's, which this module does not import
+    # a simulator flag is stored under its SimConfig field only when given,
+    # so that SimConfig's default holds for the others
     p = sub.add_parser("simulate", help="generate a synthetic dataset")
     p.set_defaults(func=cmd_simulate)
     kinds = p.add_subparsers(dest="kind", required=True)
     simulated = argparse.ArgumentParser(add_help=False)
-    simulated.add_argument("--seed", type=int, default=0)
+    simulated.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     simulated.add_argument("--out", required=True)
     points = argparse.ArgumentParser(add_help=False)
     points.add_argument("--points", type=int, default=7)
     for kind in ("heating", "sideband"):
         k = kinds.add_parser(kind, parents=[simulated, points], help=f"{kind} record after wait times over --span")
-        k.add_argument("--shots", type=int, default=500, help="shots per point; 0 for analytic mode")
-        k.add_argument("--rate", type=float, default=780.0, help="heating rate, quanta/s")
-        k.add_argument("--initial-nbar", type=float, default=0.1)
+        k.add_argument("--shots", dest="shots_per_point", metavar="SHOTS", type=int, default=argparse.SUPPRESS, help="shots per point; 0 for analytic mode")
+        k.add_argument("--rate", dest="heating_rate", metavar="RATE", type=float, default=argparse.SUPPRESS, help="heating rate, quanta/s")
+        k.add_argument("--initial-nbar", type=float, default=argparse.SUPPRESS)
         k.add_argument("--span", type=float, default=2e-3, help="wait-time span, s")
     k = kinds.add_parser("charging", parents=[simulated], help="trap-frequency record with one light-on window")
     k.add_argument("--interval", type=float, default=15.0, help="charging cadence, s")
     k.add_argument("--on-start", type=float, default=400.0)
     k.add_argument("--on-duration", type=float, default=2000.0)
     k.add_argument("--total", type=float, default=5000.0)
-    k.add_argument("--noise", type=float, default=1e3, help="charging noise floor, Hz")
+    k.add_argument("--noise", dest="noise_floor", metavar="NOISE", type=float, default=argparse.SUPPRESS, help="charging noise floor, Hz")
     k = kinds.add_parser("position", parents=[simulated, points], help="Rabi scan across a two-beamlet grating output")
     k.add_argument("--separation", type=float, default=1.8, help="beamlet separation, um")
     k.add_argument("--beamlet-waist", type=float, default=0.9, help="um")

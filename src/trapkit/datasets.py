@@ -193,11 +193,11 @@ def to_heating_series(ds: Dataset):
     return HeatingSeries(ds.columns["time"], ds.columns["nbar"], ds.columns.get("nbar_err"))
 
 
-def from_heating_series(series, metadata=None) -> Dataset:
+def from_heating_series(series) -> Dataset:
     cols = {"time": tuple(series.wait_times), "nbar": tuple(series.nbar)}
     if series.nbar_err is not None:
         cols["nbar_err"] = tuple(series.nbar_err)
-    return Dataset("heating", cols, dict(metadata or {}))
+    return Dataset("heating", cols, {})
 
 
 def _parse_intervals(text: str):
@@ -225,11 +225,11 @@ def to_frequency_series(ds: Dataset):
     return FrequencySeries(ds.columns["time"], ds.columns["freq"], ds.columns.get("err"), intervals)
 
 
-def from_frequency_series(series, metadata=None) -> Dataset:
+def from_frequency_series(series) -> Dataset:
     cols = {"time": tuple(series.times), "freq": tuple(series.freqs)}
     if series.freq_errs is not None:
         cols["err"] = tuple(series.freq_errs)
-    meta = dict(metadata or {})
+    meta = {}
     if series.light_on_intervals:
         meta["light_on"] = ";".join(
             f"{repr(float(a))},{repr(float(b))}" for a, b in series.light_on_intervals
@@ -251,15 +251,13 @@ def to_position_scan(ds: Dataset):
     return RabiPositionScan(ds.columns["pos"], ds.columns["rabi"], ds.columns.get("err"))
 
 
-def from_position_scan(scan, origin: str, metadata=None) -> Dataset:
+def from_position_scan(scan, origin: str) -> Dataset:
     if origin not in ("loading_hole", "grating"):
         raise DatasetError(f"origin must be 'loading_hole' or 'grating', got {origin!r}")
     cols = {"pos": tuple(scan.positions), "rabi": tuple(scan.rabi)}
     if scan.rabi_err is not None:
         cols["err"] = tuple(scan.rabi_err)
-    meta = dict(metadata or {})
-    meta["origin"] = origin
-    return Dataset("position-scan", cols, meta)
+    return Dataset("position-scan", cols, {"origin": origin})
 
 
 def from_sideband_observations(observations) -> Dataset:

@@ -74,10 +74,14 @@ def weighted_linear_fit(x, y, yerr=None):
         raise ValueError("x and y must have equal length")
     if x.size < 3:
         raise ValueError("need at least 3 points to fit a line with errors")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("x and y must be finite")
     if np.ptp(x) == 0:
         raise ValueError("degenerate design: all x values are equal")
     if yerr is not None:
         yerr = np.asarray(yerr, dtype=float)
+        if not np.all(np.isfinite(yerr)):
+            raise ValueError("errors must be finite")
         if np.any(yerr <= 0):
             raise ValueError("errors must be positive")
         w = 1.0 / yerr
@@ -333,7 +337,7 @@ def multistart_least_squares(residual_fn, seeds, jac, bounds=(-np.inf, np.inf), 
     with the Jacobian jac and the bounds; the number of parameters picks
     the solver. Polishing stops as soon as a polished cost is within
     AGREE_RTOL (relative) of the best cost so far. Raises
-    FitConvergenceError (with best-so-far and every polished start's
+    FitConvergenceError (with the best cost and every polished start's
     outcome attached) if nothing converges.
     """
     seeds = np.asarray(seeds, dtype=float)
@@ -360,12 +364,9 @@ def multistart_least_squares(residual_fn, seeds, jac, bounds=(-np.inf, np.inf), 
         if agree:
             break
     if best is None or not np.all(np.isfinite(best.fun)):
-        bp = seeds[order[0]] if best is None else best.x
-        bc = float(initial[order[0]]) if best is None else 2 * best.cost
         raise FitConvergenceError(
             "nonlinear fit failed to converge from all seeds",
-            best_params=bp,
-            best_cost=bc,
+            best_cost=float(initial[order[0]]) if best is None else 2 * best.cost,
             starts=starts,
         )
     return best

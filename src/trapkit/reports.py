@@ -12,14 +12,13 @@ from dataclasses import dataclass, field
 class FitConvergenceError(RuntimeError):
     """Nonlinear fit failed to converge within the bounded restarts.
 
-    Carries the best parameter vector and cost seen, and starts: one
-    (initial_cost, final_cost or None, nfev or None, status or error text)
-    per polished start, for diagnostics.
+    Carries the best cost seen, and starts: one (initial_cost, final_cost
+    or None, nfev or None, status or error text) per polished start, for
+    diagnostics.
     """
 
-    def __init__(self, message, best_params=None, best_cost=None, starts=()):
+    def __init__(self, message, best_cost=None, starts=()):
         super().__init__(message)
-        self.best_params = best_params
         self.best_cost = best_cost
         self.starts = list(starts)
 

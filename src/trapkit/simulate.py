@@ -8,7 +8,8 @@ independently of evaluation order and safe to generate concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -32,37 +33,26 @@ def point_rng(seed: int, stream: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _default_rabi() -> RabiParams:
-    return RabiParams(base_rabi=TWO_PI * 200e3, lamb_dicke=0.1)
-
-
-def _default_charging() -> ChargingModelParams:
-    return ChargingModelParams(
-        df1=151e3, df2=50e3, T1=21.0, T2=900.0, t_on=400.0, f0=5.329e6
-    )
-
-
-def _default_discharge() -> DischargeModelParams:
-    # amplitudes continuous with the default charging curve at t_off=2400 s
-    p = _default_charging()
-    shift = charging_freq(2400.0, p) - p.f0
-    return DischargeModelParams(
-        df3=-0.75 * shift, df4=-0.25 * shift, T3=360.0, T4=18000.0,
-        t_off=2400.0, f0=p.f0,
-    )
-
-
 @dataclass(frozen=True)
 class SimConfig:
     seed: int = 0
     shots_per_point: int | None = 500  # None means analytic (infinite shots)
-    rabi: RabiParams = field(default_factory=_default_rabi)
     initial_nbar: float = 0.1
     heating_rate: float = 780.0  # quanta/s
-    charging: ChargingModelParams = field(default_factory=_default_charging)
-    discharge: DischargeModelParams = field(default_factory=_default_discharge)
     noise_floor: float = 1e3  # Hz, charging-measurement noise
     rabi_noise_frac: float = 0.05
+
+    # the simulated trap, the same for every configuration
+    rabi: ClassVar[RabiParams] = RabiParams(base_rabi=TWO_PI * 200e3, lamb_dicke=0.1)
+    charging: ClassVar[ChargingModelParams] = ChargingModelParams(
+        df1=151e3, df2=50e3, T1=21.0, T2=900.0, t_on=400.0, f0=5.329e6
+    )
+    # amplitudes continuous with the charging curve at t_off=2400 s
+    discharge: ClassVar[DischargeModelParams] = DischargeModelParams(
+        df3=-0.75 * (charging_freq(2400.0, charging) - charging.f0),
+        df4=-0.25 * (charging_freq(2400.0, charging) - charging.f0),
+        T3=360.0, T4=18000.0, t_off=2400.0, f0=charging.f0,
+    )
 
     def __post_init__(self):
         if self.shots_per_point is not None and self.shots_per_point < 1:
@@ -146,10 +136,9 @@ def simulate_charging_series(
     if np.any(on):
         freqs[on] = charging_freq(times[on], charge_p)
     after = times >= t_off
-    total_amp = cfg.discharge.df3 + cfg.discharge.df4
-    if np.any(after) and t_off > t_on and total_amp != 0:
+    if np.any(after) and t_off > t_on:
         # rescale the configured amplitude split so the curves join at t_off
-        scale = -(charging_freq(t_off, charge_p) - charge_p.f0) / total_amp
+        scale = -(charging_freq(t_off, charge_p) - charge_p.f0) / (cfg.discharge.df3 + cfg.discharge.df4)
         dis_p = replace(
             cfg.discharge, df3=cfg.discharge.df3 * scale, df4=cfg.discharge.df4 * scale,
             t_off=t_off, f0=charge_p.f0,

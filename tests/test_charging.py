@@ -111,10 +111,6 @@ class TestSettledQuantities:
         assert compensation_field(0.0) == 0.0
         assert compensation_field(101e3) == pytest.approx(2.424e5)
 
-    def test_compensation_field_bad_sensitivity(self):
-        with pytest.raises(ValueError):
-            compensation_field(1e5, sensitivity=0.0)
-
     def test_duty_cycle_period(self):
         duty = DutyCycle(probe_time=15e-6, duty_fraction=0.0061)
         assert duty.cycle_period == pytest.approx(2.459e-3, rel=1e-3)

@@ -11,9 +11,9 @@ import pytest
 
 import trapkit.fitting
 from trapkit.charging import DischargeModelParams, FrequencySeries, fit_charging, fit_discharge
-from trapkit.cli import build_parser, main
-from trapkit.datasets import DatasetError, from_frequency_series, load_dataset, write_dataset
-from trapkit.simulate import SimConfig, simulate_charging_series
+from trapkit.cli import main
+from trapkit.datasets import DatasetError, from_frequency_series, from_heating_series, load_dataset, write_dataset
+from trapkit.simulate import SimConfig, simulate_charging_series, simulate_heating_series
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -275,12 +275,19 @@ class TestReportedErrors:
         }
 
 
-def test_simulate_defaults_are_those_of_sim_config():
-    # the parser states SimConfig's defaults, since it does not import numpy
-    cfg, parse = SimConfig(), build_parser().parse_args
-    args = parse(["simulate", "heating", "--out", "h.csv"])
-    assert (args.shots, args.rate, args.initial_nbar) == (cfg.shots_per_point, cfg.heating_rate, cfg.initial_nbar)
-    assert parse(["simulate", "charging", "--out", "c.csv"]).noise == cfg.noise_floor
+def test_flagless_simulate_is_the_simulator_at_sim_config(tmp_path, capsys):
+    # SimConfig() and the parser's cadence defaults: 7 waits over 2 ms, and
+    # 15 s samples to 5000 s with the light on from 400 s for 2000 s
+    cfg = SimConfig()
+    records = {
+        "heating": from_heating_series(simulate_heating_series(cfg, np.linspace(0.0, 2e-3, 7).tolist())),
+        "charging": from_frequency_series(simulate_charging_series(cfg, 15.0, (400.0, 2400.0), 5000.0)),
+    }
+    for kind, ds in records.items():
+        ds.metadata["seed"] = "0"
+        write_dataset(tmp_path / f"{kind}_lib.csv", ds)
+        assert run(capsys, "simulate", kind, "--out", str(tmp_path / f"{kind}_cli.csv"))[0] == 0
+        assert (tmp_path / f"{kind}_cli.csv").read_bytes() == (tmp_path / f"{kind}_lib.csv").read_bytes()
 
 
 class TestDeterminism:

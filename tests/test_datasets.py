@@ -198,8 +198,12 @@ class TestRoundTrip:
             (0.05, 0.0501, 0.052),
         )
         path = tmp_path / "out.csv"
-        write_dataset(path, from_heating_series(series, {"note": "synthetic"}))
-        back = to_heating_series(load_dataset(path, "heating"))
+        ds = from_heating_series(series)
+        ds.metadata["note"] = "synthetic"
+        write_dataset(path, ds)
+        loaded = load_dataset(path, "heating")
+        assert loaded.metadata["note"] == "synthetic"
+        back = to_heating_series(loaded)
         assert back.wait_times == series.wait_times
         assert back.nbar == series.nbar
         assert back.nbar_err == series.nbar_err

@@ -183,6 +183,22 @@ class TestPowerLaw:
             with pytest.raises(ValueError, match="errors must be positive"):
                 fit_power_law([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [0.1, err, 0.1])
 
+    @pytest.mark.parametrize(
+        "x, y, yerr",
+        [
+            ([1.0, 2.0, 3.0], [1.0, math.inf, 3.0], None),
+            ([1.0, math.nan, 3.0], [1.0, 2.0, 3.0], None),
+            ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [0.1, math.nan, 0.1]),
+            ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [0.1, math.inf, 0.1]),
+        ],
+        ids=["inf-y", "nan-x", "nan-yerr", "inf-yerr"],
+    )
+    def test_rejects_non_finite(self, x, y, yerr):
+        # none may reach the solver: an inf y gave nan parameters, a nan
+        # raised inside LAPACK and an inf error weighted its point zero
+        with pytest.raises(ValueError, match="must be finite"):
+            fit_power_law(x, y, yerr)
+
 
 class TestPositionScanSummary:
     def test_nine_equal_rates(self):

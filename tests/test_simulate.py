@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -123,13 +121,6 @@ class TestChargingSeries:
         # discharge segment is continuous with the charging curve at t_off
         i_off = int(np.argmax(t >= 2400.0))
         assert f[i_off] == pytest.approx(charging_freq(2400.0, cfg.charging), rel=1e-9)
-
-    def test_zero_discharge_amplitudes_relax_to_f0(self):
-        p = SimConfig().discharge
-        cfg = SimConfig(noise_floor=0.0, discharge=replace(p, df3=0.0, df4=0.0))
-        series = simulate_charging_series(cfg, 30.0, (400.0, 2400.0), 4000.0)
-        after = np.asarray(series.times) >= 2400.0
-        assert set(np.asarray(series.freqs)[after]) == {cfg.charging.f0}
 
     def test_discharge_segment_round_trip(self):
         cfg = SimConfig(seed=0, noise_floor=0.0)
