@@ -24,7 +24,10 @@ form, so for them the SVD calls count the covariance's alone, one per fit;
 the beam's trust region adds one per iteration. The beam's phase is left
 out of the drift: criterion 9's grid measures the truth's field zero as
 exactly 0, so every fitted phase is pi to rounding with an error of ~1e-7
-rad, and its drift in sigma means nothing. A fit that raises ValueError, its parameters failing
+rad, and its drift in sigma means nothing. For a block of beam fits it
+also prints the worst |delta| of the reported peak positions and their
+separation (m) and of the dip depth, over the fits whose peaks both trees
+report. A fit that raises ValueError, its parameters failing
 their model's check, counts as failed. Two trees give the same fits when
 the drift is at rounding level and no flag differs:
 
@@ -48,6 +51,8 @@ CRITERIA = {
 }
 CHI2_RTOL = 1e-9
 NO_DRIFT = {"phase"}
+# the beam report's extras whose worst |delta| is printed, and their unit
+EXTRAS = {("peak_0", "peak_1", "peak_separation"): " m", ("dip_depth",): ""}
 # the test that ended a polished start, by fitting.least_squares' status,
 # unless the Levenberg-Marquardt stopped on the Gauss-Newton decrement
 STOPS = {0: "max-nfev", 1: "gtol", 2: "ftol", 3: "xtol", 4: "ftol and xtol"}
@@ -110,6 +115,8 @@ def emit() -> int:
                         "flags": sorted(report.flags),
                         "chi2": report.residual_rms**2 * report.n_points,
                     }
+                    if kind == "beam":
+                        out["extras"] = report.extras
                 except (fitting.FitConvergenceError, ValueError) as exc:
                     out = {"failed": str(exc)}
                 line = {"criterion": criterion, "seed": seed, "kind": kind}
@@ -145,6 +152,19 @@ def drift(a: dict, b: dict) -> tuple[float, str]:
     return worst, where
 
 
+def extras_drift(pairs: list, names: tuple) -> tuple[float, str]:
+    """The worst |a - b| over the names in the fits' extras that both
+    report, and where."""
+    worst, where = 0.0, "none"
+    for a, b in pairs:
+        for name in names:
+            if name in a.get("extras", {}) and name in b.get("extras", {}):
+                delta = abs(a["extras"][name] - b["extras"][name])
+                if delta > worst:
+                    worst, where = delta, f"seed {a['seed']} {a['kind']} {name}"
+    return worst, where
+
+
 def main(src_a: str, src_b: str) -> int:
     fits_a, fits_b = fits(src_a), fits(src_b)
     for criterion, (seeds, kinds) in CRITERIA.items():
@@ -168,6 +188,10 @@ def main(src_a: str, src_b: str) -> int:
                 )
         print(f"{criterion} seeds {seeds.start}-{seeds.stop - 1}: {len(pairs)} fits")
         print(f"worst |delta param|/sigma: {worst:.3g} ({where})")
+        if "beam" in kinds:
+            for names, unit in EXTRAS.items():
+                delta, at = extras_drift(pairs, names)
+                print(f"worst |delta {', '.join(names)}|: {delta:.3g}{unit} ({at})")
         print(f"flag differences: {len(differ)}")
         for line in differ:
             print(f"  {line}")
