@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datasets import to_position_scan
 from .fitting import check_series, fit_report, multistart_least_squares
 from .reports import FitReport
 from .units import BEAM_MODES
@@ -100,9 +101,9 @@ def profile_extrema(model: GratingOutputModel):
 
     Returns (peak_positions, dip_depth) where dip_depth is 1 - I_dip/I_peak
     for a double-peaked profile and 0.0 otherwise. A grid search, with each
-    grid maximum, and the lowest grid point between the outer peaks,
-    refined inside its grid bracket by golden-section search to 1e-6 of the
-    grid's half-span.
+    grid maximum, and the lowest grid point between the outer peaks, moved
+    to the vertex of the parabola through it and its two neighbours: the
+    interpolation step of Brent's method, which stays within half a cell.
     """
     span = 4.0 * model.waist + abs(model.beamlet_separation)
     xs = np.linspace(model.center - span, model.center + span, 4001)
@@ -110,36 +111,21 @@ def profile_extrema(model: GratingOutputModel):
     interior = np.arange(1, xs.size - 1)
     is_max = (ys[interior] > ys[interior - 1]) & (ys[interior] >= ys[interior + 1])
     peak_idx = interior[is_max]
-    tol = 1e-6 * span
-    peaks = sorted(
-        _golden_section_min(lambda u: -profile_intensity(u, model), xs[i - 1], xs[i + 1], tol)
-        for i in peak_idx
-    )
+    peaks = [_vertex(xs, ys, i) for i in peak_idx]
     if len(peaks) < 2:
         return peaks, 0.0
-    j = peak_idx[0] + int(np.argmin(ys[peak_idx[0] : peak_idx[-1] + 1]))
-    dip = _golden_section_min(lambda u: profile_intensity(u, model), xs[j - 1], xs[j + 1], tol)
+    dip = _vertex(xs, ys, peak_idx[0] + int(np.argmin(ys[peak_idx[0] : peak_idx[-1] + 1])))
     i_peak = max(profile_intensity(peaks[0], model), profile_intensity(peaks[-1], model))
     return peaks, float(1.0 - profile_intensity(dip, model) / i_peak)
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_section_min(f, a, b, tol):
-    """The minimiser of f, unimodal on [a, b], to within tol/2."""
-    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return float(0.5 * (a + b))
+def _vertex(xs, ys, i):
+    """xs[i] moved to the vertex of the parabola through the samples at
+    i - 1, i and i + 1 of the uniform grid xs; xs[i] where their curvature
+    is 0."""
+    curvature = ys[i - 1] - 2.0 * ys[i] + ys[i + 1]
+    step = 0.5 * (ys[i - 1] - ys[i + 1]) / curvature if curvature else 0.0
+    return float(xs[i] + step * (xs[1] - xs[0]))
 
 
 # fit_profile's parameters in each mode, as indices into the full vector
@@ -310,9 +296,6 @@ def fit_profile(
 def fit_record(ds, mode="two-beamlet") -> tuple[FitReport, list]:
     """Fit a position-scan record: fit_profile's report and the rows, each
     position, Rabi frequency and model Rabi frequency."""
-    # here, so that a fit of a series alone never loads the dataset I/O
-    from .datasets import to_position_scan
-
     scan = to_position_scan(ds)
     model, report = fit_profile(scan, mode=mode)
     rows = zip(scan.positions, scan.rabi, rabi_profile(scan.positions, model, report.params["rabi_scale"]))

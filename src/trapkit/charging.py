@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datasets import DatasetError, to_frequency_series
 from .fitting import check_series, fit_report, multistart_least_squares
 from .reports import FitReport
 from .units import CHARGING_WINDOWS
@@ -349,9 +350,6 @@ def fit_record(ds, window, edge=None, f0_mode="fit") -> tuple[FitReport, list]:
     end of the first interval that ends after it; 'discharge' runs from
     edge, else the first light_on end, to the next start after it.
     """
-    # here, so that a fit of a series alone never loads the dataset I/O
-    from .datasets import DatasetError, to_frequency_series
-
     light, first = CHARGING_WINDOWS[window]
     series = to_frequency_series(ds)
     intervals = series.light_on_intervals

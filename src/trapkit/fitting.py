@@ -80,6 +80,8 @@ def weighted_linear_fit(x, y, yerr=None):
         raise ValueError("degenerate design: all x values are equal")
     if yerr is not None:
         yerr = np.asarray(yerr, dtype=float)
+        if yerr.shape != x.shape:
+            raise ValueError("errors must have the shape of x")
         if not np.all(np.isfinite(yerr)):
             raise ValueError("errors must be finite")
         if np.any(yerr <= 0):

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datasets import to_heating_series
 from .fitting import check_series, weighted_linear_fit
 from .reports import FitReport
 from .units import HBAR, IonSpecies, TrapContext
@@ -68,9 +69,6 @@ def fit_heating_rate(series: HeatingSeries) -> HeatingRateResult:
 def fit_record(ds) -> tuple[FitReport, list]:
     """The 'heating-linear' report of a heating record's rate fit, and its
     rows: each wait time, nbar and the fitted line there."""
-    # here, so that a fit of a series alone never loads the dataset I/O
-    from .datasets import to_heating_series
-
     series = to_heating_series(ds)
     result = fit_heating_rate(series)
     model = result.intercept + result.ndot * np.asarray(series.wait_times, dtype=float)
@@ -132,7 +130,10 @@ def fit_power_law(x, y, yerr=None) -> PowerLawFit:
     y = np.asarray(y, dtype=float)
     if np.any(x <= 0) or np.any(y <= 0):
         raise ValueError("power-law fits require positive x and y")
-    # y > 0, so weighted_linear_fit's check rejects the non-positive yerr
+    # the division would broadcast errors of another shape; y > 0, so
+    # weighted_linear_fit's check rejects the non-positive yerr
+    if yerr is not None and np.shape(yerr) != x.shape:
+        raise ValueError("errors must have the shape of x")
     log_err = None if yerr is None else np.asarray(yerr, dtype=float) / y
     a, b, cov = weighted_linear_fit(np.log(x), np.log(y), log_err)
     return PowerLawFit(

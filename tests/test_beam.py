@@ -330,15 +330,16 @@ class TestBeamJacobian:
 
 
 def _scipy_extrema(model):
-    """profile_extrema as scipy's bounded scalar minimiser refines it: the
-    peaks and the dip depth, and the grid's half-span."""
+    """The extrema that profile_extrema brackets on its grid, each found by
+    scipy's bounded scalar minimiser run to 1e-14 m, far below the grid's
+    cell: the peaks and the dip depth, and the grid's half-span."""
     from scipy.optimize import minimize_scalar
 
     span = 4.0 * model.waist + abs(model.beamlet_separation)
     xs = np.linspace(model.center - span, model.center + span, 4001)
     ys = profile_intensity(xs, model)
     i = np.arange(1, xs.size - 1)
-    options = {"xatol": 1e-6 * span}
+    options = {"xatol": 1e-14}
     peaks = sorted(
         minimize_scalar(
             lambda u: -profile_intensity(u, model), bounds=(xs[k - 1], xs[k + 1]), method="bounded", options=options
@@ -367,4 +368,4 @@ def test_extrema_match_scipy_bounded_minimiser():
         ref_peaks, ref_dip_depth, span = _scipy_extrema(model)
         assert len(peaks) == len(ref_peaks) == 2
         np.testing.assert_allclose(peaks, ref_peaks, rtol=0, atol=1e-6 * span)
-        assert dip_depth == pytest.approx(ref_dip_depth, abs=1e-9)
+        assert dip_depth == pytest.approx(ref_dip_depth, abs=1e-12)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from trapkit.fitting import weighted_linear_fit
 from trapkit.heating import (
     HeatingRateResult,
     HeatingSeries,
@@ -198,6 +199,17 @@ class TestPowerLaw:
         # raised inside LAPACK and an inf error weighted its point zero
         with pytest.raises(ValueError, match="must be finite"):
             fit_power_law(x, y, yerr)
+
+    @pytest.mark.parametrize(
+        "fit, yerr",
+        [(fit_power_law, [0.1, 0.1]), (weighted_linear_fit, [[0.1, 0.1, 0.1]])],
+        ids=["short-power-law", "2d-linear"],
+    )
+    def test_rejects_errors_of_another_shape(self, fit, yerr):
+        # a short yerr failed numpy's broadcast, which names no argument, and
+        # a (1, 3) yerr reached the solver as a singular matrix
+        with pytest.raises(ValueError, match="errors must have the shape of x"):
+            fit([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], yerr)
 
 
 class TestPositionScanSummary:
