@@ -3,13 +3,14 @@
 
     python3 tools/cli_transcript.py SRC_DIR > transcript.txt
 
-Runs, with ``PYTHONPATH=SRC_DIR``, the README's CLI examples, thirteen
+Runs, with ``PYTHONPATH=SRC_DIR``, the README's CLI examples, fourteen
 calls that take the branches the README leaves out (an explicit charging
 and discharge edge, a table with artifacts, a non-finite reference
 frequency, a single-Gaussian beam fit, a discharge fit with the baseline
 f0, a two-beamlet fit of the default 7-point scan, an unweighted charging
 fit of a noiseless record, which has no err column, analytic heating and
-sideband records, and the help of two simulated kinds, which argparse
+sideband records, a heating record at one shot per point, whose
+thermometry fails, and the help of two simulated kinds, which argparse
 prints to stdout) and one
 ``cli-session`` cycle of the benchmark
 (``perfbench/workloads.py``: two analysis sessions and the four malformed
@@ -63,6 +64,7 @@ BRANCHES = [
     ["fit-charging", "--input", "flat.csv"],
     ["simulate", "heating", "--out", "analytic.csv", "--shots", "0"],
     ["simulate", "sideband", "--out", "analytic_sideband.csv", "--shots", "0", "--points", "4"],
+    ["simulate", "heating", "--out", "few_shots.csv", "--shots", "1"],
     ["simulate", "heating", "--help"],
     ["simulate", "charging", "--help"],
 ]
