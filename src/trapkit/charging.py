@@ -23,6 +23,7 @@ as coinciding.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -182,10 +183,10 @@ def _projector(tau, f, w, kind, fix_f0=None):
     G/tr(G)^2, as lstsq's minimum-norm split; with f0 free they are
     sign*(1 - e)*w from expm1, exact where T >> tau. jac builds Kaufman's
     Jacobian D - A (A^T A)^-1 A^T D, D = dA/dlog T lin, from the same cached
-    solve. costs(log_Ts) ranks an (s, 2) stack of points by |resid|^2 from
-    one Gram matrix of y and the weighted basis at the stack's distinct
-    values, reduced as solve reduces G; where a point's two columns
-    coincide, the second is dropped."""
+    solve, keyed by log_T as Python floats. costs(grid, pairs) gives
+    |resid|^2 at (grid[i], grid[j]) for each row (i, j) of pairs from one
+    Gram matrix of y and the weighted basis at the log T grid, reduced as
+    solve reduces G; where two columns coincide, the second is dropped."""
     level = 1.0 if kind == "charging" else 0.0
     free = fix_f0 is None
     ntcol = -tau[:, None]
@@ -219,30 +220,29 @@ def _projector(tau, f, w, kind, fix_f0=None):
         return lin[: 2 + free], A @ [c0, c1, df0, -1.0], (*inv, q0, q1), em1, k
 
     def core(log_T):
-        lin, resid, _, em1, k = solve(tuple(log_T))
+        lin, resid, _, em1, k = solve(tuple(log_T.tolist()))
         D = (em1 + 1.0) * (ntsw * [k[0] * lin[0], k[1] * lin[1]])
         return lin, resid, np.hstack([(em1 + 1.0 - level) * nsw, D, wcol])[:, : 4 + free]
 
     def jac(log_T):
-        lin, _, (i00, i01, i11, q0, q1), em1, k = solve(tuple(log_T))
+        lin, _, (i00, i01, i11, q0, q1), em1, k = solve(tuple(log_T.tolist()))
         D = (em1 + 1.0) * (ntsw * [k[0] * lin[0], k[1] * lin[1]])  # (dA/dlog T) lin
         u0, u1 = i00 * q0 + i01 * q1, i01 * q0 + i11 * q1  # (A^T A)^-1: the 2x2 inverse bordered by w's part
         inv = [[i00, i01, -u0], [i01, i11, -u1], [-u0, -u1, 1.0 / ww + q0 * u0 + q1 * u1]]
         return D - design @ (np.array(inv) @ (design.T @ D))
 
-    def costs(log_Ts):
-        grid, pair = np.unique(log_Ts, return_inverse=True)
-        X = np.column_stack([(level - np.exp(ntcol * np.exp(-grid))) * wcol, target])
+    def costs(grid, pairs):
+        X = np.concatenate([(level - np.exp(ntcol * np.exp(-grid))) * wcol, target[:, None]], axis=1)
         if free:  # project out the f0 column
             X -= wcol @ (wcol.T @ X) / ww
         G = X.T @ X
-        a, b = pair.reshape(-1, 2).T
+        a, b = pairs.T
         ya, gab, gaa = G[a, -1], G[a, b], G[a, a]
         yb, gbb = G[b, -1] - gab * ya / gaa, G[b, b] - gab * gab / gaa  # b less its part along a
         keep = gbb > cutoff * G[b, b]  # where the columns coincide, b is dropped as solve drops it
         return G[-1, -1] - ya * ya / gaa - np.divide(yb * yb, gbb, out=np.zeros_like(gbb), where=keep)
 
-    return core, lambda log_T: solve(tuple(log_T))[1], jac, costs
+    return core, lambda log_T: solve(tuple(log_T.tolist()))[1], jac, costs
 
 
 def _fit_window(series, t_start, t_end, f0_mode, kind, names):
@@ -277,8 +277,8 @@ def _fit_window(series, t_start, t_end, f0_mode, kind, names):
     core, resid_fn, jac, costs = _projector(tau, f, w, kind, fix_f0)
 
     grid = np.array([g for g in (math.log(a * span) for a in TIME_CONSTANT_SEED_GRID) if g > floor])
-    pairs = np.triu_indices(grid.size, 1)  # each pair (Ta, Tb) with Ta < Tb, as one (s, 2) array
-    res = multistart_least_squares(resid_fn, grid[np.column_stack(pairs)], bounds=bounds, jac=jac, costs=costs)
+    pairs = np.array(list(itertools.combinations(range(grid.size), 2)))  # each (Ta, Tb) with Ta < Tb
+    res = multistart_least_squares(resid_fn, grid[pairs], bounds=bounds, jac=jac, costs=functools.partial(costs, grid, pairs))
     log_T = np.sort(res.x)
     lin, resid, J = core(log_T)
     Ta, Tb = np.exp(log_T)

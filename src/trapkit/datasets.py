@@ -107,7 +107,7 @@ def load_dataset(path, kind: str) -> Dataset:
     header = None
     rows: list[tuple[float, ...]] = []
     try:
-        with path.open("r", encoding="utf-8") as fh:
+        with path.open("r", encoding="utf-8-sig") as fh:  # a byte-order mark is not part of the header
             lines = list(fh)
     except UnicodeDecodeError as exc:
         raise DatasetError(f"{path}: not UTF-8 text ({exc})") from None

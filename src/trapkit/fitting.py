@@ -102,20 +102,20 @@ def weighted_linear_fit(x, y, yerr=None):
 def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf)):
     """Minimise 0.5*|fun(x)|^2 over the box bounds, starting from x0.
 
-    jac is the Jacobian of fun, a callable. The solver follows from the
-    number of parameters: one or two run the bounded Levenberg-Marquardt
-    below, which solves each damped step in closed form from the 2x2 normal
-    matrix, det = max(a*d - b^2, 0) + mu*(a + d + mu); more run the
-    unbounded trust region below, and a finite bound then raises
-    ValueError. The charging fits, which need the bounds, search one or
-    two time constants; the beam fit searches three or six parameters
-    without bounds (an n-parameter Levenberg-Marquardt also found both
-    peaks in all of criterion 9's first 100 noisy fits, but with about 20x
-    the evaluations). Both stop on ftol, xtol and gtol all equal to TOL,
-    or after MAX_NFEV evaluations. The result has x, fun, jac,
-    cost = 0.5*fun@fun, nfev and scipy's status codes: 0 MAX_NFEV reached,
-    1 gtol, 2 ftol, 3 xtol, 4 ftol and xtol, and decrement, True where the
-    Levenberg-Marquardt's ftol was its Gauss-Newton decrement.
+    fun returns a 1-D float ndarray, used as returned, and jac, a callable,
+    its Jacobian; each bound is one value or one per parameter. One or two
+    parameters run the bounded Levenberg-Marquardt below, which solves each
+    damped step in closed form from the 2x2 normal matrix,
+    det = max(a*d - b^2, 0) + mu*(a + d + mu); more run the unbounded trust
+    region below, and a finite bound then raises ValueError. The charging
+    fits, which need the bounds, search one or two time constants; the beam
+    fit searches three or six parameters without bounds (an n-parameter
+    Levenberg-Marquardt also found both peaks in all of criterion 9's first
+    100 noisy fits, but with about 20x the evaluations). Both stop on ftol,
+    xtol and gtol all equal to TOL, or after MAX_NFEV evaluations. The
+    result has x, fun, jac, cost = 0.5*fun@fun, nfev and scipy's status
+    codes: 0 MAX_NFEV reached, 1 gtol, 2 ftol, 3 xtol, 4 ftol and xtol, and
+    decrement, True where the ftol met was the Gauss-Newton decrement.
     """
     if np.size(x0) <= 2:
         return _levenberg_marquardt(fun, jac, x0, bounds)
@@ -133,11 +133,12 @@ def _levenberg_marquardt(fun, jac, x0, bounds):
     starts, and from 0.05 in log T off a minimum, about as near as the
     charging seeds start, it still took ~8 evaluations. A running
     maximum of the norms, as in scipy's x_scale="jac", sent criterion 7
-    seed 50's first discharge start into the swapped (Tb, Ta) basin. Steps
-    are clipped to the box, and a parameter on a bound whose gradient points
-    out of the box is held for that step. Per iteration numpy forms only
-    g = J^T r and J^T J; every trial step, the box clip and the stop tests
-    then run on Python floats. The scaled normal matrix [[a, b], [b, d]]
+    seed 50's first discharge start into the swapped (Tb, Ta) basin. x0 and
+    steps are clipped to the box, and a parameter on a bound whose gradient
+    points out of the box is held for that step. Numpy forms only g = J^T r
+    and J^T J per iteration and checks only the first residuals; the bounds,
+    made floats once per polish, trial steps, box clip and stop tests run on
+    Python floats. The scaled normal matrix [[a, b], [b, d]]
     (J^T J with each column scaled, a held column zeroed; one parameter
     pads b = d = 0 and its second gradient entry 0) gives the damped scaled
     step z = (A + mu I)^-1 (g*scale) in closed form, over
@@ -152,9 +153,9 @@ def _levenberg_marquardt(fun, jac, x0, bounds):
     once the Gauss-Newton decrement 0.5 g.A^-1.g over the free parameters
     (untested where two coincide) is <= TOL times the cost less it and each
     held parameter's own. The xtol test and the status codes follow scipy's."""
-    lb, ub = (np.broadcast_to(np.asarray(b, dtype=float), np.shape(x0)).tolist() for b in bounds)
-    x = np.clip(np.asarray(x0, dtype=float), lb, ub)
-    r = np.asarray(fun(x), dtype=float)
+    lb, ub = ([float(b)] * np.size(x0) if np.ndim(b) == 0 else [float(v) for v in b] for b in bounds)
+    x = np.array([min(max(xi, lo), hi) for xi, lo, hi in zip(np.asarray(x0, dtype=float).tolist(), lb, ub, strict=True)])
+    r = fun(x)
     if not np.all(np.isfinite(r)):
         raise ValueError("Residuals are not finite in the initial point.")
     nfev, cost, J, xs = 1, 0.5 * float(r @ r), jac(x), x.tolist()
@@ -191,7 +192,7 @@ def _levenberg_marquardt(fun, jac, x0, bounds):
             x_new = [min(max(xi - si * zi, lo), hi) for xi, si, zi, lo, hi in zip(xs, scale, z, lb, ub)]
             step = [u - v for u, v in zip(x_new, xs)]
             x_arr = np.array(x_new)
-            r_new = np.asarray(fun(x_arr), dtype=float)
+            r_new = fun(x_arr)
             nfev += 1
             cost_new = 0.5 * float(r_new @ r_new)  # a non-finite cost fails every test below
             actual = cost - cost_new
@@ -332,20 +333,20 @@ def multistart_least_squares(residual_fn, seeds, jac, bounds=(-np.inf, np.inf), 
 
     seeds: an (s, p) array of parameter vectors, or what np.asarray makes
     one of. The seeds are prescreened by initial cost |residual_fn(seed)|^2,
-    one call per seed, or, if costs is given, by costs(seeds), which returns
-    those costs for all seeds at once (the charging fits' one matrix
-    product), and ranked by one stable argsort. The best
-    MAX_POLISHED are polished, in order of initial cost, by least_squares
-    with the Jacobian jac and the bounds; the number of parameters picks
-    the solver. Polishing stops as soon as a polished cost is within
-    AGREE_RTOL (relative) of the best cost so far. Raises
+    one call per seed, or, if costs is given, by costs(), with no arguments,
+    which returns them for all seeds at once, in order (the charging fits'
+    one matrix product over their seed grid), and ranked by one stable
+    argsort. The best MAX_POLISHED are polished, in order of initial cost,
+    by least_squares with the Jacobian jac and the bounds; the number of
+    parameters picks the solver. Polishing stops as soon as a polished cost
+    is within AGREE_RTOL (relative) of the best cost so far. Raises
     FitConvergenceError (with the best cost and every polished start's
     outcome attached) if nothing converges.
     """
     seeds = np.asarray(seeds, dtype=float)
     if not len(seeds):
         raise ValueError("at least one seed is required")
-    initial = np.array([r @ r for r in map(residual_fn, seeds)]) if costs is None else costs(seeds)
+    initial = np.array([r @ r for r in map(residual_fn, seeds)]) if costs is None else costs()
     initial[~np.isfinite(initial)] = np.inf
     order = np.argsort(initial, kind="stable")[:MAX_POLISHED]
     best = None

@@ -104,8 +104,10 @@ def simulate_heating_series(cfg: SimConfig, wait_times) -> HeatingSeries:
     nbars = []
     for i, wt in enumerate(wait_times):
         obs = simulate_sideband_scan(cfg, wt, index=i)
-        nbar, _ = thermometry.nbar_with_uncertainty(obs)
-        nbars.append(nbar)
+        try:
+            nbars.append(thermometry.nbar_with_uncertainty(obs)[0])
+        except ValueError as exc:
+            raise ValueError(f"wait {i} (t = {wt:g} s), {cfg.shots_per_point} shots per point (--shots): {exc}") from None
     # validated before the line fit, which a degenerate design would break
     series = HeatingSeries(wait_times=tuple(wait_times), nbar=tuple(nbars), nbar_err=None)
     if cfg.shots_per_point is None:

@@ -457,6 +457,19 @@ class TestExitCodes:
         assert "--span" in json.loads(err)["detail"]
         assert not data.exists()
 
+    @pytest.mark.parametrize("shots", ["1", "2"])
+    def test_simulate_heating_at_too_few_shots_names_the_point(self, tmp_path, capsys, shots):
+        # one or two shots per point leave a scan with no thermal sideband
+        # ratio; the message names the wait, its time and the shot count
+        data = tmp_path / "sim.csv"
+        code, out, err = run(capsys, "simulate", "heating", "--out", str(data), "--shots", shots, "--seed", "0")
+        assert (code, out) == (2, "")
+        detail = json.loads(err)["detail"]
+        assert detail.startswith("wait 1 (t = 0.000333333 s), ")
+        assert f" {shots} shots per point (--shots): " in detail
+        assert "sideband ratio" in detail
+        assert not data.exists()
+
     def test_simulate_sideband_zero_span(self, tmp_path, capsys):
         # a zero span would write every row at wait 0
         data = tmp_path / "sim.csv"

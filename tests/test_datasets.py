@@ -191,6 +191,16 @@ class TestFuzz:
 
 
 class TestRoundTrip:
+    def test_a_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        # an editor may save UTF-8 with a leading byte-order mark
+        plain = tmp_path / "h.csv"
+        write_dataset(plain, from_heating_series(HeatingSeries((0.0, 1e-3, 2e-3), (0.1, 0.9, 1.7), (0.05,) * 3)))
+        bom = tmp_path / "h_bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        want, got = load_dataset(plain, "heating"), load_dataset(bom, "heating")
+        assert got.metadata == want.metadata and got.metadata["kind"] == "heating"
+        assert got.columns == want.columns
+
     def test_heating_lossless(self, tmp_path):
         series = HeatingSeries(
             (0.0, 1.1e-3, 2.7e-3),

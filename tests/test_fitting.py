@@ -141,6 +141,35 @@ class TestLevenbergMarquardt:
         with pytest.raises(ValueError, match="not finite"):
             least_squares(lambda x: np.array([np.nan, x[0]]), [0.0], jac=lambda x: np.array([[0.0], [1.0]]))
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            (-1.5, 0.8),
+            (np.float64(-1.5), np.array(0.8)),
+            ([-1.5, -1.5], [0.8, 0.8]),
+            (-1.5, [0.8, 0.8]),
+            ((-1.5, -1.5), np.float64(0.8)),
+        ],
+        ids=["scalar", "numpy-scalar", "per-parameter", "mixed", "mixed-tuple"],
+    )
+    def test_bounds_in_any_form_give_the_fit_of_array_bounds(self, bounds):
+        # the box binds: Rosenbrock's minimum (1, 1) lies above 0.8, and the
+        # start's x1 = 1 is clipped into the box
+        def fit(b):
+            return least_squares(_rosenbrock, [-1.2, 1.0], jac=_rosenbrock_jac, bounds=b)
+
+        want, got = fit((np.full(2, -1.5), np.full(2, 0.8))), fit(bounds)
+        assert want.x[0] == 0.8
+        np.testing.assert_array_equal(got.x, want.x)
+        assert (got.cost, got.nfev, got.status) == (want.cost, want.nfev, want.status)
+        # one parameter: its bound as a scalar, a one-entry list or an array
+        one = [least_squares(lambda x: x - 2.0, [0.0], jac=lambda x: np.eye(1), bounds=(-1.0, b)) for b in (1.0, [1.0], np.ones(1))]
+        assert all(res.x.tolist() == [1.0] and (res.cost, res.nfev, res.status) == (one[0].cost, one[0].nfev, one[0].status) for res in one)
+
+    def test_a_bound_of_the_wrong_length_raises(self):
+        with pytest.raises(ValueError):
+            least_squares(_rosenbrock, [-1.2, 1.0], jac=_rosenbrock_jac, bounds=([-1.5, -1.5, -1.5], 0.8))
+
     def test_non_finite_trial_step_is_rejected(self):
         calls = []
 
