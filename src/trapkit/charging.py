@@ -169,7 +169,7 @@ def _select(series: FrequencySeries, t_start, t_end):
     w = None
     if series.freq_errs is not None:
         w = 1.0 / np.asarray(series.freq_errs, dtype=float)[mask]
-    return t[mask], f[mask], w
+    return t[mask], f[mask], w, f[t < t_start]
 
 
 def _projector(tau, f, w, kind, fix_f0=None):
@@ -256,17 +256,16 @@ def _fit_window(series, t_start, t_end, f0_mode, kind, names):
     linearly at each evaluation. names labels (dfa, dfb, Ta, Tb). f0_mode:
     'fit' floats the baseline, 'baseline' fixes it to the mean of the points
     before t_start. Returns (values, cov, report) with Ta <= Tb and cov over
-    (dfa, dfb, log Ta, log Tb[, f0]).
+    (dfa, dfb, log Ta, log Tb[, f0]); extras holds t_start as t_on or t_off.
     """
     if f0_mode not in ("fit", "baseline"):
         raise ValueError("f0_mode must be 'fit' or 'baseline'")
+    t, f, w, before = _select(series, t_start, t_end)
     fix_f0 = None
     if f0_mode == "baseline":
-        before = np.asarray(series.freqs, dtype=float)[np.asarray(series.times, dtype=float) < t_start]
         if not before.size:
             raise ValueError(f"no points before t = {t_start} s to fix the baseline f0 from")
         fix_f0 = float(np.mean(before))
-    t, f, w = _select(series, t_start, t_end)
     tau = t - t_start
     if tau.size < 8:
         raise ValueError("need at least 8 points for a double-exponential fit")
@@ -287,7 +286,7 @@ def _fit_window(series, t_start, t_end, f0_mode, kind, names):
     name_a, name_b, name_Ta, name_Tb = names
     values = {name_a: dfa, name_b: dfb, name_Ta: Ta, name_Tb: Tb, "f0": lin[-1] if fix_f0 is None else fix_f0}
     G = np.diag([1.0, 1.0, Ta, Tb, 1.0])[:, : J.shape[1]]  # the fit searches log T; a fixed f0 has no column
-    extras = {"f0_fixed": 0.0 if f0_mode == "fit" else 1.0}
+    extras = {"f0_fixed": 0.0 if f0_mode == "fit" else 1.0, f"t_{CHARGING_WINDOWS[kind][0]}": t_start}
     report, cov = fit_report(f"{kind}-double-exponential", values, G, J, resid, t.size, w is not None, res.status, extras)
     errs, flags = report.param_errs, report.flags
     if abs(dfa) <= errs[name_a] and abs(dfb) <= errs[name_b]:
@@ -320,7 +319,6 @@ def fit_charging(
     report.extras.update(
         settled_offset=settled_offset(params),
         settled_offset_err=math.sqrt(max(offset_var, 0.0)),
-        t_on=t_on,
     )
     return params, report
 
@@ -336,7 +334,6 @@ def fit_discharge(
     f0_mode 'baseline' fixes f0 to the mean of the pre-t_off points.
     """
     values, _, report = _fit_window(series, t_off, t_end, f0_mode, "discharge", ("df3", "df4", "T3", "T4"))
-    report.extras["t_off"] = t_off
     params = object.__new__(DischargeModelParams)  # unchecked: an f0 the window cannot pin down may be <= 0
     vars(params).update(t_off=t_off, **values)
     return params, report
@@ -365,7 +362,7 @@ def fit_record(ds, window, edge=None, f0_mode="fit") -> tuple[FitReport, list]:
         t_end = min((start for start, _ in intervals if start > t_start), default=None)
         fit, model = fit_discharge, discharge_freq
     params, report = fit(series, t_start, t_end=t_end, f0_mode=f0_mode)
-    t, f, _ = _select(series, t_start, t_end)
+    t, f, *_ = _select(series, t_start, t_end)
     return report, list(zip(t, f, model(t, params)))
 
 
@@ -378,8 +375,6 @@ def settled_window_start(params: ChargingModelParams) -> float:
 class SettledStability:
     residuals: tuple  # Hz
     sigma: float  # Hz
-    hist_counts: tuple
-    hist_edges: tuple  # Hz
     normality_p: float
     flags: tuple
 
@@ -394,12 +389,11 @@ def settled_stability(
     predict maps times (s) to model frequencies (Hz). Flags non-normal
     residuals (e.g. leftover drift) via a D'Agostino-Pearson test.
     """
-    t, f, _ = _select(series, window[0], window[1])
+    t, f, *_ = _select(series, window[0], window[1])
     if t.size < 3:
         raise ValueError("settled window contains fewer than 3 points")
     resid = f - np.asarray(predict(t), dtype=float)
     sigma = float(np.std(resid, ddof=1))
-    counts, edges = np.histogram(resid, bins=20)
     flags = []
     p_norm = float("nan")
     if t.size >= 20:
@@ -414,8 +408,6 @@ def settled_stability(
     return SettledStability(
         residuals=tuple(resid.tolist()),
         sigma=sigma,
-        hist_counts=tuple(int(c) for c in counts),
-        hist_edges=tuple(edges.tolist()),
         normality_p=p_norm,
         flags=tuple(flags),
     )

@@ -37,7 +37,7 @@ def _load_config(path):
     if path is None:
         return dict(SPECIES_TABLE)
     try:
-        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+        cfg = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as exc:
         raise DatasetError(f"config parse failure: {exc}") from None
     species = cfg.get("species", {}) if isinstance(cfg, dict) else None
@@ -207,7 +207,7 @@ def cmd_normalize(args):
 
 
 def cmd_report(args):
-    report = FitReport.from_json(Path(args.input).read_text(encoding="utf-8"))
+    report = FitReport.from_json(Path(args.input).read_text(encoding="utf-8-sig"))
     sys.stdout.write(report.to_json())
     return 0
 

@@ -72,7 +72,6 @@ def _parse_header(header: str, kind: str) -> list[tuple[str, float]]:
     cols = []
     seen: dict[str, int] = {}
     for i, raw in enumerate(header.split(",")):
-        raw = raw.strip()
         name, _, unit = raw.partition(":")
         name = name.strip()
         unit = unit.strip()
@@ -91,15 +90,15 @@ def _parse_header(header: str, kind: str) -> list[tuple[str, float]]:
         seen[name] = i + 1
         cols.append((name, table[unit]))
     required = [name for name, _, req in _SCHEMAS[kind] if req]
-    present = {name for name, _ in cols}
-    missing = [name for name in required if name not in present]
+    missing = [name for name in required if name not in seen]
     if missing:
         raise DatasetError(f"missing required column(s) {missing} for kind {kind!r}")
     return cols
 
 
 def load_dataset(path, kind: str) -> Dataset:
-    """Load and validate a dataset file; converts all columns to SI."""
+    """Load and validate a dataset file of the given kind, which its
+    `# kind:` line, if it has one, must name; converts all columns to SI."""
     if kind not in DATASET_KINDS:
         raise DatasetError(f"unknown dataset kind {kind!r}")
     path = Path(path)
@@ -118,6 +117,8 @@ def load_dataset(path, kind: str) -> Dataset:
         if line.startswith("#"):
             key, _, value = line.lstrip("#").partition(":")
             metadata[key.strip()] = value.strip()
+            if metadata.get("kind", kind) != kind:
+                raise DatasetError(f"line {lineno}: a {metadata['kind']!r} dataset, expected {kind!r}")
             continue
         if header is None:
             header = _parse_header(line, kind)
@@ -219,9 +220,7 @@ def to_frequency_series(ds: Dataset):
 
     if ds.kind != "charging":
         raise DatasetError(f"expected charging dataset, got {ds.kind!r}")
-    intervals = ()
-    if "light_on" in ds.metadata:
-        intervals = _parse_intervals(ds.metadata["light_on"])
+    intervals = _parse_intervals(ds.metadata.get("light_on", ""))
     return FrequencySeries(ds.columns["time"], ds.columns["freq"], ds.columns.get("err"), intervals)
 
 

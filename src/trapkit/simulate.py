@@ -135,20 +135,17 @@ def simulate_charging_series(
     charge_p = replace(cfg.charging, t_on=t_on)
     freqs = np.full_like(times, charge_p.f0)
     on = (times >= t_on) & (times < t_off)
-    if np.any(on):
-        freqs[on] = charging_freq(times[on], charge_p)
+    freqs[on] = charging_freq(times[on], charge_p)
+    # rescale the configured amplitude split so the curves join at t_off;
+    # at t_off = t_on the join's amplitude is 0 and the record stays at f0
+    scale = -(charging_freq(t_off, charge_p) - charge_p.f0) / (cfg.discharge.df3 + cfg.discharge.df4)
+    dis_p = replace(
+        cfg.discharge, df3=cfg.discharge.df3 * scale, df4=cfg.discharge.df4 * scale,
+        t_off=t_off, f0=charge_p.f0,
+    )
     after = times >= t_off
-    if np.any(after) and t_off > t_on:
-        # rescale the configured amplitude split so the curves join at t_off
-        scale = -(charging_freq(t_off, charge_p) - charge_p.f0) / (cfg.discharge.df3 + cfg.discharge.df4)
-        dis_p = replace(
-            cfg.discharge, df3=cfg.discharge.df3 * scale, df4=cfg.discharge.df4 * scale,
-            t_off=t_off, f0=charge_p.f0,
-        )
-        freqs[after] = discharge_freq(times[after], dis_p)
-    if cfg.noise_floor > 0:
-        noise = point_rng(cfg.seed, STREAM_CHARGING).normal(0.0, cfg.noise_floor, times.size)
-        freqs = freqs + noise
+    freqs[after] = discharge_freq(times[after], dis_p)
+    freqs = freqs + point_rng(cfg.seed, STREAM_CHARGING).normal(0.0, cfg.noise_floor, times.size)
     errs = None if cfg.noise_floor == 0 else tuple([cfg.noise_floor] * times.size)
     intervals = ((t_on, t_off),) if t_off > t_on else ()
     return FrequencySeries(

@@ -74,13 +74,8 @@ def fock_cutoff(nbar: float) -> int:
 def _fock_probabilities(nbar: float, nmax: int) -> np.ndarray:
     import numpy as np
 
-    n = np.arange(nmax + 1)
-    if nbar == 0:
-        p = np.zeros(nmax + 1)
-        p[0] = 1.0
-        return p
-    r = nbar / (nbar + 1.0)
-    return r**n / (nbar + 1.0)
+    r = nbar / (nbar + 1.0)  # at nbar = 0, r**n is [1, 0, ...]
+    return r ** np.arange(nmax + 1) / (nbar + 1.0)
 
 
 def _sideband_rabi_low(params: RabiParams, n_low) -> np.ndarray:
@@ -121,17 +116,10 @@ def sideband_excitation(
         raise ValueError("order must be +1 (blue) or -1 (red)")
     import numpy as np
 
-    nmax = fock_cutoff(state.nbar)
-    if order == +1:
-        n_low = np.arange(0, nmax + 1)
-        weights = _fock_probabilities(state.nbar, nmax)
-    else:
-        # red sideband: only n >= 1 contributes; lower state index n-1
-        if state.nbar == 0:
-            return 0.0
-        n_low = np.arange(0, nmax)
-        weights = _fock_probabilities(state.nbar, nmax)[1:]
-    omega = _sideband_rabi_low(params, n_low.astype(float))
+    # the red sideband takes the weights from n = 1; either way the
+    # transition's lower state is the weight's index
+    weights = _fock_probabilities(state.nbar, fock_cutoff(state.nbar))[(1 - order) // 2 :]
+    omega = _sideband_rabi_low(params, np.arange(float(weights.size)))
     return float(np.sum(weights * np.sin(0.5 * omega * probe_time) ** 2))
 
 

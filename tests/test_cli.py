@@ -231,6 +231,23 @@ class TestDirectCommands:
         assert code == 0
         assert json.loads(out)["params"]["ndot_normalized"] == pytest.approx(100.0)
 
+    def test_report_with_a_byte_order_mark(self, tmp_path, capsys):
+        # an editor may save UTF-8 with a leading byte-order mark
+        _, out, _ = run(capsys, "thermometry", "--p-red", "0.075", "--p-blue", "0.75")
+        p = tmp_path / "r.json"
+        p.write_bytes(b"\xef\xbb\xbf" + out.encode("utf-8"))
+        assert run(capsys, "report", "--input", str(p)) == (0, out, "")
+
+    def test_config_with_a_byte_order_mark(self, tmp_path, capsys):
+        argv = ["normalize", "--rate", "100", "--freq", "1e6", "--species", "Ba-138", "--ref-species", "Ba-138"]
+        text = json.dumps({"species": {"Ba-138": {"mass_u": 137.905}}})
+        plain, bom = tmp_path / "cfg.json", tmp_path / "cfg_bom.json"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        want = run(capsys, *argv, "--config", str(plain))
+        assert want[0] == 0
+        assert run(capsys, *argv, "--config", str(bom)) == want
+
 
 class TestReportedErrors:
     """Every reported uncertainty comes from a computed covariance: none is
@@ -328,6 +345,15 @@ class TestExitCodes:
         assert out == ""
         assert json.loads(err)["error"] == "validation"
         assert "repeats column" in json.loads(err)["detail"]
+
+    def test_kind_line_names_another_kind(self, tmp_path, capsys):
+        data = tmp_path / "heating.csv"
+        assert run(capsys, "simulate", "heating", "--out", str(data), "--seed", "3")[0] == 0
+        data.write_text(data.read_text(encoding="utf-8").replace("# kind: heating", "# kind: charging"), encoding="utf-8")
+        code, out, err = run(capsys, "fit-heating", "--input", str(data))
+        assert (code, out) == (2, "")
+        detail = json.loads(err)["detail"]
+        assert "'charging'" in detail and "'heating'" in detail
 
     def test_io_error_missing_file(self, tmp_path, capsys):
         code, _, err = run(capsys, "fit-heating", "--input", str(tmp_path / "nope.csv"))

@@ -107,6 +107,16 @@ class TestLoad:
         with pytest.raises(DatasetError, match="no header"):
             load_dataset(p, "heating")
 
+    def test_kind_line_must_name_the_kind(self, tmp_path):
+        text = "time:s,nbar\n0.0,0.1\n1.0,0.9\n2.0,1.7\n"
+        p = write_text(tmp_path, "h.csv", "# kind: charging\n" + text)
+        with pytest.raises(DatasetError, match="line 1: a 'charging' dataset, expected 'heating'"):
+            load_dataset(p, "heating")
+        # a file with no kind line, or with its own, loads
+        want = load_dataset(write_text(tmp_path, "plain.csv", text), "heating")
+        got = load_dataset(write_text(tmp_path, "own.csv", "# kind: heating\n" + text), "heating")
+        assert got.columns == want.columns and got.metadata == {"kind": "heating"}
+
     def test_unknown_kind(self, tmp_path):
         p = write_text(tmp_path, "h.csv", "time:s,nbar\n0.0,0.1\n")
         with pytest.raises(DatasetError):
@@ -186,7 +196,7 @@ class TestFuzz:
     @example(header="rabi:Hz,pos:um", rows=["5.0,1.0", "6.0,2.0"], kind="position-scan")
     def test_random_tables(self, tmp_path_factory, header, rows, kind):
         path = tmp_path_factory.mktemp("fuzz") / "d.csv"
-        path.write_text("# kind: fuzz\n" + "\n".join([header, *rows]) + "\n", encoding="utf-8")
+        path.write_text(f"# kind: {kind}\n" + "\n".join([header, *rows]) + "\n", encoding="utf-8")
         load_or_reject(path, kind)
 
 

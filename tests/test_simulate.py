@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,38 @@ class TestChargingSeries:
         p, _ = fit_discharge(sub, 2400.0)
         assert p.T3 == pytest.approx(cfg.discharge.T3, rel=1e-4)
         assert p.T4 == pytest.approx(cfg.discharge.T4, rel=1e-4)
+
+    def test_empty_light_window_stays_at_f0(self):
+        cfg = SimConfig(seed=0, noise_floor=0.0)
+        series = simulate_charging_series(cfg, 30.0, (400.0, 400.0), 3000.0)
+        assert set(series.freqs) == {cfg.charging.f0}
+        assert series.light_on_intervals == ()
+
+    @pytest.mark.parametrize("interval", [40.0, 30.0], ids=["on-grid", "off-grid"])
+    def test_light_window_ending_at_total(self, interval):
+        # on the grid the last sample starts the discharge; off it no sample does
+        cfg = SimConfig(seed=0, noise_floor=0.0)
+        series = simulate_charging_series(cfg, interval, (400.0, 4000.0), 4000.0)
+        t, f = np.asarray(series.times), np.asarray(series.freqs)
+        on = t >= 400.0
+        np.testing.assert_allclose(f[on], charging_freq(t[on], replace(cfg.charging, t_on=400.0)), rtol=1e-12)
+        assert np.all(f[~on] == cfg.charging.f0)
+        assert series.light_on_intervals == ((400.0, 4000.0),)
+
+    def test_noise_floor_zero_is_the_model_exactly(self):
+        cfg = SimConfig(seed=4, noise_floor=0.0)
+        t_on, t_off = 300.0, 2000.0
+        series = simulate_charging_series(cfg, 15.0, (t_on, t_off), 5000.0)
+        assert series.freq_errs is None
+        t, f = np.asarray(series.times), np.asarray(series.freqs)
+        charge = replace(cfg.charging, t_on=t_on)
+        # the discharge amplitudes scaled to join the charging curve at t_off
+        scale = -(charging_freq(t_off, charge) - charge.f0) / (cfg.discharge.df3 + cfg.discharge.df4)
+        dis = replace(cfg.discharge, df3=cfg.discharge.df3 * scale, df4=cfg.discharge.df4 * scale, t_off=t_off)
+        on, after = (t >= t_on) & (t < t_off), t >= t_off
+        assert np.all(f[t < t_on] == charge.f0)
+        np.testing.assert_array_equal(f[on], charging_freq(t[on], charge))
+        np.testing.assert_array_equal(f[after], discharge_freq(t[after], dis))
 
     def test_noise_is_seeded(self):
         a = simulate_charging_series(SimConfig(seed=8), 30.0, (400.0, 2400.0), 3000.0)

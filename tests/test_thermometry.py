@@ -95,8 +95,9 @@ class TestSidebandExcitation:
         assert sideband_excitation(state, p, 0.0, +1) == 0.0
 
     def test_red_on_ground_state(self):
-        p = RabiParams(OMEGA0, 0.1)
-        assert sideband_excitation(ThermalMotionalState(0.0), p, 1e-5, -1) == 0.0
+        for model in ("first-order-LD", "exact-laguerre"):
+            p = RabiParams(OMEGA0, 0.1, model)
+            assert sideband_excitation(ThermalMotionalState(0.0), p, 1e-5, -1) == 0.0
 
     def test_detailed_balance_at_nbar_3(self):
         state = ThermalMotionalState(3.0)
