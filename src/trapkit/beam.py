@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import to_position_scan
-from .fitting import check_series, fit_report, multistart_least_squares
+from .datasets import check_series, to_position_scan
+from .fitting import fit_report, multistart_least_squares
 from .reports import FitReport
 from .units import BEAM_MODES
 
@@ -198,9 +198,11 @@ def fit_profile(
     if scan.rabi_err is not None:
         w = 1.0 / np.asarray(scan.rabi_err, dtype=float)
 
+    span = float(np.ptp(x))
+    if math.isinf(span * span):  # the model squares lengths of the scan's size
+        raise ValueError(f"the positions span {span:g} m, whose square overflows floating point")
     r_max = float(np.max(r))
     x_peak = float(x[np.argmax(r)])
-    span = float(np.ptp(x))
 
     if mode == "single-gaussian":
         seeds = [

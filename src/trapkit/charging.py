@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import DatasetError, to_frequency_series
-from .fitting import check_series, fit_report, multistart_least_squares
+from .datasets import DatasetError, check_series, to_frequency_series
+from .fitting import fit_report, multistart_least_squares
 from .reports import FitReport
 from .units import CHARGING_WINDOWS
 
@@ -100,8 +100,8 @@ class FrequencySeries:
     light_on_intervals: tuple = ()
 
     def __post_init__(self):
-        _, f = check_series(self.times, self.freqs, self.freq_errs, ("times", "freqs", "freq_errs"))
-        if np.any(f <= 0):
+        check_series(self.times, self.freqs, self.freq_errs, ("times", "freqs", "freq_errs"))
+        if min(self.freqs, default=math.inf) <= 0:
             raise ValueError("frequencies must be positive")
         for start, end in self.light_on_intervals:
             if not (math.isfinite(start) and math.isfinite(end)):

@@ -12,8 +12,8 @@ I/O for them.
 
 Each subcommand imports the domain module it computes with, and a command
 that reads a dataset does so only after the loader has accepted the file:
-`report`, `thermometry`, `--help` and every rejected input run without
-numpy.
+`report`, `thermometry`, `--help`, every rejected input and `fit-heating`,
+whose weighted line is plain floats, run without numpy.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -149,6 +150,27 @@ def load_dataset(path, kind: str) -> Dataset:
     if bad is not None:
         raise DatasetError(f"column {axis!r} not strictly increasing at data row {bad + 1}")
     return Dataset(kind=kind, columns=columns, metadata=metadata)
+
+
+def check_series(x, y, err, names: tuple[str, str, str]) -> None:
+    """The contract every measured series keeps, in plain floats beside the
+    loader's checks: x and y finite and as long, x strictly increasing, and
+    err, if given, as long, finite and > 0; names labels (x, y, err)."""
+    x_name, y_name, err_name = names
+    if len(x) != len(y):
+        raise ValueError(f"{x_name} and {y_name} must have equal length")
+    # a sum is finite unless a term is not or it overflows: only then scan
+    if not all(math.isfinite(sum(c)) or all(map(math.isfinite, c)) for c in (x, y)):
+        raise ValueError(f"{x_name} and {y_name} must be finite")
+    if not all(map(operator.lt, x, x[1:])):
+        raise ValueError(f"{x_name} must be strictly increasing")
+    if err is not None:
+        if len(err) != len(x):
+            raise ValueError(f"{err_name} length mismatch")
+        if not (math.isfinite(sum(err)) or all(map(math.isfinite, err))):
+            raise ValueError(f"{err_name} must be finite")
+        if min(err, default=math.inf) <= 0:
+            raise ValueError(f"{err_name} must be positive")
 
 
 def _atomic_write(path: Path, text: str) -> None:

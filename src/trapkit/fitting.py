@@ -1,6 +1,5 @@
-"""Shared fit machinery: weighted linear regression, multi-start nonlinear
-least squares, and the report of every nonlinear fit. The FitReport class
-itself is in trapkit.reports.
+"""Shared nonlinear fit machinery: multi-start least squares and the report
+of every nonlinear fit. The FitReport class itself is in trapkit.reports.
 
 Every nonlinear fit has an analytic Jacobian and is polished by a numpy
 solver: for the charging fits a bounded Levenberg-Marquardt over one or two
@@ -34,69 +33,6 @@ AGREE_RTOL = 1e-9
 TOL = 1e-12
 MAX_NFEV = 1000
 FIRST_DAMPING = 0.1
-
-
-def check_series(x, y, err, names: tuple[str, str, str]):
-    """The contract every measured series keeps: x and y finite and of equal
-    length, x strictly increasing, and err, if given, of the same length,
-    finite and > 0. names labels (x, y, err) in the error messages.
-    Returns x and y as float arrays."""
-    x_name, y_name, err_name = names
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size != y.size:
-        raise ValueError(f"{x_name} and {y_name} must have equal length")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError(f"{x_name} and {y_name} must be finite")
-    if np.any(np.diff(x) <= 0):
-        raise ValueError(f"{x_name} must be strictly increasing")
-    if err is not None:
-        e = np.asarray(err, dtype=float)
-        if e.size != x.size:
-            raise ValueError(f"{err_name} length mismatch")
-        if not np.all(np.isfinite(e)):
-            raise ValueError(f"{err_name} must be finite")
-        if np.any(e <= 0):
-            raise ValueError(f"{err_name} must be positive")
-    return x, y
-
-
-def weighted_linear_fit(x, y, yerr=None):
-    """Weighted least-squares line y = a + b*x.
-
-    Returns (a, b, cov) where cov is the 2x2 parameter covariance. With
-    explicit errors the covariance is taken at face value (absolute
-    sigma); with unit weights it is scaled by the residual variance.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size != y.size:
-        raise ValueError("x and y must have equal length")
-    if x.size < 3:
-        raise ValueError("need at least 3 points to fit a line with errors")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("x and y must be finite")
-    if np.ptp(x) == 0:
-        raise ValueError("degenerate design: all x values are equal")
-    if yerr is not None:
-        yerr = np.asarray(yerr, dtype=float)
-        if yerr.shape != x.shape:
-            raise ValueError("errors must have the shape of x")
-        if not np.all(np.isfinite(yerr)):
-            raise ValueError("errors must be finite")
-        if np.any(yerr <= 0):
-            raise ValueError("errors must be positive")
-        w = 1.0 / yerr
-    else:
-        w = np.ones_like(x)
-    A = np.column_stack([w, w * x])
-    beta, _, _, _ = np.linalg.lstsq(A, w * y, rcond=None)
-    cov = np.linalg.inv(A.T @ A)
-    if yerr is None:
-        resid = y - (beta[0] + beta[1] * x)
-        dof = x.size - 2
-        cov = cov * (resid @ resid / dof)
-    return beta[0], beta[1], cov
 
 
 def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf)):

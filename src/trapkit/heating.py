@@ -6,10 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .datasets import to_heating_series
-from .fitting import check_series, weighted_linear_fit
+from .datasets import check_series, to_heating_series
 from .reports import FitReport
 from .units import HBAR, IonSpecies, TrapContext
 
@@ -23,10 +20,10 @@ class HeatingSeries:
     nbar_err: tuple | None
 
     def __post_init__(self):
-        _, n = check_series(self.wait_times, self.nbar, self.nbar_err, ("wait_times", "nbar", "nbar_err"))
-        if n.size < 3:
+        check_series(self.wait_times, self.nbar, self.nbar_err, ("wait_times", "nbar", "nbar_err"))
+        if len(self.nbar) < 3:
             raise ValueError("heating fits need at least 3 points")
-        if np.any(n < 0):
+        if min(self.nbar) < 0:
             raise ValueError("nbar values must be >= 0")
 
 
@@ -58,12 +55,55 @@ class PowerLawFit:
             raise ValueError("amplitude must be positive")
 
 
+def weighted_linear_fit(x, y, yerr=None):
+    """Weighted least-squares line y = a + b*x, in closed form about the
+    weighted mean of x in plain floats: here, beside its callers, so that
+    fit-heating loads no numpy. Returns (a, b, cov), cov the 2x2 parameter
+    covariance as nested tuples, at face value (absolute sigma) with errors
+    and scaled by the residual variance with unit weights."""
+    x, y = [float(v) for v in x], [float(v) for v in y]
+    n = len(x)
+    if len(y) != n:
+        raise ValueError("x and y must have equal length")
+    if n < 3:
+        raise ValueError("need at least 3 points to fit a line with errors")
+    if not all(map(math.isfinite, x + y)):
+        raise ValueError("x and y must be finite")
+    if min(x) == max(x):
+        raise ValueError("degenerate design: all x values are equal")
+    try:
+        e = [1.0] * n if yerr is None else [float(v) for v in yerr]
+    except TypeError:  # a nested sequence
+        e = []
+    if len(e) != n:
+        raise ValueError("errors must have the shape of x")
+    if not all(map(math.isfinite, e)):
+        raise ValueError("errors must be finite")
+    if min(e) <= 0:
+        raise ValueError("errors must be positive")
+    w = [1.0 / v / v for v in e]
+    try:
+        s = math.fsum(w)
+        xm, ym = (math.fsum(wi * v for wi, v in zip(w, c)) / s for c in (x, y))
+        dx, dy = [v - xm for v in x], [v - ym for v in y]
+        sxx = math.fsum(wi * d * d for wi, d in zip(w, dx))
+        b = math.fsum(wi * d * r for wi, d, r in zip(w, dx, dy)) / sxx
+        scale = 1.0 if yerr is not None else math.fsum((r - b * d) ** 2 for d, r in zip(dx, dy)) / (n - 2)
+        cab = -scale * xm / sxx  # cov(a, b)
+        a, cov = ym - b * xm, ((scale / s - cab * xm, cab), (cab, scale / sxx))
+        if not all(map(math.isfinite, (a, b, *cov[0], cov[1][1]))):
+            raise OverflowError
+    except ZeroDivisionError:
+        raise ValueError("degenerate design: the weighted sums vanish") from None
+    except (OverflowError, ValueError):  # an inf, or fsum's overflow or inf - inf
+        raise ValueError("the line overflows floating point; rescale x, y or the errors") from None
+    return a, b, cov
+
+
 def fit_heating_rate(series: HeatingSeries) -> HeatingRateResult:
     """Weighted linear fit nbar(t) = intercept + ndot*t."""
     a, b, cov = weighted_linear_fit(series.wait_times, series.nbar, series.nbar_err)
-    return HeatingRateResult(
-        ndot=b, ndot_err=math.sqrt(cov[1, 1]), intercept=a, intercept_err=math.sqrt(cov[0, 0])
-    )
+    return HeatingRateResult(ndot=b, ndot_err=math.sqrt(cov[1][1]), intercept=a, intercept_err=math.sqrt(cov[0][0]))
 
 
 def fit_record(ds) -> tuple[FitReport, list]:
@@ -71,12 +111,12 @@ def fit_record(ds) -> tuple[FitReport, list]:
     rows: each wait time, nbar and the fitted line there."""
     series = to_heating_series(ds)
     result = fit_heating_rate(series)
-    model = result.intercept + result.ndot * np.asarray(series.wait_times, dtype=float)
+    model = [result.intercept + result.ndot * t for t in series.wait_times]
     report = FitReport(
         model="heating-linear",
         params={"ndot": result.ndot, "intercept": result.intercept},
         param_errs={"ndot": result.ndot_err, "intercept": result.intercept_err},
-        residual_rms=float(np.sqrt(np.mean((np.asarray(series.nbar) - model) ** 2))),
+        residual_rms=math.sqrt(math.fsum((n - m) ** 2 for n, m in zip(series.nbar, model)) / len(model)),
         n_points=len(series.wait_times),
         extras={"ndot_q_per_ms": result.ndot / 1e3},
     )
@@ -126,19 +166,16 @@ def fit_power_law(x, y, yerr=None) -> PowerLawFit:
     biased for large relative error bars; at the ~10% level used here the
     bias on the exponent is negligible.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(x <= 0) or np.any(y <= 0):
+    x, y = [float(v) for v in x], [float(v) for v in y]
+    if min(x) <= 0 or min(y) <= 0:
         raise ValueError("power-law fits require positive x and y")
-    # the division would broadcast errors of another shape; y > 0, so
-    # weighted_linear_fit's check rejects the non-positive yerr
-    if yerr is not None and np.shape(yerr) != x.shape:
+    # zip would stop at the shorter; y > 0, so weighted_linear_fit's checks
+    # reject a nested, non-finite or non-positive yerr
+    if yerr is not None and len(yerr) != len(x):
         raise ValueError("errors must have the shape of x")
-    log_err = None if yerr is None else np.asarray(yerr, dtype=float) / y
-    a, b, cov = weighted_linear_fit(np.log(x), np.log(y), log_err)
-    return PowerLawFit(
-        amplitude=math.exp(a), exponent=-b, exponent_err=math.sqrt(cov[1, 1])
-    )
+    log_err = None if yerr is None else (e / v for e, v in zip(yerr, y))
+    a, b, cov = weighted_linear_fit(map(math.log, x), map(math.log, y), log_err)
+    return PowerLawFit(amplitude=math.exp(a), exponent=-b, exponent_err=math.sqrt(cov[1][1]))
 
 
 def position_scan_summary(rates):
@@ -149,6 +186,8 @@ def position_scan_summary(rates):
     chi-square p-value of the constant-rate model; a large p-value means
     no measurable position dependence.
     """
+    import numpy as np
+
     rates = list(rates)
     if len(rates) < 2:
         raise ValueError("need at least 2 positions")

@@ -132,6 +132,7 @@ def simulate_charging_series(
     if not (0 <= t_on <= t_off <= total):
         raise ValueError("on_window must lie within [0, total]")
     times = np.arange(0.0, total + 0.5 * sample_interval, sample_interval)
+    times = times[times <= total]  # the grid's last step may pass total
     charge_p = replace(cfg.charging, t_on=t_on)
     freqs = np.full_like(times, charge_p.f0)
     on = (times >= t_on) & (times < t_off)

@@ -514,6 +514,36 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert json.loads(err)["error"] == "validation"
 
+    def test_fit_heating_with_an_overflowing_wait_time(self, tmp_path, capsys):
+        # a subprocess: the weighted line overflowed inside LAPACK, which
+        # wrote its complaint to fd 1, below sys.stdout
+        data = tmp_path / "heating.csv"
+        assert run(capsys, "simulate", "heating", "--out", str(data), "--seed", "3")[0] == 0
+        lines = data.read_text().splitlines()
+        lines[-1] = "1e308," + lines[-1].split(",", 1)[1]
+        data.write_text("\n".join(lines) + "\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "trapkit.cli", "fit-heating", "--input", str(data)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stderr)["error"] == "validation"
+
+    @pytest.mark.parametrize("mode", ["two-beamlet", "single-gaussian"])
+    def test_beam_profile_of_positions_whose_squares_overflow(self, tmp_path, capsys, mode):
+        # the default scan's positions times 1e300 raised OverflowError in
+        # the model, at the seed waist's square
+        data = tmp_path / "scan.csv"
+        assert run(capsys, "simulate", "position", "--out", str(data), "--seed", "3")[0] == 0
+        ds = load_dataset(data, "position-scan")
+        ds.columns["pos"] = tuple(1e300 * x for x in ds.columns["pos"])
+        write_dataset(data, ds)
+        code, out, err = run(capsys, "beam-profile", "--input", str(data), "--mode", mode)
+        assert (code, out) == (2, "")
+        assert "overflows" in json.loads(err)["detail"]
+
     @pytest.mark.parametrize("argv", [
         ["simulate", "heating", "--out", "h.csv", "--format", "table"],
         ["thermometry", "--p-red", "0.075", "--p-blue", "0.75", "--out-dir", "x"],
@@ -637,6 +667,16 @@ class TestImportCost:
         code, out, loaded = self.modules_after(argv, tmp_path)
         assert code == want_code
         assert (out == "") == (code == 2)
+        assert not any(m.split(".")[0] == "numpy" for m in loaded), sorted(loaded)
+
+    @pytest.mark.parametrize("fmt", ["report", "table"])
+    def test_fit_heating_loads_no_numpy(self, tmp_path, capsys, fmt):
+        """A heating record's fit is a weighted line through a few points,
+        in plain floats: numpy start-up would be most of the call."""
+        code, _, _ = run(capsys, "simulate", "heating", "--out", str(tmp_path / "h.csv"), "--seed", "3")
+        assert code == 0
+        code, out, loaded = self.modules_after(["fit-heating", "--input", "h.csv", "--format", fmt, "--out-dir", "out"], tmp_path)
+        assert code == 0 and out == (tmp_path / f"out/h_heating_{fmt}.{'json' if fmt == 'report' else 'csv'}").read_text()
         assert not any(m.split(".")[0] == "numpy" for m in loaded), sorted(loaded)
 
     @pytest.mark.parametrize("fit_argv, unused", [

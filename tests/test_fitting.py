@@ -1,4 +1,4 @@
-"""The series contract that every measured series keeps (fitting.check_series),
+"""The series contract that every measured series keeps (datasets.check_series),
 the numpy Levenberg-Marquardt and trust region behind fitting.least_squares,
 the multistart's stop rule and diagnostics, and the report every nonlinear
 fit ends in (fitting.fit_report)."""

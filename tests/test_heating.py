@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from trapkit.fitting import weighted_linear_fit
 from trapkit.heating import (
     HeatingRateResult,
     HeatingSeries,
@@ -13,6 +12,7 @@ from trapkit.heating import (
     position_scan_summary,
     rate_from_spectral_density,
     spectral_density_from_rate,
+    weighted_linear_fit,
 )
 from trapkit.units import TWO_PI, get_species, make_trap_context
 
@@ -72,6 +72,69 @@ class TestHeatingRateFit:
             if abs(res.ndot - 780.0) <= 3 * res.ndot_err:
                 hits += 1
         assert hits >= 97
+
+
+def _numpy_line(x, y, yerr):
+    """(a, b, cov) of the weighted line from np.linalg.lstsq and inv, on x
+    centred at x[0] and scaled by its span, then mapped back: the raw
+    design of x = 1e3 + 1e-3*k has a condition number of ~1e9, and numpy's
+    answer there is good to only ~1e-10."""
+    x, y = np.asarray(x), np.asarray(y)
+    c, s = x[0], x[-1] - x[0]
+    w = np.ones_like(x) if yerr is None else 1.0 / np.asarray(yerr)
+    A = np.column_stack([w, w * (x - c) / s])
+    beta = np.linalg.lstsq(A, w * y, rcond=None)[0]
+    cov = np.linalg.inv(A.T @ A)
+    if yerr is None:
+        r = y - (beta[0] + beta[1] * (x - c) / s)
+        cov = cov * (r @ r / (x.size - 2))
+    J = np.array([[1.0, -c / s], [0.0, 1.0 / s]])
+    return beta[0] - beta[1] * c / s, beta[1] / s, J @ cov @ J.T
+
+
+class TestWeightedLinearFit:
+    @pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "unweighted"])
+    @pytest.mark.parametrize("offset", [False, True], ids=["near-0", "offset"])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_numpy_least_squares(self, seed, offset, weighted):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 13))
+        if offset:
+            x = 1e3 + 1e-3 * np.arange(n)
+            x0 = 1e3
+        else:
+            x = np.sort(rng.uniform(0.0, 2e-3, n))
+            x0 = 0.0
+        yerr = rng.uniform(0.05, 0.3, n) if weighted else None
+        noise = rng.standard_normal(n) * (yerr if weighted else 0.1)
+        y = rng.uniform(0.5, 2.0) + rng.uniform(-2.0, 2.0) / 2e-3 * (x - x0) + noise
+        a, b, cov = weighted_linear_fit(x.tolist(), y.tolist(), None if yerr is None else yerr.tolist())
+        want_a, want_b, want_cov = _numpy_line(x, y, yerr)
+        assert a == pytest.approx(want_a, rel=1e-12)
+        assert b == pytest.approx(want_b, rel=1e-12)
+        np.testing.assert_allclose(np.array(cov), want_cov, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize(
+        "x, yerr, match",
+        [
+            ([0.0, 1.0, 1e308], [0.1, 0.1, 0.1], "overflows"),  # w * x is inf
+            ([0.0, 1e308, 1.5e308], None, "overflows"),  # math.fsum overflows
+            ([0.0, 5e-324, 1e-323], None, "degenerate design"),  # dx * dx underflows to 0
+            ([0.0, 1.0, 2.0], [1e300, 1e300, 1e300], "degenerate design"),  # every weight is 0
+        ],
+        ids=["inf-term", "fsum-overflow", "zero-spread", "zero-weights"],
+    )
+    def test_float_traps_raise_value_error(self, x, yerr, match):
+        # an OverflowError or ZeroDivisionError would escape the CLI's exit 2
+        with pytest.raises(ValueError, match=match):
+            weighted_linear_fit(x, [1.0, 2.0, 3.0], yerr)
+
+    @pytest.mark.parametrize("fit", [weighted_linear_fit, fit_power_law])
+    @pytest.mark.parametrize("yerr", [[[0.1], [0.1], [0.1]], np.full((3, 1), 0.1)], ids=["nested-list", "column"])
+    def test_errors_of_one_per_row_are_misshaped(self, fit, yerr):
+        # as long as x, but not numbers: float() raised TypeError
+        with pytest.raises(ValueError, match="errors must have the shape of x"):
+            fit([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], yerr)
 
 
 class TestSpectralDensity:

@@ -156,6 +156,13 @@ class TestChargingSeries:
         assert np.all(f[~on] == cfg.charging.f0)
         assert series.light_on_intervals == ((400.0, 4000.0),)
 
+    @pytest.mark.parametrize("interval, total, n", [(30.0, 4010.0, 134), (0.1, 1.0, 11)], ids=["off-grid", "on-grid"])
+    def test_record_ends_at_total(self, interval, total, n):
+        # 4010 s is off the 30 s grid, whose next step, 4020 s, passes it;
+        # 10 * 0.1 is 1.0 exactly, though 1.0 // 0.1 is 9
+        series = simulate_charging_series(SimConfig(seed=0, noise_floor=0.0), interval, (0.0, 0.5 * total), total)
+        assert series.times == tuple(interval * k for k in range(n))
+
     def test_noise_floor_zero_is_the_model_exactly(self):
         cfg = SimConfig(seed=4, noise_floor=0.0)
         t_on, t_off = 300.0, 2000.0
