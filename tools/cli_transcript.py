@@ -3,15 +3,16 @@
 
     python3 tools/cli_transcript.py SRC_DIR > transcript.txt
 
-Runs, with ``PYTHONPATH=SRC_DIR``, the README's CLI examples, fourteen
+Runs, with ``PYTHONPATH=SRC_DIR``, the README's CLI examples, seventeen
 calls that take the branches the README leaves out (an explicit charging
 and discharge edge, a table with artifacts, a non-finite reference
 frequency, a single-Gaussian beam fit, a discharge fit with the baseline
 f0, a two-beamlet fit of the default 7-point scan, an unweighted charging
 fit of a noiseless record, which has no err column, analytic heating and
 sideband records, a heating record at one shot per point, whose
-thermometry fails, and the help of two simulated kinds, which argparse
-prints to stdout) and one
+thermometry fails, the help of two simulated kinds, which argparse
+prints to stdout, analytic thermometry, and a normalization with a
+species from a config file and with a malformed one) and one
 ``cli-session`` cycle of the benchmark
 (``perfbench/workloads.py``: two analysis sessions and the four malformed
 inputs) in a fresh temporary directory. For each call it prints the exit
@@ -67,7 +68,16 @@ BRANCHES = [
     ["simulate", "heating", "--out", "few_shots.csv", "--shots", "1"],
     ["simulate", "heating", "--help"],
     ["simulate", "charging", "--help"],
+    ["thermometry", "--p-red", "0.075", "--p-blue", "0.75"],
+    ["normalize", "--config", "species.json", "--rate", "780", "--freq", "5.329e6", "--species", "Ba-138"],
+    ["normalize", "--config", "no_mass.json", "--rate", "780", "--freq", "5.329e6"],
 ]
+
+# the config files the normalize calls read, written into the work directory
+CONFIGS = {
+    "species.json": '{"species": {"Ba-138": {"mass_u": 137.905, "charge_e": 1}}}\n',
+    "no_mass.json": '{"species": {"Ba-138": {"charge_e": 1}}}\n',
+}
 
 SEED = 1  # the cli-session cycle's first seed
 
@@ -99,6 +109,8 @@ def main(src: str) -> int:
             )
             print(f"{proc.returncode} {hashlib.sha256(proc.stdout).hexdigest()} trapkit {' '.join(argv)}")
 
+        for name, text in CONFIGS.items():
+            (workdir / name).write_text(text, encoding="utf-8")
         for argv in README + BRANCHES:
             run(argv)
         session_calls(workdir, run)
