@@ -22,6 +22,7 @@ as coinciding.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -255,16 +256,24 @@ def _fit_window(series, t_start, t_end, f0_mode, kind, names):
     (log Ta, log Tb) are searched; the amplitudes and a free f0 are solved
     linearly at each evaluation. names labels (dfa, dfb, Ta, Tb). f0_mode:
     'fit' floats the baseline, 'baseline' fixes it to the mean of the points
-    before t_start. Returns (values, cov, report) with Ta <= Tb and cov over
-    (dfa, dfb, log Ta, log Tb[, f0]); extras holds t_start as t_on or t_off.
+    before both t_start and the series' first light-on start, which a
+    discharge fit needs (ValueError without one). Returns (values, cov,
+    report) with Ta <= Tb and cov over (dfa, dfb, log Ta, log Tb[, f0]);
+    extras holds t_start as t_on or t_off.
     """
     if f0_mode not in ("fit", "baseline"):
         raise ValueError("f0_mode must be 'fit' or 'baseline'")
     t, f, w, before = _select(series, t_start, t_end)
     fix_f0 = None
     if f0_mode == "baseline":
+        # the baseline is the record before the light first comes on, not the charged window
+        starts = [start for start, _ in series.light_on_intervals]
+        if kind == "discharge" and not starts:
+            raise ValueError("no light_on interval to tell the baseline f0 from the charged window")
+        dark = min([t_start, *starts])
+        before = before[: bisect.bisect_left(series.times, dark)]
         if not before.size:
-            raise ValueError(f"no points before t = {t_start} s to fix the baseline f0 from")
+            raise ValueError(f"no points before t = {dark} s to fix the baseline f0 from")
         fix_f0 = float(np.mean(before))
     tau = t - t_start
     if tau.size < 8:
@@ -310,8 +319,8 @@ def fit_charging(
     """Fit the light-on charging model to the points in [t_on, t_end].
 
     f0_mode: 'fit' floats the baseline, 'baseline' fixes it to the mean of
-    the pre-t_on points. Raises FitConvergenceError with best-so-far
-    diagnostics if no start converges.
+    the points before t_on and before the first light-on start. Raises
+    FitConvergenceError with best-so-far diagnostics if no start converges.
     """
     values, cov, report = _fit_window(series, t_on, t_end, f0_mode, "charging", ("df1", "df2", "T1", "T2"))
     params = ChargingModelParams(t_on=t_on, **values)
@@ -331,7 +340,9 @@ def fit_discharge(
 ) -> tuple[DischargeModelParams, FitReport]:
     """Fit the light-off discharge model to the points in [t_off, t_end].
 
-    f0_mode 'baseline' fixes f0 to the mean of the pre-t_off points.
+    f0_mode 'baseline' fixes f0 to the mean of the points before the
+    series' first light-on start, the level the field relaxes back to; it
+    raises ValueError if the series has no light-on interval.
     """
     values, _, report = _fit_window(series, t_off, t_end, f0_mode, "discharge", ("df3", "df4", "T3", "T4"))
     params = object.__new__(DischargeModelParams)  # unchecked: an f0 the window cannot pin down may be <= 0
@@ -362,8 +373,9 @@ def fit_record(ds, window, edge=None, f0_mode="fit") -> tuple[FitReport, list]:
         t_end = min((start for start, _ in intervals if start > t_start), default=None)
         fit, model = fit_discharge, discharge_freq
     params, report = fit(series, t_start, t_end=t_end, f0_mode=f0_mode)
-    t, f, *_ = _select(series, t_start, t_end)
-    return report, list(zip(t, f, model(t, params)))
+    window = slice(bisect.bisect_left(series.times, t_start), None if t_end is None else bisect.bisect_right(series.times, t_end))
+    t = series.times[window]  # _select's window, cut from the series' own sorted tuples
+    return report, list(zip(t, series.freqs[window], model(t, params)))
 
 
 def settled_window_start(params: ChargingModelParams) -> float:

@@ -7,8 +7,10 @@ error. All outputs are deterministic for fixed inputs and flags.
 The four fit commands share one path, cmd_fit: it loads the --input record,
 passes it with the command's own flags to the fit_record of the record's
 domain module (heating, charging or beam), which fits it and returns the
-report and the table rows, and writes those out. This module does only
-I/O for them.
+report and the table rows, and writes those out. thermometry and
+normalize, which read no record, share cmd_direct: it passes the flags to
+their module's report function and prints the report. This module does
+only I/O for them.
 
 Each subcommand imports the domain module it computes with, and a command
 that reads a dataset does so only after the loader has accepted the file:
@@ -22,37 +24,14 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from importlib import import_module
 from pathlib import Path
 
 from . import __version__, datasets
 from .datasets import DatasetError, _atomic_write, file_digest
 from .reports import FitConvergenceError, FitReport
-from .units import ATOMIC_MASS_KG, BEAM_MODES, CHARGING_WINDOWS, ELEMENTARY_CHARGE, SPECIES_TABLE, TWO_PI, IonSpecies, get_species, make_trap_context
-
-
-def _load_config(path):
-    """Optional JSON config; may extend the species table."""
-    if path is None:
-        return dict(SPECIES_TABLE)
-    try:
-        cfg = json.loads(Path(path).read_text(encoding="utf-8-sig"))
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"config parse failure: {exc}") from None
-    species = cfg.get("species", {}) if isinstance(cfg, dict) else None
-    if not isinstance(species, dict):
-        raise DatasetError(f"config {path}: expected a JSON object whose 'species' entry is an object")
-    table = dict(SPECIES_TABLE)
-    for name, entry in species.items():
-        if not isinstance(entry, dict) or "mass_u" not in entry:
-            raise DatasetError(f"config {path}: species {name!r} needs an object with a 'mass_u' entry")
-        table[name] = IonSpecies(
-            name=name,
-            mass=float(entry["mass_u"]) * ATOMIC_MASS_KG,
-            charge=float(entry.get("charge_e", 1)) * ELEMENTARY_CHARGE,
-        )
-    return table
+from .units import BEAM_MODES, CHARGING_WINDOWS
 
 
 def _provenance(input_path=None) -> dict[str, str]:
@@ -149,59 +128,16 @@ def cmd_fit(args):
     return 0
 
 
-def cmd_thermometry(args):
-    from . import thermometry
-
-    obs = thermometry.SidebandObservation(
-        probe_time=0.0,
-        p_red=args.p_red,
-        p_blue=args.p_blue,
-        shots=args.shots,
-    )
-    nbar, err = thermometry.nbar_with_uncertainty(obs)
-    report = FitReport(
-        model="sideband-asymmetry-thermometry",
-        params={"nbar": nbar},
-        param_errs={"nbar": err},
-        residual_rms=0.0,
-        n_points=1,
-        extras={"ratio": args.p_red / args.p_blue},
-        provenance=_provenance(),
-    )
-    sys.stdout.write(report.to_json())
-    return 0
+# direct command -> (module, function): the report it computes from the command's flags
+_DIRECT = {"thermometry": ("thermometry", "asymmetry_report"), "normalize": ("heating", "normalization_report")}
 
 
-def cmd_normalize(args):
-    from . import heating
-
-    table = _load_config(args.config)
-    ctx = make_trap_context(
-        args.species,
-        TWO_PI * args.freq,
-        TWO_PI * args.freq,
-        args.distance * 1e-6,
-        species_table=table,
-    )
-    result = heating.HeatingRateResult(ndot=args.rate, ndot_err=args.rate_err, intercept=0.0)
-    ref = get_species(args.ref_species, table)
-
-    def convert(rate):
-        return {
-            "ndot_normalized": heating.normalize_rate(rate, ctx, ref, TWO_PI * args.ref_freq),
-            "spectral_density": heating.spectral_density_from_rate(rate, ctx),
-        }
-
-    # both conversions are linear in the rate, so its error converts alike
-    report = FitReport(
-        model="rate-normalization",
-        params=convert(result),
-        param_errs=convert(replace(result, ndot=result.ndot_err)),
-        residual_rms=0.0,
-        n_points=1,
-        extras={"ndot_input": args.rate},
-        provenance=_provenance(),
-    )
+def cmd_direct(args):
+    """Print the report the command's module computes from its flags."""
+    module, name = _DIRECT[args.command]
+    options = {k: v for k, v in vars(args).items() if k not in _NOT_OPTIONS}
+    report = getattr(import_module(f".{module}", __package__), name)(**options)
+    report.provenance = _provenance()
     sys.stdout.write(report.to_json())
     return 0
 
@@ -272,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-red", type=float, required=True)
     p.add_argument("--p-blue", type=float, required=True)
     p.add_argument("--shots", type=int, default=None)
-    p.set_defaults(func=cmd_thermometry)
+    p.set_defaults(func=cmd_direct)
 
     p = sub.add_parser("beam-profile", parents=[fitted], help="fit a Rabi position scan")
     p.add_argument("--mode", choices=BEAM_MODES, default="two-beamlet")
@@ -286,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distance", type=float, default=20.0, help="ion-surface distance, um")
     p.add_argument("--ref-species", default="Ca-40")
     p.add_argument("--ref-freq", type=float, default=1e6, help="Hz")
-    p.set_defaults(func=cmd_normalize)
+    p.set_defaults(func=cmd_direct)
 
     p = sub.add_parser("report", help="reprint a stored fit report")
     p.add_argument("--input", required=True)

@@ -7,12 +7,14 @@ to SI on load, and a value that is not finite, a shots count that is
 neither whole nor inf, or a time or position axis that is not strictly
 increasing is rejected there, before any domain module or numpy loads.
 Writes are atomic (temp file + rename) and floats are serialized with repr
-so a write/read round trip is lossless.
+so a write/read round trip is lossless. load_config reads the species
+table a JSON config file extends.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import operator
 import os
@@ -20,7 +22,7 @@ import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .units import TWO_PI
+from .units import ATOMIC_MASS_KG, ELEMENTARY_CHARGE, SPECIES_TABLE, TWO_PI, IonSpecies
 
 DATASET_KINDS = ("heating", "charging", "sideband-scan", "position-scan")
 
@@ -201,6 +203,26 @@ def write_dataset(path, dataset: Dataset) -> None:
 
 def file_digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def load_config(path):
+    """The species table, extended by the 'species' entry of the JSON
+    config file at path if one is given."""
+    if path is None:
+        return dict(SPECIES_TABLE)
+    try:
+        cfg = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+    except json.JSONDecodeError as exc:
+        raise DatasetError(f"config parse failure: {exc}") from None
+    species = cfg.get("species", {}) if isinstance(cfg, dict) else None
+    if not isinstance(species, dict):
+        raise DatasetError(f"config {path}: expected a JSON object whose 'species' entry is an object")
+    table = dict(SPECIES_TABLE)
+    for name, entry in species.items():
+        if not isinstance(entry, dict) or "mass_u" not in entry:
+            raise DatasetError(f"config {path}: species {name!r} needs an object with a 'mass_u' entry")
+        table[name] = IonSpecies(name, float(entry["mass_u"]) * ATOMIC_MASS_KG, float(entry.get("charge_e", 1)) * ELEMENTARY_CHARGE)
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,11 @@ normalization, and power-law fits in frequency and distance."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .datasets import check_series, to_heating_series
+from .datasets import check_series, load_config, to_heating_series
 from .reports import FitReport
-from .units import HBAR, IonSpecies, TrapContext
+from .units import HBAR, TWO_PI, IonSpecies, TrapContext, get_species, make_trap_context
 
 
 @dataclass(frozen=True)
@@ -157,6 +157,26 @@ def normalize_rate(
     m_ratio = ctx.species.mass / ref_species.mass
     f_ratio = ctx.axial_freq / ref_freq
     return result.ndot * m_ratio * f_ratio * f_ratio
+
+
+def normalization_report(rate, rate_err, species, freq, distance, ref_species, ref_freq, config=None) -> FitReport:
+    """The 'rate-normalization' report of a rate +- rate_err (quanta/s) of
+    species at axial freq (Hz), distance (um) from the surface: the rate at
+    ref_species and ref_freq (Hz), and S_E; config is load_config's path."""
+    table = load_config(config)
+    ctx = make_trap_context(species, TWO_PI * freq, TWO_PI * freq, distance * 1e-6, species_table=table)
+    result = HeatingRateResult(ndot=rate, ndot_err=rate_err, intercept=0.0)
+    ref = get_species(ref_species, table)
+
+    def convert(r):
+        return {
+            "ndot_normalized": normalize_rate(r, ctx, ref, TWO_PI * ref_freq),
+            "spectral_density": spectral_density_from_rate(r, ctx),
+        }
+
+    # both conversions are linear in the rate, so its error converts alike
+    params, errs = convert(result), convert(replace(result, ndot=result.ndot_err))
+    return FitReport("rate-normalization", params, errs, 0.0, 1, extras={"ndot_input": rate})
 
 
 def fit_power_law(x, y, yerr=None) -> PowerLawFit:

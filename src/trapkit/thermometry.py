@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .reports import FitReport
+
 FOCK_TAIL = 1e-12
 
 MATRIX_ELEMENT_MODELS = ("first-order-LD", "exact-laguerre")
@@ -160,3 +162,9 @@ def nbar_with_uncertainty(obs: SidebandObservation) -> tuple[float, float]:
     # d(nbar)/d(ratio) = 1/(1-ratio)^2
     sigma_nbar = sigma_ratio / (1.0 - ratio) ** 2
     return nbar, sigma_nbar
+
+
+def asymmetry_report(p_red: float, p_blue: float, shots: int | None = None) -> FitReport:
+    """The 'sideband-asymmetry-thermometry' report of one red/blue pair."""
+    nbar, err = nbar_with_uncertainty(SidebandObservation(0.0, p_red, p_blue, shots))
+    return FitReport("sideband-asymmetry-thermometry", {"nbar": nbar}, {"nbar": err}, 0.0, 1, extras={"ratio": p_red / p_blue})

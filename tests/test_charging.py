@@ -227,6 +227,38 @@ class TestDischargeFit:
             assert "time-constant-at-bound:T3" not in report.flags
         assert 0 < at_bound < 10
 
+    def test_baseline_f0_is_the_record_before_the_light(self):
+        # the points between light-on and t_off are the charged window, not
+        # the level the field relaxes back to
+        series, _ = criterion7_series(3)
+        p, report = fit_discharge(series, 2400.0, f0_mode="baseline")
+        dark = [f for t, f in zip(series.times, series.freqs) if t < 400.0]
+        assert p.f0 == float(np.mean(dark))
+        assert abs(p.f0 - 5.329e6) <= 3e3 / math.sqrt(len(dark))  # the mean's 3-sigma noise
+        assert report.extras["f0_fixed"] == 1.0
+        assert "time-constant-at-bound:T4" not in report.flags
+
+    def test_baseline_f0_needs_a_light_on_interval(self):
+        # without one the charged window cannot be told from the baseline
+        series, _ = criterion7_series(3)
+        unlit = series_from_model(series.times, series.freqs, series.freq_errs)
+        with pytest.raises(ValueError, match="no light_on interval"):
+            fit_discharge(unlit, 2400.0, f0_mode="baseline")
+
+    def test_baseline_t3_pull_width(self):
+        # criterion 7's records, the discharge window fitted against the
+        # record's pre-light baseline: T3's error is calibrated, and the
+        # fixed f0 leaves T4 inside its bounds
+        pulls, at_bound = [], 0
+        for seed in range(200):
+            series, _ = criterion7_series(seed)
+            p, report = fit_discharge(series, 2400.0, f0_mode="baseline")
+            pulls.append((p.T3 - 360.0) / report.param_errs["T3"])
+            at_bound += "time-constant-at-bound:T4" in report.flags
+        assert abs(np.mean(pulls)) <= 0.25
+        assert 0.8 <= np.std(pulls, ddof=1) <= 1.25
+        assert at_bound == 0
+
     def test_short_window_drops_seeds_below_the_floor(self, monkeypatch):
         # on 20 samples the floor, gap/ln(1/eps), lies above the grid's
         # smallest span fractions: those seeds are dropped, not clipped to

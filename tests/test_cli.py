@@ -190,7 +190,38 @@ class TestFitRecord:
             fit_record(load_dataset(data, "sideband-scan"), **options)
 
 
+# normalize's flags by dest name: their defaults, and --rate 780 --rate-err 50 --freq 5.329e6
+NORMALIZE_FLAGS = {
+    "rate": 780.0, "rate_err": 50.0, "species": "Yb-171", "freq": 5.329e6, "distance": 20.0,
+    "ref_species": "Ca-40", "ref_freq": 1e6,
+}
+
+
 class TestDirectCommands:
+    @pytest.mark.parametrize("argv, module, function, options", [
+        (
+            ["thermometry", "--p-red", "0.075", "--p-blue", "0.75", "--shots", "400"],
+            "thermometry", "asymmetry_report", {"p_red": 0.075, "p_blue": 0.75, "shots": 400},
+        ),
+        (["thermometry", "--p-red", "0.075", "--p-blue", "0.75"], "thermometry", "asymmetry_report", {"p_red": 0.075, "p_blue": 0.75}),
+        (["normalize", "--rate", "780", "--rate-err", "50", "--freq", "5.329e6"], "heating", "normalization_report", NORMALIZE_FLAGS),
+        (
+            ["normalize", "--rate", "780", "--rate-err", "50", "--freq", "5.329e6", "--species", "Ba-138", "--config", "cfg.json"],
+            "heating", "normalization_report", {**NORMALIZE_FLAGS, "species": "Ba-138", "config": "cfg.json"},
+        ),
+    ], ids=["thermometry-shots", "thermometry-analytic", "normalize", "normalize-config"])
+    def test_cli_emits_the_module_report(self, tmp_path, monkeypatch, capsys, argv, module, function, options):
+        """thermometry and normalize print their module's report, stamped
+        with the toolkit's provenance alone."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"species": {"Ba-138": {"mass_u": 137.905}}}))
+        report = getattr(importlib.import_module(f"trapkit.{module}"), function)(**options)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        emitted = json.loads(out)
+        assert emitted["provenance"] == {"toolkit_version": trapkit.__version__}
+        assert {**emitted, "provenance": {}} == json.loads(report.to_json())
+
     def test_thermometry_worked_example(self, capsys):
         code, out, _ = run(
             capsys, "thermometry", "--p-red", "0.075", "--p-blue", "0.75",
