@@ -161,16 +161,18 @@ def compensation_field(offset: float) -> float:
     return offset * DEFAULT_FIELD_SENSITIVITY
 
 
+def _window(series: FrequencySeries, t_start, t_end) -> slice:
+    """The indices of the samples in [t_start, t_end], by bisection."""
+    if not math.isfinite(t_start) or (t_end is not None and math.isnan(t_end)):
+        raise ValueError(f"a window must start at a finite time and end at a number, not [{t_start}, {t_end}]")
+    return slice(bisect.bisect_left(series.times, t_start), None if t_end is None else bisect.bisect_right(series.times, t_end))
+
+
 def _select(series: FrequencySeries, t_start, t_end):
-    t = np.asarray(series.times, dtype=float)
-    f = np.asarray(series.freqs, dtype=float)
-    mask = t >= t_start
-    if t_end is not None:
-        mask &= t <= t_end
-    w = None
-    if series.freq_errs is not None:
-        w = 1.0 / np.asarray(series.freq_errs, dtype=float)[mask]
-    return t[mask], f[mask], w, f[t < t_start]
+    """Times, frequencies and weights (None unweighted) in [t_start, t_end]."""
+    window = _window(series, t_start, t_end)
+    w = None if series.freq_errs is None else 1.0 / np.array(series.freq_errs[window], dtype=float)
+    return np.array(series.times[window], dtype=float), np.array(series.freqs[window], dtype=float), w
 
 
 def _projector(tau, f, w, kind, fix_f0=None):
@@ -263,7 +265,7 @@ def _fit_window(series, t_start, t_end, f0_mode, kind, names):
     """
     if f0_mode not in ("fit", "baseline"):
         raise ValueError("f0_mode must be 'fit' or 'baseline'")
-    t, f, w, before = _select(series, t_start, t_end)
+    t, f, w = _select(series, t_start, t_end)
     fix_f0 = None
     if f0_mode == "baseline":
         # the baseline is the record before the light first comes on, not the charged window
@@ -271,8 +273,8 @@ def _fit_window(series, t_start, t_end, f0_mode, kind, names):
         if kind == "discharge" and not starts:
             raise ValueError("no light_on interval to tell the baseline f0 from the charged window")
         dark = min([t_start, *starts])
-        before = before[: bisect.bisect_left(series.times, dark)]
-        if not before.size:
+        before = series.freqs[: bisect.bisect_left(series.times, dark)]
+        if not before:
             raise ValueError(f"no points before t = {dark} s to fix the baseline f0 from")
         fix_f0 = float(np.mean(before))
     tau = t - t_start
@@ -373,8 +375,8 @@ def fit_record(ds, window, edge=None, f0_mode="fit") -> tuple[FitReport, list]:
         t_end = min((start for start, _ in intervals if start > t_start), default=None)
         fit, model = fit_discharge, discharge_freq
     params, report = fit(series, t_start, t_end=t_end, f0_mode=f0_mode)
-    window = slice(bisect.bisect_left(series.times, t_start), None if t_end is None else bisect.bisect_right(series.times, t_end))
-    t = series.times[window]  # _select's window, cut from the series' own sorted tuples
+    window = _window(series, t_start, t_end)
+    t = series.times[window]
     return report, list(zip(t, series.freqs[window], model(t, params)))
 
 
@@ -401,7 +403,7 @@ def settled_stability(
     predict maps times (s) to model frequencies (Hz). Flags non-normal
     residuals (e.g. leftover drift) via a D'Agostino-Pearson test.
     """
-    t, f, *_ = _select(series, window[0], window[1])
+    t, f, _ = _select(series, window[0], window[1])
     if t.size < 3:
         raise ValueError("settled window contains fewer than 3 points")
     resid = f - np.asarray(predict(t), dtype=float)

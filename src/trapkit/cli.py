@@ -12,10 +12,14 @@ normalize, which read no record, share cmd_direct: it passes the flags to
 their module's report function and prints the report. This module does
 only I/O for them.
 
-Each subcommand imports the domain module it computes with, and a command
-that reads a dataset does so only after the loader has accepted the file:
-`report`, `thermometry`, `--help`, every rejected input and `fit-heating`,
-whose weighted line is plain floats, run without numpy.
+Each subcommand imports only the modules it computes with: `simulate` its
+kind's simulator modules (beam for `position` alone), a fit command its
+record's domain module. datasets loads only to read, write or digest a
+record, and with `normalize`, whose heating module reads its config, so
+`report`, `thermometry` and `--help` load neither it nor numpy. A command
+that reads a dataset loads numpy only after the loader has accepted the
+file: every rejected input, and `fit-heating`, whose weighted line is
+plain floats, run without numpy.
 """
 
 from __future__ import annotations
@@ -28,18 +32,9 @@ from dataclasses import fields
 from importlib import import_module
 from pathlib import Path
 
-from . import __version__, datasets
-from .datasets import DatasetError, _atomic_write, file_digest
+from . import __version__
 from .reports import FitConvergenceError, FitReport
 from .units import BEAM_MODES, CHARGING_WINDOWS
-
-
-def _provenance(input_path=None) -> dict[str, str]:
-    prov = {"toolkit_version": __version__}
-    if input_path is not None:
-        prov["input_digest"] = file_digest(input_path)
-        prov["input_file"] = Path(input_path).name
-    return prov
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +48,7 @@ def cmd_simulate(args):
         raise ValueError(f"--span must be positive for {args.kind}, got {args.span}")
     import numpy as np
 
-    from . import beam, simulate
+    from . import datasets, simulate
 
     # the simulator flags given, by SimConfig field; --shots 0 is analytic
     given = {f.name: getattr(args, f.name) for f in fields(simulate.SimConfig) if hasattr(args, f.name)}
@@ -69,7 +64,8 @@ def cmd_simulate(args):
         )
         ds = datasets.from_frequency_series(series)
     elif args.kind == "position":
-        model = beam.GratingOutputModel(
+        from .beam import GratingOutputModel
+        model = GratingOutputModel(
             mode="two-beamlet",
             waist=args.beamlet_waist * 1e-6,
             beamlet_separation=args.separation * 1e-6,
@@ -113,17 +109,20 @@ def cmd_fit(args):
     """Fit the --input record with its module's fit_record, stamp the
     report with the input's provenance, write report + table artifacts
     named after the input and artifact name, and print the requested view."""
+    from . import datasets
+
     kind, module, header, name = _FITS[args.command]
     ds = datasets.load_dataset(args.input, kind)
     options = {k: v for k, v in vars(args).items() if k not in _NOT_OPTIONS}
     report, rows = import_module(f".{module}", __package__).fit_record(ds, **options)
-    report.provenance = _provenance(args.input)
+    digest, source = datasets.file_digest(args.input), Path(args.input).name
+    report.provenance = {"toolkit_version": __version__, "input_digest": digest, "input_file": source}
     lines = [",".join(header), *(",".join(repr(float(v)) for v in row) for row in rows)]
     table_text = "\n".join(lines) + "\n"
     if args.out_dir is not None:
         out, stem = Path(args.out_dir), f"{Path(args.input).stem}_{name}"
-        _atomic_write(out / f"{stem}_report.json", report.to_json())
-        _atomic_write(out / f"{stem}_table.csv", table_text)
+        datasets._atomic_write(out / f"{stem}_report.json", report.to_json())
+        datasets._atomic_write(out / f"{stem}_table.csv", table_text)
     sys.stdout.write(table_text if args.format == "table" else report.to_json())
     return 0
 
@@ -137,7 +136,7 @@ def cmd_direct(args):
     module, name = _DIRECT[args.command]
     options = {k: v for k, v in vars(args).items() if k not in _NOT_OPTIONS}
     report = getattr(import_module(f".{module}", __package__), name)(**options)
-    report.provenance = _provenance()
+    report.provenance = {"toolkit_version": __version__}
     sys.stdout.write(report.to_json())
     return 0
 
@@ -242,7 +241,7 @@ def main(argv=None) -> int:
             record["best_cost"] = exc.best_cost
         print(json.dumps(record, sort_keys=True), file=sys.stderr)
         return 3
-    except (DatasetError, ValueError) as exc:
+    except ValueError as exc:  # DatasetError among them
         print(json.dumps({"error": "validation", "detail": str(exc)}, sort_keys=True), file=sys.stderr)
         return 2
     except OSError as exc:

@@ -13,7 +13,6 @@ table a JSON config file extends.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import operator
@@ -202,6 +201,8 @@ def write_dataset(path, dataset: Dataset) -> None:
 
 
 def file_digest(path) -> str:
+    import hashlib
+
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 

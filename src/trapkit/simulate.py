@@ -3,21 +3,19 @@
 Randomness comes from the counter-based Philox generator keyed by
 (seed, stream, point index), so every simulated point is reproducible
 independently of evaluation order and safe to generate concurrently.
+
+Each simulator imports the domain module of the record it makes, so a
+heating or sideband record loads thermometry (and heating), a charging
+record charging and fitting, and a position scan beam and fitting.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import ClassVar
 
 import numpy as np
 
-from . import thermometry
-from .beam import GratingOutputModel, RabiPositionScan, rabi_profile
-from .charging import ChargingModelParams, DischargeModelParams, FrequencySeries, charging_freq, discharge_freq
-from .heating import HeatingSeries
-from .thermometry import RabiParams, SidebandObservation, ThermalMotionalState
 from .units import TWO_PI
 
 # stream tags keep the per-experiment generators independent
@@ -33,6 +31,18 @@ def point_rng(seed: int, stream: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+class _BuiltOnFirstRead:
+    """A class attribute that build(cls) makes on its first read; the value
+    then takes the descriptor's place, so later reads are plain lookups."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __get__(self, obj, cls):
+        setattr(cls, self.build.__name__, self.build(cls))
+        return getattr(cls, self.build.__name__)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     seed: int = 0
@@ -42,17 +52,24 @@ class SimConfig:
     noise_floor: float = 1e3  # Hz, charging-measurement noise
     rabi_noise_frac: float = 0.05
 
-    # the simulated trap, the same for every configuration
-    rabi: ClassVar[RabiParams] = RabiParams(base_rabi=TWO_PI * 200e3, lamb_dicke=0.1)
-    charging: ClassVar[ChargingModelParams] = ChargingModelParams(
-        df1=151e3, df2=50e3, T1=21.0, T2=900.0, t_on=400.0, f0=5.329e6
-    )
-    # amplitudes continuous with the charging curve at t_off=2400 s
-    discharge: ClassVar[DischargeModelParams] = DischargeModelParams(
-        df3=-0.75 * (charging_freq(2400.0, charging) - charging.f0),
-        df4=-0.25 * (charging_freq(2400.0, charging) - charging.f0),
-        T3=360.0, T4=18000.0, t_off=2400.0, f0=charging.f0,
-    )
+    # the simulated trap, the same for every configuration; each value is
+    # built on its first read, so only the simulator that reads it loads its module
+    @_BuiltOnFirstRead
+    def rabi(cls):
+        from .thermometry import RabiParams
+        return RabiParams(base_rabi=TWO_PI * 200e3, lamb_dicke=0.1)
+
+    @_BuiltOnFirstRead
+    def charging(cls):
+        from .charging import ChargingModelParams
+        return ChargingModelParams(df1=151e3, df2=50e3, T1=21.0, T2=900.0, t_on=400.0, f0=5.329e6)
+
+    @_BuiltOnFirstRead
+    def discharge(cls):
+        # amplitudes continuous with the charging curve at t_off=2400 s
+        from .charging import DischargeModelParams, charging_freq
+        jump = charging_freq(2400.0, cls.charging) - cls.charging.f0
+        return DischargeModelParams(df3=-0.75 * jump, df4=-0.25 * jump, T3=360.0, T4=18000.0, t_off=2400.0, f0=cls.charging.f0)
 
     def __post_init__(self):
         if self.shots_per_point is not None and self.shots_per_point < 1:
@@ -72,11 +89,13 @@ class SimConfig:
 
 def _expected_observation(cfg: SimConfig, nbar: float) -> SidebandObservation:
     """Noise-free red/blue sideband probe of a thermal state of mean nbar."""
-    state = ThermalMotionalState(nbar)
+    from . import thermometry
+
+    state = thermometry.ThermalMotionalState(nbar)
     t = cfg.probe_time
     p_blue = thermometry.sideband_excitation(state, cfg.rabi, t, +1)
     p_red = thermometry.sideband_excitation(state, cfg.rabi, t, -1)
-    return SidebandObservation(t, p_red, p_blue, shots=cfg.shots_per_point)
+    return thermometry.SidebandObservation(t, p_red, p_blue, shots=cfg.shots_per_point)
 
 
 def simulate_sideband_scan(cfg: SimConfig, wait_time: float, index: int = 0) -> SidebandObservation:
@@ -89,7 +108,7 @@ def simulate_sideband_scan(cfg: SimConfig, wait_time: float, index: int = 0) -> 
     shots = cfg.shots_per_point
     k_red = point_rng(cfg.seed, STREAM_SIDEBAND_RED, index).binomial(shots, expected.p_red)
     k_blue = point_rng(cfg.seed, STREAM_SIDEBAND_BLUE, index).binomial(shots, expected.p_blue)
-    return SidebandObservation(expected.probe_time, k_red / shots, k_blue / shots, shots=shots)
+    return replace(expected, p_red=k_red / shots, p_blue=k_blue / shots)
 
 
 def simulate_heating_series(cfg: SimConfig, wait_times) -> HeatingSeries:
@@ -100,6 +119,9 @@ def simulate_heating_series(cfg: SimConfig, wait_times) -> HeatingSeries:
     estimate: weights correlated with the point noise would bias the
     downstream weighted heating fit.
     """
+    from . import thermometry
+    from .heating import HeatingSeries
+
     wait_times = list(wait_times)
     nbars = []
     for i, wt in enumerate(wait_times):
@@ -126,6 +148,8 @@ def simulate_charging_series(
     total: float,
 ) -> FrequencySeries:
     """Baseline / charging / discharge frequency record on a fixed cadence."""
+    from .charging import FrequencySeries, charging_freq, discharge_freq
+
     if sample_interval <= 0:
         raise ValueError("sample_interval must be positive")
     t_on, t_off = on_window
@@ -140,39 +164,24 @@ def simulate_charging_series(
     # rescale the configured amplitude split so the curves join at t_off;
     # at t_off = t_on the join's amplitude is 0 and the record stays at f0
     scale = -(charging_freq(t_off, charge_p) - charge_p.f0) / (cfg.discharge.df3 + cfg.discharge.df4)
-    dis_p = replace(
-        cfg.discharge, df3=cfg.discharge.df3 * scale, df4=cfg.discharge.df4 * scale,
-        t_off=t_off, f0=charge_p.f0,
-    )
+    dis_p = replace(cfg.discharge, df3=cfg.discharge.df3 * scale, df4=cfg.discharge.df4 * scale, t_off=t_off, f0=charge_p.f0)
     after = times >= t_off
     freqs[after] = discharge_freq(times[after], dis_p)
     freqs = freqs + point_rng(cfg.seed, STREAM_CHARGING).normal(0.0, cfg.noise_floor, times.size)
     errs = None if cfg.noise_floor == 0 else tuple([cfg.noise_floor] * times.size)
     intervals = ((t_on, t_off),) if t_off > t_on else ()
-    return FrequencySeries(
-        times=tuple(times.tolist()),
-        freqs=tuple(freqs.tolist()),
-        freq_errs=errs,
-        light_on_intervals=intervals,
-    )
+    return FrequencySeries(tuple(times.tolist()), tuple(freqs.tolist()), freq_errs=errs, light_on_intervals=intervals)
 
 
 def simulate_position_scan(cfg: SimConfig, beam: GratingOutputModel, positions) -> RabiPositionScan:
     """Rabi frequency sampled across the beam with multiplicative noise;
     a unit model intensity drives a 2*pi x 121.1 kHz Rabi frequency."""
+    from .beam import RabiPositionScan, rabi_profile
+
     x = np.asarray(list(positions), dtype=float)
     rabi = rabi_profile(x, beam, TWO_PI * 121.1e3)
-    frac = cfg.rabi_noise_frac
+    frac, errs = cfg.rabi_noise_frac, None
     if frac > 0:
-        rng = point_rng(cfg.seed, STREAM_POSITION)
-        rabi = rabi * (1.0 + rng.normal(0.0, frac, x.size))
-        rabi = np.abs(rabi)
-        err_scale = frac * np.maximum(rabi, 1e-6 * np.max(rabi) + 1e-30)
-        errs = tuple(err_scale.tolist())
-    else:
-        errs = None
-    return RabiPositionScan(
-        positions=tuple(x.tolist()),
-        rabi=tuple(rabi.tolist()),
-        rabi_err=errs,
-    )
+        rabi = np.abs(rabi * (1.0 + point_rng(cfg.seed, STREAM_POSITION).normal(0.0, frac, x.size)))
+        errs = tuple((frac * np.maximum(rabi, 1e-6 * np.max(rabi) + 1e-30)).tolist())
+    return RabiPositionScan(positions=tuple(x.tolist()), rabi=tuple(rabi.tolist()), rabi_err=errs)

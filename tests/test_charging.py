@@ -123,6 +123,28 @@ class TestSettledQuantities:
 
 
 class TestChargingFit:
+    @pytest.mark.parametrize("t_start, t_end", [
+        (400.0, 2400.0), (400.0, None), (401.0, 2399.0), (-10.0, 1e9), (0.0, 0.0), (2400.0, 400.0), (5e3, None),
+        (1e9, None), (0.0, math.inf),
+    ])
+    def test_window_is_the_samples_between_its_edges(self, t_start, t_end):
+        # the window is cut by bisection; it holds the samples a mask on
+        # t_start <= t <= t_end would, weights included
+        series = criterion7_series(3)[0]
+        t, f, w = charging._select(series, t_start, t_end)
+        times = np.array(series.times)
+        mask = (times >= t_start) & (times <= (math.inf if t_end is None else t_end))
+        np.testing.assert_array_equal(t, times[mask])
+        np.testing.assert_array_equal(f, np.array(series.freqs)[mask])
+        np.testing.assert_array_equal(w, 1.0 / np.array(series.freq_errs)[mask])
+
+    @pytest.mark.parametrize("t_start, t_end", [(math.nan, None), (math.inf, None), (-math.inf, 2400.0), (400.0, math.nan)])
+    def test_window_that_is_not_a_span_of_time(self, t_start, t_end):
+        # a bisection at NaN would take the whole record, and times since a
+        # start of -inf are all infinite
+        with pytest.raises(ValueError, match="a window must start at a finite time and end at a number"):
+            charging._select(criterion7_series(3)[0], t_start, t_end)
+
     def test_noiseless_closed_loop(self):
         t = np.arange(400.0, 2400.0, 15.0)
         series = series_from_model(t, charging_freq(t, PAPER_CHARGING))

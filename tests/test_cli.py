@@ -423,6 +423,18 @@ class TestExitCodes:
             "error": "validation", "detail": f"no {flag} flag and no light_on metadata in the input",
         }
 
+    @pytest.mark.parametrize("edge", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command, flag", [("fit-charging", "--t-on"), ("fit-discharge", "--t-off")])
+    def test_non_finite_window_edge(self, tmp_path, capsys, command, flag, edge):
+        # a bisection at NaN would take the whole record, and a window from
+        # -inf has infinite times since its start: neither may be fitted
+        data = tmp_path / "charging.csv"
+        assert run(capsys, "simulate", "charging", "--out", str(data), "--seed", "3")[0] == 0
+        code, out, err = run(capsys, command, "--input", str(data), f"{flag}={edge}")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "validation"
+        assert json.loads(err)["detail"].startswith(f"a window must start at a finite time and end at a number, not [{edge}, ")
+
     @pytest.mark.parametrize("flag", ["--species", "--ref-species"])
     @pytest.mark.parametrize("entry, quantity", [
         ({"mass_u": math.nan}, "mass"),
@@ -682,7 +694,8 @@ class TestImportCost:
     @pytest.mark.parametrize("case", ["version", "thermometry", "report", *REJECTED])
     def test_commands_that_compute_nothing_load_no_numpy(self, tmp_path, case):
         """numpy start-up is most of a short CLI call; a call that reprints a
-        report, estimates nbar from one pair or rejects its input needs none."""
+        report, estimates nbar from one pair or rejects its input needs none,
+        and one that reads no record needs no dataset code either."""
         (tmp_path / "r.json").write_text(
             trapkit.fitting.FitReport("m", {"a": 1.0}, {"a": 0.5}, 0.1, 3, ["f"]).to_json()
         )
@@ -699,6 +712,7 @@ class TestImportCost:
         assert code == want_code
         assert (out == "") == (code == 2)
         assert not any(m.split(".")[0] == "numpy" for m in loaded), sorted(loaded)
+        assert ("trapkit.datasets" in loaded) == (case in self.REJECTED), sorted(loaded)
 
     @pytest.mark.parametrize("fmt", ["report", "table"])
     def test_fit_heating_loads_no_numpy(self, tmp_path, capsys, fmt):
@@ -722,6 +736,19 @@ class TestImportCost:
         code, out, loaded = self.modules_after([*fit_argv, "--input", "data.csv"], tmp_path)
         assert code == 0 and json.loads(out)["params"]
         assert loaded & unused == set()
+
+    @pytest.mark.parametrize("kind, unused", [
+        ("heating", {"trapkit.charging", "trapkit.fitting", "trapkit.beam"}),
+        ("sideband", {"trapkit.charging", "trapkit.fitting", "trapkit.beam"}),
+        ("charging", {"trapkit.beam", "trapkit.heating", "trapkit.thermometry"}),
+        ("position", {"trapkit.charging", "trapkit.heating", "trapkit.thermometry"}),
+    ])
+    def test_simulate_loads_only_its_kind(self, tmp_path, kind, unused):
+        # each simulator imports its own domain module, and SimConfig builds
+        # the simulated trap's values only when a simulator reads them
+        code, out, loaded = self.modules_after(["simulate", kind, "--out", "data.csv", "--seed", "3"], tmp_path)
+        assert code == 0 and out.startswith("wrote data.csv")
+        assert "trapkit.simulate" in loaded and loaded & unused == set()
 
 
 # every name `from trapkit import *` offered when the package imported its

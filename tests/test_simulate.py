@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from trapkit.charging import charging_freq, discharge_freq, fit_discharge
+from trapkit.charging import ChargingModelParams, DischargeModelParams, charging_freq, discharge_freq, fit_discharge
 from trapkit.simulate import (
     STREAM_CHARGING,
     STREAM_SIDEBAND_BLUE,
@@ -14,8 +18,11 @@ from trapkit.simulate import (
     simulate_position_scan,
     simulate_sideband_scan,
 )
-from trapkit.thermometry import nbar_with_uncertainty, sideband_excitation, ThermalMotionalState
+from trapkit.thermometry import RabiParams, nbar_with_uncertainty, sideband_excitation, ThermalMotionalState
 from trapkit.beam import GratingOutputModel
+from trapkit.units import TWO_PI
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestPointRng:
@@ -227,3 +234,26 @@ class TestConfigValidation:
         assert cfg.probe_time == pytest.approx(
             np.pi / (cfg.rabi.base_rabi * cfg.rabi.lamb_dicke)
         )
+
+    @pytest.mark.parametrize("first", ["charging", "discharge", "rabi"])
+    def test_simulated_trap_in_any_read_order(self, first):
+        """SimConfig builds each value of the simulated trap on its first
+        read and then holds it as a plain class attribute; in a fresh
+        interpreter the values do not depend on which is read first."""
+        script = (
+            "from trapkit.simulate import SimConfig\n"
+            f"value = getattr(SimConfig(), {first!r})\n"
+            f"assert vars(SimConfig)[{first!r}] is value is getattr(SimConfig, {first!r})\n"
+            "print(repr((SimConfig().charging, SimConfig().discharge, SimConfig().rabi)))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        charging = ChargingModelParams(df1=151e3, df2=50e3, T1=21.0, T2=900.0, t_on=400.0, f0=5.329e6)
+        discharge = DischargeModelParams(
+            df3=-0.75 * (charging_freq(2400.0, charging) - charging.f0),
+            df4=-0.25 * (charging_freq(2400.0, charging) - charging.f0),
+            T3=360.0, T4=18000.0, t_off=2400.0, f0=charging.f0,
+        )
+        rabi = RabiParams(base_rabi=TWO_PI * 200e3, lamb_dicke=0.1)
+        assert proc.stdout == repr((charging, discharge, rabi)) + "\n"
