@@ -15,16 +15,21 @@ only I/O for them.
 Each subcommand imports only the modules it computes with: `simulate` its
 kind's simulator modules (beam for `position` alone), a fit command its
 record's domain module. datasets loads only to read, write or digest a
-record, and with `normalize`, whose heating module reads its config, so
-`report`, `thermometry` and `--help` load neither it nor numpy. A command
+record, and with `normalize --config`, to read the config, so `report`,
+`thermometry`, `normalize` and `--help` load neither it nor numpy. A command
 that reads a dataset loads numpy only after the loader has accepted the
 file: every rejected input, and `fit-heating`, whose weighted line is
 plain floats, run without numpy.
+
+`python -m trapkit.cli` and `trapkit` start in run, which freezes the garbage
+collector before exit: every file trapkit writes is closed before main
+returns, so nothing depends on a garbage-collection finalizer at exit.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -249,5 +254,12 @@ def main(argv=None) -> int:
         return 4
 
 
+def run():
+    """Exit with main's code, the collector frozen: shutdown skips its heap."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

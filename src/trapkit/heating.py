@@ -6,7 +6,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .datasets import check_series, load_config, to_heating_series
 from .reports import FitReport
 from .units import HBAR, TWO_PI, IonSpecies, TrapContext, get_species, make_trap_context
 
@@ -20,6 +19,7 @@ class HeatingSeries:
     nbar_err: tuple | None
 
     def __post_init__(self):
+        from .datasets import check_series
         check_series(self.wait_times, self.nbar, self.nbar_err, ("wait_times", "nbar", "nbar_err"))
         if len(self.nbar) < 3:
             raise ValueError("heating fits need at least 3 points")
@@ -109,6 +109,7 @@ def fit_heating_rate(series: HeatingSeries) -> HeatingRateResult:
 def fit_record(ds) -> tuple[FitReport, list]:
     """The 'heating-linear' report of a heating record's rate fit, and its
     rows: each wait time, nbar and the fitted line there."""
+    from .datasets import to_heating_series
     series = to_heating_series(ds)
     result = fit_heating_rate(series)
     model = [result.intercept + result.ndot * t for t in series.wait_times]
@@ -163,7 +164,9 @@ def normalization_report(rate, rate_err, species, freq, distance, ref_species, r
     """The 'rate-normalization' report of a rate +- rate_err (quanta/s) of
     species at axial freq (Hz), distance (um) from the surface: the rate at
     ref_species and ref_freq (Hz), and S_E; config is load_config's path."""
-    table = load_config(config)
+    if config is not None:  # only a config file needs the dataset reader
+        from .datasets import load_config
+    table = None if config is None else load_config(config)
     ctx = make_trap_context(species, TWO_PI * freq, TWO_PI * freq, distance * 1e-6, species_table=table)
     result = HeatingRateResult(ndot=rate, ndot_err=rate_err, intercept=0.0)
     ref = get_species(ref_species, table)

@@ -1,3 +1,4 @@
+import gc
 import importlib
 import json
 import math
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import trapkit.cli
 import trapkit.fitting
 from trapkit.charging import DischargeModelParams, FrequencySeries, fit_charging, fit_discharge
 from trapkit.cli import main
@@ -737,6 +739,18 @@ class TestImportCost:
         assert code == 0 and json.loads(out)["params"]
         assert loaded & unused == set()
 
+    def test_normalize_loads_datasets_only_for_a_config(self, tmp_path):
+        # the species table is units'; only a config file needs the reader
+        argv = ["normalize", "--rate", "780", "--freq", "5.329e6"]
+        code, out, loaded = self.modules_after(argv, tmp_path)
+        assert code == 0 and json.loads(out)["params"]
+        assert "trapkit.datasets" not in loaded, sorted(loaded)
+        (tmp_path / "cfg.json").write_text(json.dumps({"species": {"Ba-138": {"mass_u": 137.905}}}))
+        argv += ["--species", "Ba-138", "--ref-freq", "5.329e6", "--config", "cfg.json"]
+        code, out, loaded = self.modules_after(argv, tmp_path)
+        assert code == 0 and "trapkit.datasets" in loaded
+        assert json.loads(out)["params"]["ndot_normalized"] == pytest.approx(780.0 * 137.905 / 39.963, rel=1e-3)
+
     @pytest.mark.parametrize("kind, unused", [
         ("heating", {"trapkit.charging", "trapkit.fitting", "trapkit.beam"}),
         ("sideband", {"trapkit.charging", "trapkit.fitting", "trapkit.beam"}),
@@ -749,6 +763,52 @@ class TestImportCost:
         code, out, loaded = self.modules_after(["simulate", kind, "--out", "data.csv", "--seed", "3"], tmp_path)
         assert code == 0 and out.startswith("wrote data.csv")
         assert "trapkit.simulate" in loaded and loaded & unused == set()
+
+
+class TestEntryPath:
+    """`python -m trapkit.cli` and the `trapkit` script run main through
+    trapkit.cli.run, which freezes the collector before the process exits;
+    main itself leaves it alone, for callers in-process."""
+
+    @pytest.mark.parametrize("case", ["table", "rejected", "missing-report"])
+    def test_module_run_prints_and_returns_what_main_does(self, tmp_path, capsys, monkeypatch, case):
+        monkeypatch.chdir(tmp_path)
+        if case == "table":
+            assert run(capsys, "simulate", "charging", "--out", "c.csv", "--seed", "3")[0] == 0
+        (tmp_path / "bad.csv").write_text(TestImportCost.REJECTED["bad-unit"][1])
+        argv, want = {
+            "table": (["fit-charging", "--format", "table", "--input", "c.csv"], (0, None)),
+            "rejected": (["fit-charging", "--input", "bad.csv"], (2, "validation")),
+            "missing-report": (["report", "--input", "missing.json"], (4, "io")),
+        }[case]
+        code, out, err = run(capsys, *argv)
+        assert (code, json.loads(err)["error"] if code else None) == want
+        assert (out == "") == (code != 0)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as into a pipe by default: the exit must flush it
+        proc = subprocess.run(
+            [sys.executable, "-m", "trapkit.cli", *argv], cwd=tmp_path, env=env, capture_output=True, timeout=60
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
+
+    def test_only_run_freezes_the_collector(self, capsys, monkeypatch):
+        argv = ["thermometry", "--p-red", "0.075", "--p-blue", "0.75"]
+        assert gc.get_freeze_count() == 0
+        assert run(capsys, *argv)[0] == 0
+        assert gc.get_freeze_count() == 0
+        monkeypatch.setattr(sys, "argv", ["trapkit", *argv])
+        try:
+            with pytest.raises(SystemExit) as exc:
+                trapkit.cli.run()
+            assert exc.value.code == 0 and gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+        assert json.loads(capsys.readouterr().out)["params"]["nbar"] == pytest.approx(1.0 / 9.0)
+
+    def test_console_script_is_run(self):
+        # the installed script and `python -m trapkit.cli` take one path
+        pyproject = (SRC.parent / "pyproject.toml").read_text()
+        assert 'trapkit = "trapkit.cli:run"' in pyproject.splitlines()
 
 
 # every name `from trapkit import *` offered when the package imported its
