@@ -248,6 +248,14 @@ def _projector(tau, f, w, kind, fix_f0=None):
     return core, lambda log_T: solve(tuple(log_T.tolist()))[1], jac, costs
 
 
+@functools.cache
+def _seed_pairs(n):
+    """Each (i, j) with i < j < n, read-only: the (Ta, Tb) seed pairs of n time constants."""
+    pairs = np.array(list(itertools.combinations(range(n), 2)))
+    pairs.flags.writeable = False
+    return pairs
+
+
 def _fit_window(series, t_start, t_end, f0_mode, kind, names):
     """Variable-projection fit of f0 + dfa*ba(tau; Ta) + dfb*bb(tau; Tb) to
     the points in [t_start, t_end], tau = t - t_start, and its report,
@@ -287,7 +295,7 @@ def _fit_window(series, t_start, t_end, f0_mode, kind, names):
     core, resid_fn, jac, costs = _projector(tau, f, w, kind, fix_f0)
 
     grid = np.array([g for g in (math.log(a * span) for a in TIME_CONSTANT_SEED_GRID) if g > floor])
-    pairs = np.array(list(itertools.combinations(range(grid.size), 2)))  # each (Ta, Tb) with Ta < Tb
+    pairs = _seed_pairs(grid.size)
     res = multistart_least_squares(resid_fn, grid[pairs], bounds=bounds, jac=jac, costs=functools.partial(costs, grid, pairs))
     log_T = np.sort(res.x)
     lin, resid, J = core(log_T)

@@ -12,7 +12,6 @@ errors, shared flags and residual RMS."""
 from __future__ import annotations
 
 import math
-import operator
 from types import SimpleNamespace
 
 import numpy as np
@@ -72,12 +71,13 @@ def _levenberg_marquardt(fun, jac, x0, bounds):
     seed 50's first discharge start into the swapped (Tb, Ta) basin. x0 and
     steps are clipped to the box, and a parameter on a bound whose gradient
     points out of the box is held for that step. Numpy forms only g = J^T r
-    and J^T J per iteration and checks only the first residuals; the bounds,
-    made floats once per polish, trial steps, box clip and stop tests run on
-    Python floats. The scaled normal matrix [[a, b], [b, d]]
-    (J^T J with each column scaled, a held column zeroed; one parameter
-    pads b = d = 0 and its second gradient entry 0) gives the damped scaled
-    step z = (A + mu I)^-1 (g*scale) in closed form, over
+    and J^T J per iteration and checks only the first residuals; the rest
+    is bookkeeping on named Python floats (x0, x1, their bounds, ga, gb,
+    G00, G01, G11, the scales, trial point and step), not lists. One
+    parameter pads to two: a phantom x1 = 0 in the box [0, 0], with a zero
+    column, gb = 0 and scale 0. The scaled normal matrix [[a, b], [b, d]]
+    (J^T J with each column scaled, a held or phantom column zeroed) gives
+    the damped scaled step z = (A + mu I)^-1 (g*scale) in closed form, over
     det = max(a*d - b^2, 0) + mu*(a + d + mu), which stays > 0 for every
     mu > 0 even where the columns coincide, and |J step|^2 = z.A.z for the
     predicted reduction. jac is called only at accepted points. The ftol
@@ -90,69 +90,66 @@ def _levenberg_marquardt(fun, jac, x0, bounds):
     (untested where two coincide) is <= TOL times the cost less it and each
     held parameter's own. The xtol test and the status codes follow scipy's."""
     lb, ub = ([float(b)] * np.size(x0) if np.ndim(b) == 0 else [float(v) for v in b] for b in bounds)
-    x = np.array([min(max(xi, lo), hi) for xi, lo, hi in zip(np.asarray(x0, dtype=float).tolist(), lb, ub, strict=True)])
+    xs = [min(max(xi, lo), hi) for xi, lo, hi in zip(np.asarray(x0, dtype=float).tolist(), lb, ub, strict=True)]
+    x, n, pad = np.array(xs), len(xs), [0.0] * (2 - len(xs))  # pad: one parameter's phantom x1, lo1 and hi1
     r = fun(x)
     if not np.all(np.isfinite(r)):
         raise ValueError("Residuals are not finite in the initial point.")
-    nfev, cost, J, xs = 1, 0.5 * float(r @ r), jac(x), x.tolist()
-    pad = [0.0] * (2 - len(xs))  # one parameter: a second one with a zero column
-    mu, nu = FIRST_DAMPING, 2.0  # mu in units of the scaled J^T J's unit diagonal
+    nfev, cost, J = 1, 0.5 * float(r @ r), jac(x)
+    (x0, x1), (lo0, lo1), (hi0, hi1) = xs + pad, lb + pad, ub + pad
+    tol, max_nfev, mu, nu = TOL, MAX_NFEV, FIRST_DAMPING, 2.0  # read per call; mu in units of the scaled J^T J's unit diagonal
     status, decrement = None, False
     while status is None:
-        g = (J.T @ r).tolist()
-        G = (J.T @ J).tolist()
-        # 0 holds a parameter: its column and its step vanish
-        held = [(xi <= lo and gi > 0) or (xi >= hi and gi < 0) for xi, lo, hi, gi in zip(xs, lb, ub, g)]
-        scale = [0.0 if h else 1.0 / (math.sqrt(G[i][i]) or 1.0) for i, h in enumerate(held)]
-        g0, g1 = [gi * si for gi, si in zip(g, scale)] + pad
-        if max(abs(g0), abs(g1)) <= TOL * math.sqrt(2.0 * cost):
+        g, G = (J.T @ r).tolist(), (J.T @ J).tolist()
+        ga, gb, G00, G01, G11 = (*g, *G[0], G[1][1]) if n == 2 else (g[0], 0.0, G[0][0], 0.0, 0.0)
+        # a zero scale holds a parameter, or the phantom: its column and its step vanish
+        held0, held1 = (x0 <= lo0 and ga > 0) or (x0 >= hi0 and ga < 0), (x1 <= lo1 and gb > 0) or (x1 >= hi1 and gb < 0)
+        s0 = 0.0 if held0 else 1.0 / (math.sqrt(G00) or 1.0)
+        s1 = 0.0 if held1 or n == 1 else 1.0 / (math.sqrt(G11) or 1.0)
+        g0, g1 = ga * s0, gb * s1
+        if max(abs(g0), abs(g1)) <= tol * math.sqrt(2.0 * cost):
             status = 1
             break
-        s0, s1 = scale + pad
-        a = G[0][0] * s0 * s0
-        b, d = (G[0][1] * s0 * s1, G[1][1] * s1 * s1) if s1 else (0.0, 0.0)  # s1 = 0: held or padded
+        a = G00 * s0 * s0
+        b, d = (G01 * s0 * s1, G11 * s1 * s1) if s1 else (0.0, 0.0)  # s1 = 0: held or phantom
         minor = max(a * d - b * b, 0.0)  # rounding can make it negative for near-parallel columns
         if minor > 0 or not (s0 and s1):  # the decrement, doubled, over one free parameter or two
             gain = (d * g0 * g0 - 2.0 * b * g0 * g1 + a * g1 * g1) / minor if minor else (g0 * g0 + g1 * g1) / (a + d)
-            if gain <= TOL * (2.0 * cost - gain - sum(gi * gi / G[i][i] for i, gi in enumerate(g) if held[i])):
+            own = (ga * ga / G00 if held0 else 0.0) + (gb * gb / G11 if held1 else 0.0)  # the held parameters'
+            if gain <= tol * (2.0 * cost - gain - own):
                 status, decrement = 2, True
                 break
         while status is None:
-            if nfev == MAX_NFEV:
+            if nfev == max_nfev:
                 status = 0
                 break
             det = minor + mu * (a + d + mu)
             # (A + mu I)^-1 (g0, g1); where the columns coincide d*g0 - b*g1 is
             # exactly 0, so the step stays exact as mu falls below eps
-            z = ((d * g0 - b * g1 + mu * g0) / det, (a * g1 - b * g0 + mu * g1) / det)
-            x_new = [min(max(xi - si * zi, lo), hi) for xi, si, zi, lo, hi in zip(xs, scale, z, lb, ub)]
-            step = [u - v for u, v in zip(x_new, xs)]
-            x_arr = np.array(x_new)
-            r_new = fun(x_arr)
+            z0, z1 = (d * g0 - b * g1 + mu * g0) / det, (a * g1 - b * g0 + mu * g1) / det
+            t0, t1 = min(max(x0 - s0 * z0, lo0), hi0), min(max(x1 - s1 * z1, lo1), hi1)
+            step0, step1 = t0 - x0, t1 - x1
+            x_new = np.array((t0, t1)[:n])
+            r_new = fun(x_new)
             nfev += 1
             cost_new = 0.5 * float(r_new @ r_new)  # a non-finite cost fails every test below
             actual = cost - cost_new
             # as _predicted_reduction, with |J step|^2 = z.A.z for the clipped scaled step z
-            z0, z1 = [st / si if si else 0.0 for st, si in zip(step, scale)] + pad
-            predicted = -_dot(step, g) - 0.5 * (a * z0 * z0 + 2.0 * b * z0 * z1 + d * z1 * z1)
+            z0, z1 = step0 / s0 if s0 else 0.0, step1 / s1 if s1 else 0.0
+            predicted = -(step0 * ga + step1 * gb) - 0.5 * (a * z0 * z0 + 2.0 * b * z0 * z1 + d * z1 * z1)
             ratio = actual / predicted if predicted > 0 else 0.0
-            ftol_met = abs(actual) <= TOL * cost and predicted <= TOL * cost and ratio <= 2.0
-            xtol_met = math.sqrt(_dot(step, step)) < TOL * (TOL + math.sqrt(_dot(xs, xs)))
+            ftol_met = abs(actual) <= tol * cost and predicted <= tol * cost and ratio <= 2.0
+            xtol_met = math.sqrt(step0 * step0 + step1 * step1) < tol * (tol + math.sqrt(x0 * x0 + x1 * x1))
             if ftol_met or xtol_met:
                 status = 4 if ftol_met and xtol_met else 2 if ftol_met else 3
             if actual > 0:
-                x, xs, r, cost, J = x_arr, x_new, r_new, cost_new, jac(x_arr)
+                x, x0, x1, r, cost, J = x_new, t0, t1, r_new, cost_new, jac(x_new)
                 mu *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
                 nu = 2.0
                 break
             mu *= nu
             nu *= 2.0
     return SimpleNamespace(x=x, fun=r, jac=J, cost=cost, nfev=nfev, status=status, decrement=decrement)
-
-
-def _dot(u, v):
-    """The dot product of two short sequences of floats."""
-    return sum(map(operator.mul, u, v))
 
 
 def _predicted_reduction(J, g, h):
@@ -323,7 +320,7 @@ def covariance_from_jacobian(jac: np.ndarray) -> np.ndarray:
     variances to weakly identified parameters.
     """
     n, p = jac.shape
-    norms = np.linalg.norm(jac, axis=0)
+    norms = np.sqrt(np.add.reduce(jac * jac, axis=0))  # np.linalg.norm's own expression
     norms[norms == 0] = 1.0
     _, s, vt = np.linalg.svd(jac / norms, full_matrices=False)
     keep = s > np.finfo(float).eps * max(n, p) * s[0]
