@@ -267,21 +267,24 @@ def _fit_window(series, t_start, t_end, f0_mode, kind, names):
     linearly at each evaluation. names labels (dfa, dfb, Ta, Tb). f0_mode:
     'fit' floats the baseline, 'baseline' fixes it to the mean of the points
     before both t_start and the series' first light-on start, which a
-    discharge fit needs (ValueError without one). Returns (values, cov,
-    report) with Ta <= Tb and cov over (dfa, dfb, log Ta, log Tb[, f0]);
-    extras holds t_start as t_on or t_off.
+    discharge fit needs (ValueError without one), and None is 'baseline'
+    for a discharge fit on a series with such points, else 'fit'. Returns
+    (values, cov, report) with Ta <= Tb and cov over (dfa, dfb, log Ta,
+    log Tb[, f0]); extras holds t_start as t_on or t_off.
     """
-    if f0_mode not in ("fit", "baseline"):
+    if f0_mode not in ("fit", "baseline", None):
         raise ValueError("f0_mode must be 'fit' or 'baseline'")
     t, f, w = _select(series, t_start, t_end)
+    # the baseline is the record before the light first comes on, not the charged window
+    starts = [start for start, _ in series.light_on_intervals]
+    dark = min([t_start, *starts])
+    before = series.freqs[: bisect.bisect_left(series.times, dark)]
+    if f0_mode is None:
+        f0_mode = "baseline" if kind == "discharge" and starts and before else "fit"
     fix_f0 = None
     if f0_mode == "baseline":
-        # the baseline is the record before the light first comes on, not the charged window
-        starts = [start for start, _ in series.light_on_intervals]
         if kind == "discharge" and not starts:
             raise ValueError("no light_on interval to tell the baseline f0 from the charged window")
-        dark = min([t_start, *starts])
-        before = series.freqs[: bisect.bisect_left(series.times, dark)]
         if not before:
             raise ValueError(f"no points before t = {dark} s to fix the baseline f0 from")
         fix_f0 = float(np.mean(before))
@@ -346,13 +349,15 @@ def fit_discharge(
     series: FrequencySeries,
     t_off: float,
     t_end: float | None = None,
-    f0_mode: str = "fit",
+    f0_mode: str | None = None,
 ) -> tuple[DischargeModelParams, FitReport]:
     """Fit the light-off discharge model to the points in [t_off, t_end].
 
     f0_mode 'baseline' fixes f0 to the mean of the points before the
     series' first light-on start, the level the field relaxes back to; it
-    raises ValueError if the series has no light-on interval.
+    raises ValueError if the series has no light-on interval. 'fit' floats
+    f0. The default, None, is 'baseline' where the series has points
+    before its first light-on start and t_off, and 'fit' otherwise.
     """
     values, _, report = _fit_window(series, t_off, t_end, f0_mode, "discharge", ("df3", "df4", "T3", "T4"))
     params = object.__new__(DischargeModelParams)  # unchecked: an f0 the window cannot pin down may be <= 0
@@ -360,13 +365,15 @@ def fit_discharge(
     return params, report
 
 
-def fit_record(ds, window, edge=None, f0_mode="fit") -> tuple[FitReport, list]:
+def fit_record(ds, window, edge=None, f0_mode=None) -> tuple[FitReport, list]:
     """Fit one window of a charging record: its report and rows, each time,
     frequency and model frequency.
 
     window 'charging' runs from edge, else the first light_on start, to the
     end of the first interval that ends after it; 'discharge' runs from
-    edge, else the first light_on end, to the next start after it.
+    edge, else the first light_on end, to the next start after it. f0_mode
+    None is the window's default: 'fit' for charging, fit_discharge's for
+    discharge.
     """
     light, first = CHARGING_WINDOWS[window]
     series = to_frequency_series(ds)

@@ -205,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     for window, (light, _) in CHARGING_WINDOWS.items():
         p = sub.add_parser(f"fit-{window}", parents=[fitted], help=f"fit the light-{light} {window} model")
         p.add_argument(f"--t-{light}", dest="edge", metavar=f"T_{light.upper()}", type=float, default=None)
-        p.add_argument("--f0-mode", choices=("fit", "baseline"), default="fit")
+        default = "fit" if window == "charging" else "baseline where the record has points before its first light-on, else fit"
+        p.add_argument("--f0-mode", choices=("fit", "baseline"), default=None, help=f"f0 floated, or the mean before the first light-on; default: {default}")
         p.set_defaults(window=window)
 
     p = sub.add_parser("thermometry", help="nbar from one red/blue pair")

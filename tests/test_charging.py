@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from trapkit.charging import (
     settled_stability,
     settled_window_start,
 )
+from trapkit.datasets import from_frequency_series
 from trapkit.simulate import SimConfig, simulate_charging_series
 
 PAPER_CHARGING = ChargingModelParams(
@@ -259,6 +261,22 @@ class TestDischargeFit:
         assert abs(p.f0 - 5.329e6) <= 3e3 / math.sqrt(len(dark))  # the mean's 3-sigma noise
         assert report.extras["f0_fixed"] == 1.0
         assert "time-constant-at-bound:T4" not in report.flags
+
+    def test_default_f0_is_the_baseline_where_the_record_has_one(self):
+        # the whole record has points before its first light-on; the part
+        # after light-off, and a record whose light comes on at its first
+        # sample, have none, and their f0 is fitted
+        series, sub = criterion7_series(3)
+        lit_first = dataclasses.replace(series, light_on_intervals=((series.times[0], 2400.0),))
+        for record, mode in ((series, "baseline"), (sub, "fit"), (lit_first, "fit")):
+            assert fit_discharge(record, 2400.0) == fit_discharge(record, 2400.0, f0_mode=mode)
+        assert charging.fit_record(from_frequency_series(series), "discharge") == charging.fit_record(
+            from_frequency_series(series), "discharge", f0_mode="baseline"
+        )
+        # a charging window keeps fitting f0 by default
+        assert charging.fit_record(from_frequency_series(series), "charging") == charging.fit_record(
+            from_frequency_series(series), "charging", f0_mode="fit"
+        )
 
     def test_baseline_f0_needs_a_light_on_interval(self):
         # without one the charged window cannot be told from the baseline

@@ -78,17 +78,33 @@ class TestSimulateAndFit:
 
     def test_discharge_with_an_unidentified_f0_below_zero(self, tmp_path, capsys):
         # seed 851's record is valid, but its discharge window cannot pin
-        # down T4 (at the ceiling) nor the level f0 it relaxes to, which
-        # comes out below 0: the fit is reported, flagged, not rejected
+        # down T4 (at the ceiling) nor, with f0 free, the level f0 it
+        # relaxes to, which comes out below 0: the fit is reported, flagged,
+        # not rejected
         data = tmp_path / "c.csv"
         run(capsys, "simulate", "charging", "--out", str(data), "--noise", "1000", "--seed", "851")
-        code, out, err = run(capsys, "fit-discharge", "--input", str(data))
+        code, out, err = run(capsys, "fit-discharge", "--input", str(data), "--f0-mode", "fit")
         assert (code, err) == (0, "")
         report = json.loads(out)
         assert report["params"]["f0"] < 0
         assert {"weakly-identified:f0", "time-constant-at-bound:T4"} <= set(report["flags"])
         with pytest.raises(ValueError, match="f0 must be positive"):
             DischargeModelParams(df3=1e3, df4=1e3, T3=360.0, T4=18000.0, t_off=2400.0, f0=report["params"]["f0"])
+
+    def test_discharge_fixes_f0_to_the_pre_light_baseline_by_default(self, tmp_path, capsys):
+        # with f0 free, seed 3's discharge window put f0 at 1.6 MHz and T4 at
+        # the ceiling; the points before the light pin f0 at the truth
+        data = tmp_path / "c.csv"
+        run(capsys, "simulate", "charging", "--out", str(data), "--seed", "3")
+        code, out, _ = run(capsys, "fit-discharge", "--input", str(data))
+        assert (code, out) == run(capsys, "fit-discharge", "--input", str(data), "--f0-mode", "baseline")[:2]
+        report = json.loads(out)
+        assert report["extras"]["f0_fixed"] == 1.0
+        assert report["params"]["f0"] == pytest.approx(5.329e6, abs=1e3)
+        assert report["flags"] == ["weakly-identified:T4"]
+        # fit-charging keeps fitting f0 by default
+        code, out, _ = run(capsys, "fit-charging", "--input", str(data))
+        assert (code, out) == run(capsys, "fit-charging", "--input", str(data), "--f0-mode", "fit")[:2]
 
     def test_discharge_stops_at_next_light_on(self, tmp_path, capsys):
         # a second light pulse from 4000 s shifts the frequency by +60 kHz;
