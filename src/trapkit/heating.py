@@ -113,11 +113,15 @@ def fit_record(ds) -> tuple[FitReport, list]:
     series = to_heating_series(ds)
     result = fit_heating_rate(series)
     model = [result.intercept + result.ndot * t for t in series.wait_times]
+    try:
+        rms = math.sqrt(math.fsum((n - m) ** 2 for n, m in zip(series.nbar, model)) / len(model))
+    except OverflowError:  # a residual's square
+        raise ValueError("the residuals overflow floating point; rescale nbar or its errors") from None
     report = FitReport(
         model="heating-linear",
         params={"ndot": result.ndot, "intercept": result.intercept},
         param_errs={"ndot": result.ndot_err, "intercept": result.intercept_err},
-        residual_rms=math.sqrt(math.fsum((n - m) ** 2 for n, m in zip(series.nbar, model)) / len(model)),
+        residual_rms=rms,
         n_points=len(series.wait_times),
         extras={"ndot_q_per_ms": result.ndot / 1e3},
     )

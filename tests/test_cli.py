@@ -592,6 +592,18 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert json.loads(proc.stderr)["error"] == "validation"
 
+    def test_fit_heating_with_an_overflowing_residual(self, tmp_path, capsys):
+        # nbar times 1e300 with its errors unchanged: the line fits, but a
+        # residual's square overflowed into an OverflowError, exit 1
+        data = tmp_path / "heating.csv"
+        assert run(capsys, "simulate", "heating", "--out", str(data), "--seed", "3")[0] == 0
+        ds = load_dataset(data, "heating")
+        ds.columns["nbar"] = tuple(1e300 * v for v in ds.columns["nbar"])
+        write_dataset(data, ds)
+        code, out, err = run(capsys, "fit-heating", "--input", str(data))
+        assert (code, out) == (2, "")
+        assert "overflow" in json.loads(err)["detail"]
+
     @pytest.mark.parametrize("mode", ["two-beamlet", "single-gaussian"])
     def test_beam_profile_of_positions_whose_squares_overflow(self, tmp_path, capsys, mode):
         # the default scan's positions times 1e300 raised OverflowError in
