@@ -2,7 +2,6 @@ import gc
 import importlib
 import json
 import math
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,13 +11,14 @@ import pytest
 
 import trapkit.cli
 import trapkit.fitting
+from conftest import cli_env
 from trapkit.charging import DischargeModelParams, FrequencySeries, fit_charging, fit_discharge
 from trapkit.cli import main
 from trapkit.datasets import DatasetError, from_frequency_series, from_heating_series, load_dataset, write_dataset
 from trapkit.simulate import SimConfig, simulate_charging_series, simulate_heating_series
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def run(capsys, *argv):
@@ -583,7 +583,7 @@ class TestExitCodes:
         lines = data.read_text().splitlines()
         lines[-1] = "1e308," + lines[-1].split(",", 1)[1]
         data.write_text("\n".join(lines) + "\n")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        env = cli_env()
         proc = subprocess.run(
             [sys.executable, "-m", "trapkit.cli", "fit-heating", "--input", str(data)],
             env=env, capture_output=True, text=True, timeout=60,
@@ -656,7 +656,7 @@ class TestImportCost:
     def test_cli_import_loads_no_scipy(self):
         # scipy is imported inside the functions that call it; a top-level
         # import would add ~1 s to every CLI call, fitting or not
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        env = cli_env()
         code = "import sys, trapkit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
@@ -678,7 +678,7 @@ class TestImportCost:
         data = tmp_path / "data.csv"
         code, _, _ = run(capsys, "simulate", *simulate, "--out", str(data), "--seed", "3")
         assert code == 0
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        env = cli_env()
         argv = [*fit_argv, "--input", str(data), "--out-dir", str(tmp_path)]
         script = (
             "import sys; from trapkit.cli import main; "
@@ -697,7 +697,7 @@ class TestImportCost:
     def modules_after(argv, cwd):
         """Run the CLI on argv in a fresh interpreter; return its exit code,
         stdout and the numpy and trapkit modules it had loaded at exit."""
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        env = cli_env()
         script = (
             "import json, sys\n"
             "from trapkit.cli import main\n"
@@ -812,8 +812,7 @@ class TestEntryPath:
         code, out, err = run(capsys, *argv)
         assert (code, json.loads(err)["error"] if code else None) == want
         assert (out == "") == (code != 0)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-        env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as into a pipe by default: the exit must flush it
+        env = cli_env()
         proc = subprocess.run(
             [sys.executable, "-m", "trapkit.cli", *argv], cwd=tmp_path, env=env, capture_output=True, timeout=60
         )
@@ -835,7 +834,7 @@ class TestEntryPath:
 
     def test_console_script_is_run(self):
         # the installed script and `python -m trapkit.cli` take one path
-        pyproject = (SRC.parent / "pyproject.toml").read_text()
+        pyproject = (ROOT / "pyproject.toml").read_text()
         assert 'trapkit = "trapkit.cli:run"' in pyproject.splitlines()
 
 

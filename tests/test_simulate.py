@@ -1,12 +1,11 @@
-import os
 import subprocess
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import cli_env
 from trapkit.charging import ChargingModelParams, DischargeModelParams, charging_freq, discharge_freq, fit_discharge
 from trapkit.simulate import (
     STREAM_CHARGING,
@@ -22,7 +21,6 @@ from trapkit.thermometry import RabiParams, nbar_with_uncertainty, sideband_exci
 from trapkit.beam import GratingOutputModel
 from trapkit.units import TWO_PI
 
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestPointRng:
@@ -246,7 +244,7 @@ class TestConfigValidation:
             f"assert vars(SimConfig)[{first!r}] is value is getattr(SimConfig, {first!r})\n"
             "print(repr((SimConfig().charging, SimConfig().discharge, SimConfig().rabi)))\n"
         )
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        env = cli_env()
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         charging = ChargingModelParams(df1=151e3, df2=50e3, T1=21.0, T2=900.0, t_on=400.0, f0=5.329e6)
