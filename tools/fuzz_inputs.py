@@ -67,7 +67,9 @@ def record(kind, seed):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "record.csv"
         with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["simulate", *KINDS[kind][0], "--seed", str(seed), "--out", str(path)]) == 0
+            code = main(["simulate", *KINDS[kind][0], "--seed", str(seed), "--out", str(path)])
+        if code != 0:
+            raise RuntimeError(f"simulate {kind} --seed {seed} exited {code}")
         return path.read_text(encoding="utf-8")
 
 
@@ -196,9 +198,7 @@ def check(i, workdir):
     argv = [*argv, "--input", str(path)]
     try:
         code, out, _ = run_cli(argv)
-    except BaseException as exc:  # noqa: BLE001 -- a crash is the finding
-        if isinstance(exc, KeyboardInterrupt):
-            raise
+    except (Exception, SystemExit) as exc:  # a crash, or an exit outside main's codes, is the finding
         return kind, mutation, argv, None, "".join(traceback.format_exception_only(type(exc), exc)).strip()
     problem = None
     if code == 0:
@@ -225,8 +225,8 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as workdir:
         for i in range(args.first, args.first + args.cases):
             kind, mutation, case_argv, code, problem = check(i, workdir)
-            codes[code] += 1
-            by_kind[kind][code] += 1
+            codes["crash" if code is None else code] += 1
+            by_kind[kind]["crash" if code is None else code] += 1
             if problem:
                 failures.append((i, kind, mutation, case_argv[:-2], problem))
     print(f"{args.cases} cases from {args.first}: " + ", ".join(f"exit {c}: {n}" for c, n in sorted(codes.items(), key=str)))
