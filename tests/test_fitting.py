@@ -450,8 +450,6 @@ def _linear(J, y):
 
 
 # each: (fun, jac, x0, bounds), from the cases TestLevenbergMarquardt builds
-_HELD = _linear(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]), [-1.0, 2.0, -1.0])
-_OUTSIDE = _linear(np.eye(2), [2.0, 0.5])
 _RIDGE, _RNG = np.array([1.0, 2.0, 3.0]), np.random.default_rng(7)
 REFERENCE_CASES = {
     "rosenbrock": (_rosenbrock, _rosenbrock_jac, [-1.2, 1.0], (-np.inf, np.inf)),
@@ -459,8 +457,8 @@ REFERENCE_CASES = {
     "one-parameter": (lambda x: x - 2.0, lambda x: np.eye(1), [0.0], (-1.0, [1.0])),
     "one-parameter-two-minima": (_two_minima, _two_minima_jac, [0.98], (-np.inf, np.inf)),
     "one-parameter-held": (lambda x: np.array([x[0] + 1.0, 0.5 * x[0] + 2.0]), lambda x: np.array([[1.0], [0.5]]), [0.0], (0.0, np.inf)),
-    "held-bound": (*_HELD, [0.0, 0.0], ([0.0, -np.inf], np.inf)),
-    "minimum-outside-the-box": (*_OUTSIDE, [0.0, 0.0], ([-1.0, -1.0], [1.0, 1.0])),
+    "held-bound": (*_linear([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]], [-1.0, 2.0, -1.0]), [0.0, 0.0], ([0.0, -np.inf], np.inf)),
+    "minimum-outside-the-box": (*_linear(np.eye(2), [2.0, 0.5]), [0.0, 0.0], ([-1.0, -1.0], [1.0, 1.0])),
     "linear-decrement": (*_linear(_RNG.normal(size=(10, 2)), _RNG.normal(size=10)), [0.0, 0.0], (-np.inf, np.inf)),
     "coinciding-columns": (
         lambda x: _RIDGE * np.exp(-x[0] - x[1]),
