@@ -2,22 +2,13 @@
 
 Two superimposed exponentials describe the secular-frequency shift while
 light is on (fast negative metal effect, slow positive dielectric effect)
-and again while it discharges. Both models are fitted by variable
-projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)): the
-nonlinear search runs over (log Ta, log Tb) only, multi-started from pairs
-a third of a decade apart ranked by one matrix product, and the amplitudes
-and a free f0 are solved in closed form from a 2x2 Gram matrix at every
-step. The optimizer, fitting's numpy Levenberg-Marquardt (so these fits
-load no scipy.optimize), gets Kaufman's Jacobian of the projected residuals
-(BIT 15, 49 (1975)) from the same 2x2 inverse; polishing stops once two
-starts reach the same cost, and only the covariance takes an SVD. The
-seeds are 5e-4..5 times the fit window's span; the bounds run from the gap
-between its first two samples over ln(1/eps) ~ 36, below which
-exp(-gap/T) < eps and a basis column is its first sample alone, to 1e3
-times the span, and seeds below the floor are dropped, so a fit does not
-depend on the time unit. A time constant the data cannot identify runs
-to a bound and is flagged as sitting at it, and two that meet are flagged
-as coinciding.
+and again while it discharges. Each window is fitted by
+fitting.variable_projection, given its basis columns and target here, and
+polished from seed pairs of time constants by fitting's
+Levenberg-Marquardt, so these fits load no scipy.optimize. The seeds and
+bounds scale with the window's span, so a fit does not depend on the time
+unit. A time constant the data cannot identify runs to a bound and is
+flagged as sitting at it, and two that meet are flagged as coinciding.
 """
 
 from __future__ import annotations
@@ -31,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import DatasetError, check_series, to_frequency_series
-from .fitting import fit_report, multistart_least_squares
+from .fitting import fit_report, multistart_least_squares, variable_projection
 from .reports import FitReport
 from .units import CHARGING_WINDOWS
 
@@ -176,76 +167,34 @@ def _select(series: FrequencySeries, t_start, t_end):
 
 
 def _projector(tau, f, w, kind, fix_f0=None):
-    """(core, resid, jac, costs) for the model of _fit_window at fixed
-    time constants log_T. core(log_T) -> (lin, resid, J): the linear
-    parameters (dfa, dfb, then f0 if free), the weighted residuals A lin - y
-    and the weighted model's Jacobian in (dfa, dfb, log Ta, log Tb[, f0]).
-    With w projected out of y once per fit, a point costs one matrix
-    product: the basis columns' Gram matrix G less its part along w gives
-    lin from G^-1, or where they coincide from G's pseudo-inverse
-    G/tr(G)^2, as lstsq's minimum-norm split; with f0 free they are
-    sign*(1 - e)*w from expm1, exact where T >> tau. jac builds Kaufman's
-    Jacobian D - A (A^T A)^-1 A^T D, D = dA/dlog T lin, from the same cached
-    solve, keyed by log_T as Python floats. costs(grid, pairs) gives
-    |resid|^2 at (grid[i], grid[j]) for each row (i, j) of pairs from one
-    Gram matrix of y and the weighted basis at the log T grid, reduced as
-    solve reduces G; where two columns coincide, the second is dropped."""
-    level = 1.0 if kind == "charging" else 0.0
-    free = fix_f0 is None
-    ntcol = -tau[:, None]
-    wcol = (np.ones_like(tau) if w is None else w)[:, None]
+    """fitting.variable_projection's (core, resid, jac, costs) for the model
+    of _fit_window, with the basis columns sign*(1 - e)*w, e = exp(-tau/T)
+    from expm1, so exact where T >> tau, or for a discharge at a fixed f0
+    -e*w. A discharge at a free f0 solves (1 - e)*w too, and core maps its
+    f0 and Jacobian to -e*w. The prescreen's grid, whose costs no column's
+    sign changes, takes the first sign throughout."""
+    ntcol, wcol = -tau[:, None], (np.ones_like(tau) if w is None else w)[:, None]
     nsw = wcol * ([-1.0, 1.0] if kind == "charging" else [-1.0, -1.0])  # -sign*w
     ntsw = tau[:, None] * nsw  # -tau*sign*w
-    target = wcol[:, 0] * (f if free else f - fix_f0)
-    A = np.zeros((tau.size, 4))  # [the weighted basis, w (0 if f0 is fixed), y less its part along w]
-    A[:, 2] = wcol[:, 0] * free
-    ww = float(A[:, 2] @ A[:, 2]) or 1.0
-    f0_y = float(A[:, 2] @ target) / ww  # the f0 that fits y alone
-    A[:, 3] = target - f0_y * A[:, 2]
-    Bw, design = A[:, :2], A[:, :3]
-    shift = 0.0 if free else level - 1.0  # a basis column is (em1 - shift)*(-sign*w)
-    cutoff = np.finfo(float).eps * max(A.shape)
+    one = 1.0 if kind == "discharge" and fix_f0 is not None else 0.0  # -e = (e - 1) + 1
 
-    @functools.lru_cache(maxsize=1)
-    def solve(log_T):
-        k = [math.exp(-log_T[0]), math.exp(-log_T[1])]  # 1/T
-        em1 = np.expm1(ntcol * k)
-        np.multiply(em1 - shift if shift else em1, nsw, out=Bw)
-        (g00, g01, p0, h0), (_, g11, p1, h1) = (Bw.T @ A).tolist()
-        q0, q1 = p0 / ww, p1 / ww  # each column's part along w
-        g00, g01, g11 = g00 - q0 * p0, g01 - q0 * p1, g11 - q1 * p1
-        det, t2 = g00 * g11 - g01 * g01, (g00 + g11) ** 2 or 1.0
-        # G^-1, or where the columns coincide (where costs drops the second) G's pseudo-inverse
-        inv = (g11 / det, -g01 / det, g00 / det) if det > cutoff * g00 * g11 else (g00 / t2, g01 / t2, g11 / t2)
-        c0, c1 = inv[0] * h0 + inv[1] * h1, inv[1] * h0 + inv[2] * h1
-        df0 = -q0 * c0 - q1 * c1
-        lin = [c0, c1, f0_y + df0 + (1.0 - level) * (c0 + c1)]  # the discharge's -e*w is (1 - e)*w - w
-        return lin[: 2 + free], A @ [c0, c1, df0, -1.0], (*inv, q0, q1), em1, k
+    def columns(log_T, out):
+        k = [math.exp(-x) for x in log_T]  # 1/T
+        em1 = np.expm1(ntcol.dot([k]))  # -tau/T
+        np.multiply(em1 + one if one else em1, nsw if len(k) == 2 else nsw[:, :1], out=out)
+        return lambda lin: (em1 + 1.0) * (ntsw * [k[0] * lin[0], k[1] * lin[1]])  # d(B lin)/dlog T
 
-    def core(log_T):
-        lin, resid, _, em1, k = solve(tuple(log_T.tolist()))
-        D = (em1 + 1.0) * (ntsw * [k[0] * lin[0], k[1] * lin[1]])
-        return lin, resid, np.hstack([(em1 + 1.0 - level) * nsw, D, wcol])[:, : 4 + free]
+    y = wcol[:, 0] * (f if fix_f0 is None else f - fix_f0)
+    core, resid, jac, costs = variable_projection(columns, y, None if fix_f0 is not None else wcol[:, 0])
+    if kind == "charging" or fix_f0 is not None:
+        return core, resid, jac, costs
 
-    def jac(log_T):
-        lin, _, (i00, i01, i11, q0, q1), em1, k = solve(tuple(log_T.tolist()))
-        D = (em1 + 1.0) * (ntsw * [k[0] * lin[0], k[1] * lin[1]])  # (dA/dlog T) lin
-        u0, u1 = i00 * q0 + i01 * q1, i01 * q0 + i11 * q1  # (A^T A)^-1: the 2x2 inverse bordered by w's part
-        inv = [[i00, i01, -u0], [i01, i11, -u1], [-u0, -u1, 1.0 / ww + q0 * u0 + q1 * u1]]
-        return D - design @ (np.array(inv) @ (design.T @ D))
+    def level(log_T):  # a discharge at a free f0
+        lin, r, J = core(log_T)
+        J[:, :2] -= J[:, 4:]
+        return [*lin[:2], lin[2] + (lin[0] + lin[1])], r, J
 
-    def costs(grid, pairs):
-        X = np.concatenate([(level - np.exp(ntcol * np.exp(-grid))) * wcol, target[:, None]], axis=1)
-        if free:  # project out the f0 column
-            X -= wcol @ (wcol.T @ X) / ww
-        G = X.T @ X
-        a, b = pairs.T
-        ya, gab, gaa = G[a, -1], G[a, b], G[a, a]
-        yb, gbb = G[b, -1] - gab * ya / gaa, G[b, b] - gab * gab / gaa  # b less its part along a
-        keep = gbb > cutoff * G[b, b]  # where the columns coincide, b is dropped as solve drops it
-        return G[-1, -1] - ya * ya / gaa - np.divide(yb * yb, gbb, out=np.zeros_like(gbb), where=keep)
-
-    return core, lambda log_T: solve(tuple(log_T.tolist()))[1], jac, costs
+    return level, resid, jac, costs
 
 
 @functools.cache
@@ -262,15 +211,14 @@ def _fit_window(series, t_start, t_end, f0_mode, kind, names):
     before the caller adds its own extras.
 
     kind 'charging' uses ba = 1 - exp(-tau/Ta), bb = -(1 - exp(-tau/Tb));
-    'discharge' uses ba = -exp(-tau/Ta), bb = -exp(-tau/Tb). Only
-    (log Ta, log Tb) are searched; the amplitudes and a free f0 are solved
-    linearly at each evaluation. names labels (dfa, dfb, Ta, Tb). f0_mode:
-    'fit' floats the baseline, 'baseline' fixes it to the mean of the points
-    before both t_start and the series' first light-on start, which a
-    discharge fit needs (ValueError without one), and None is 'baseline'
-    for a discharge fit on a series with such points, else 'fit'. Returns
-    (values, cov, report) with Ta <= Tb and cov over (dfa, dfb, log Ta,
-    log Tb[, f0]); extras holds t_start as t_on or t_off.
+    'discharge' uses ba = -exp(-tau/Ta), bb = -exp(-tau/Tb). names labels
+    (dfa, dfb, Ta, Tb). f0_mode: 'fit' floats the baseline, 'baseline'
+    fixes it to the mean of the points before both t_start and the series'
+    first light-on start, which a discharge fit needs (ValueError without
+    one), and None is 'baseline' for a discharge fit on a series with such
+    points, else 'fit'. Returns (values, cov, report) with Ta <= Tb and cov
+    over (dfa, dfb, log Ta, log Tb[, f0]); extras holds t_start as t_on or
+    t_off.
     """
     if f0_mode not in ("fit", "baseline", None):
         raise ValueError("f0_mode must be 'fit' or 'baseline'")

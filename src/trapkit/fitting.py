@@ -1,16 +1,17 @@
-"""Shared nonlinear fit machinery: multi-start least squares and the report
-of every nonlinear fit. The FitReport class itself is in trapkit.reports.
+"""Shared nonlinear fit machinery: multi-start least squares, the variable
+projection of the charging fits and the report of every nonlinear fit. The
+FitReport class itself is in trapkit.reports.
 
 Every nonlinear fit has an analytic Jacobian and is polished by a numpy
-solver: for the charging fits a bounded Levenberg-Marquardt over one or two
-parameters, which solves each damped step in closed form from the 2x2
-normal matrix J^T J, and for the beam fit an unbounded trust region, which
-solves each step from an SVD of J. No subcommand imports scipy.optimize.
-Both end in fit_report, which writes every nonlinear report's covariance,
-errors, shared flags and residual RMS."""
+solver, a bounded Levenberg-Marquardt over the charging fits' one or two
+time constants and an unbounded trust region for the beam fit, so no
+subcommand imports scipy.optimize. Both end in fit_report, which writes
+every nonlinear report's covariance, errors, shared flags and residual
+RMS."""
 
 from __future__ import annotations
 
+import functools
 import math
 from types import SimpleNamespace
 
@@ -306,6 +307,73 @@ def multistart_least_squares(residual_fn, seeds, jac, bounds=(-np.inf, np.inf), 
             starts=starts,
         )
     return best
+
+
+def variable_projection(columns, y, w=None):
+    """(core, resid, jac, costs) for fitting the weighted target y by B c +
+    f0 w, searching the log time constants log T alone (Golub & Pereyra,
+    SIAM J. Numer. Anal. 10, 413 (1973)); w, the weighted column of a free
+    f0, is None where the caller fixed f0 and took it out of y. The caller
+    knows the model: columns(log_T, out) writes the weighted basis columns B
+    at log T (floats: a pair, or a grid) into out and returns a callable of
+    the amplitudes c that gives D = d(B c)/d log T.
+
+    core(log_T) -> (lin, resid, J): c, then f0 if free, the residuals
+    B c + f0 w - y and their Jacobian in (c, log T[, f0]). A point costs one
+    matrix product: B's Gram matrix G less its part along w gives lin from
+    G^-1, or where the columns coincide from G's pseudo-inverse G/tr(G)^2,
+    lstsq's minimum-norm split. jac forms Kaufman's Jacobian D - P D (BIT
+    15, 49 (1975)) from the same solve, cached by log T as floats; J^T J
+    from Gram products could go negative. costs(grid, pairs) gives |resid|^2
+    at (grid[i], grid[j]) for each row (i, j) of pairs from one Gram matrix
+    of y and the columns at the grid, reduced as solve reduces G; where two
+    columns coincide, the second is dropped."""
+    free = w is not None
+    A = np.zeros((y.size, 4))  # [the basis at the last point solved, w (0 if f0 is fixed), y less its part along w]
+    A[:, 2] = w if free else 0.0
+    ww = float(A[:, 2] @ A[:, 2]) or 1.0
+    f0_y = float(A[:, 2] @ y) / ww  # the f0 that fits y alone
+    A[:, 3] = y - f0_y * A[:, 2]
+    B, design = A[:, :2], A[:, :3]
+    cutoff = np.finfo(float).eps * max(A.shape)
+
+    @functools.lru_cache(maxsize=1)
+    def solve(log_T):
+        slope = columns(log_T, B)
+        (g00, g01, p0, h0), (_, g11, p1, h1) = (B.T @ A).tolist()
+        q0, q1 = p0 / ww, p1 / ww  # each column's part along w
+        g00, g01, g11 = g00 - q0 * p0, g01 - q0 * p1, g11 - q1 * p1
+        det, t2 = g00 * g11 - g01 * g01, (g00 + g11) ** 2 or 1.0
+        # G^-1, or where the columns coincide (where costs drops the second) G's pseudo-inverse
+        inv = (g11 / det, -g01 / det, g00 / det) if det > cutoff * g00 * g11 else (g00 / t2, g01 / t2, g11 / t2)
+        c0, c1 = inv[0] * h0 + inv[1] * h1, inv[1] * h0 + inv[2] * h1
+        df0 = -q0 * c0 - q1 * c1
+        return [c0, c1, f0_y + df0][: 2 + free], A.dot([c0, c1, df0, -1.0]), (*inv, q0, q1), slope
+
+    def core(log_T):
+        lin, resid, _, slope = solve(tuple(log_T.tolist()))
+        return lin, resid, np.hstack([B, slope(lin), A[:, 2:3]])[:, : 4 + free]
+
+    def jac(log_T):
+        lin, _, (i00, i01, i11, q0, q1), slope = solve(tuple(log_T.tolist()))
+        D = slope(lin)
+        u0, u1 = i00 * q0 + i01 * q1, i01 * q0 + i11 * q1  # ([B w]^T [B w])^-1: the 2x2 inverse bordered by w's part
+        inv = np.array((i00, i01, -u0, i01, i11, -u1, -u0, -u1, 1.0 / ww + q0 * u0 + q1 * u1)).reshape(3, 3)
+        return D - design @ (inv @ (design.T @ D))
+
+    def costs(grid, pairs):
+        X = np.column_stack([np.empty((y.size, grid.size)), y])
+        columns(grid, X[:, :-1])
+        if free:  # project out the f0 column
+            X -= A[:, 2:3] @ (A[:, 2:3].T @ X) / ww
+        G = X.T @ X
+        a, b = pairs.T
+        ya, gab, gaa = G[a, -1], G[a, b], G[a, a]
+        yb, gbb = G[b, -1] - gab * ya / gaa, G[b, b] - gab * gab / gaa  # b less its part along a
+        keep = gbb > cutoff * G[b, b]  # where the columns coincide, b is dropped as solve drops it
+        return G[-1, -1] - ya * ya / gaa - np.divide(yb * yb, gbb, out=np.zeros_like(gbb), where=keep)
+
+    return core, lambda log_T: solve(tuple(log_T.tolist()))[1], jac, costs
 
 
 def covariance_from_jacobian(jac: np.ndarray) -> np.ndarray:

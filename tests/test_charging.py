@@ -1,4 +1,6 @@
+import bisect
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -562,6 +564,126 @@ class TestProjection:
         with_rule = costs()
         monkeypatch.setattr(fitting, "AGREE_RTOL", -math.inf)  # no two costs agree
         np.testing.assert_allclose(with_rule, costs(), rtol=1e-9, atol=0)
+
+
+# charging._projector before its algebra moved into
+# fitting.variable_projection, kept verbatim as the reference the shared
+# core must match
+def _reference_projector(tau, f, w, kind, fix_f0=None):
+    """(core, resid, jac, costs) for the model of _fit_window at fixed
+    time constants log_T. core(log_T) -> (lin, resid, J): the linear
+    parameters (dfa, dfb, then f0 if free), the weighted residuals A lin - y
+    and the weighted model's Jacobian in (dfa, dfb, log Ta, log Tb[, f0]).
+    With w projected out of y once per fit, a point costs one matrix
+    product: the basis columns' Gram matrix G less its part along w gives
+    lin from G^-1, or where they coincide from G's pseudo-inverse
+    G/tr(G)^2, as lstsq's minimum-norm split; with f0 free they are
+    sign*(1 - e)*w from expm1, exact where T >> tau. jac builds Kaufman's
+    Jacobian D - A (A^T A)^-1 A^T D, D = dA/dlog T lin, from the same cached
+    solve, keyed by log_T as Python floats. costs(grid, pairs) gives
+    |resid|^2 at (grid[i], grid[j]) for each row (i, j) of pairs from one
+    Gram matrix of y and the weighted basis at the log T grid, reduced as
+    solve reduces G; where two columns coincide, the second is dropped."""
+    level = 1.0 if kind == "charging" else 0.0
+    free = fix_f0 is None
+    ntcol = -tau[:, None]
+    wcol = (np.ones_like(tau) if w is None else w)[:, None]
+    nsw = wcol * ([-1.0, 1.0] if kind == "charging" else [-1.0, -1.0])  # -sign*w
+    ntsw = tau[:, None] * nsw  # -tau*sign*w
+    target = wcol[:, 0] * (f if free else f - fix_f0)
+    A = np.zeros((tau.size, 4))  # [the weighted basis, w (0 if f0 is fixed), y less its part along w]
+    A[:, 2] = wcol[:, 0] * free
+    ww = float(A[:, 2] @ A[:, 2]) or 1.0
+    f0_y = float(A[:, 2] @ target) / ww  # the f0 that fits y alone
+    A[:, 3] = target - f0_y * A[:, 2]
+    Bw, design = A[:, :2], A[:, :3]
+    shift = 0.0 if free else level - 1.0  # a basis column is (em1 - shift)*(-sign*w)
+    cutoff = np.finfo(float).eps * max(A.shape)
+
+    @functools.lru_cache(maxsize=1)
+    def solve(log_T):
+        k = [math.exp(-log_T[0]), math.exp(-log_T[1])]  # 1/T
+        em1 = np.expm1(ntcol * k)
+        np.multiply(em1 - shift if shift else em1, nsw, out=Bw)
+        (g00, g01, p0, h0), (_, g11, p1, h1) = (Bw.T @ A).tolist()
+        q0, q1 = p0 / ww, p1 / ww  # each column's part along w
+        g00, g01, g11 = g00 - q0 * p0, g01 - q0 * p1, g11 - q1 * p1
+        det, t2 = g00 * g11 - g01 * g01, (g00 + g11) ** 2 or 1.0
+        # G^-1, or where the columns coincide (where costs drops the second) G's pseudo-inverse
+        inv = (g11 / det, -g01 / det, g00 / det) if det > cutoff * g00 * g11 else (g00 / t2, g01 / t2, g11 / t2)
+        c0, c1 = inv[0] * h0 + inv[1] * h1, inv[1] * h0 + inv[2] * h1
+        df0 = -q0 * c0 - q1 * c1
+        lin = [c0, c1, f0_y + df0 + (1.0 - level) * (c0 + c1)]  # the discharge's -e*w is (1 - e)*w - w
+        return lin[: 2 + free], A @ [c0, c1, df0, -1.0], (*inv, q0, q1), em1, k
+
+    def core(log_T):
+        lin, resid, _, em1, k = solve(tuple(log_T.tolist()))
+        D = (em1 + 1.0) * (ntsw * [k[0] * lin[0], k[1] * lin[1]])
+        return lin, resid, np.hstack([(em1 + 1.0 - level) * nsw, D, wcol])[:, : 4 + free]
+
+    def jac(log_T):
+        lin, _, (i00, i01, i11, q0, q1), em1, k = solve(tuple(log_T.tolist()))
+        D = (em1 + 1.0) * (ntsw * [k[0] * lin[0], k[1] * lin[1]])  # (dA/dlog T) lin
+        u0, u1 = i00 * q0 + i01 * q1, i01 * q0 + i11 * q1  # (A^T A)^-1: the 2x2 inverse bordered by w's part
+        inv = [[i00, i01, -u0], [i01, i11, -u1], [-u0, -u1, 1.0 / ww + q0 * u0 + q1 * u1]]
+        return D - design @ (np.array(inv) @ (design.T @ D))
+
+    def costs(grid, pairs):
+        X = np.concatenate([(level - np.exp(ntcol * np.exp(-grid))) * wcol, target[:, None]], axis=1)
+        if free:  # project out the f0 column
+            X -= wcol @ (wcol.T @ X) / ww
+        G = X.T @ X
+        a, b = pairs.T
+        ya, gab, gaa = G[a, -1], G[a, b], G[a, a]
+        yb, gbb = G[b, -1] - gab * ya / gaa, G[b, b] - gab * gab / gaa  # b less its part along a
+        keep = gbb > cutoff * G[b, b]  # where the columns coincide, b is dropped as solve drops it
+        return G[-1, -1] - ya * ya / gaa - np.divide(yb * yb, gbb, out=np.zeros_like(gbb), where=keep)
+
+    return core, lambda log_T: solve(tuple(log_T.tolist()))[1], jac, costs
+
+
+def _criterion7_windows(seed):
+    """Yields (tau, f, w, kind, fix_f0) of criterion 7's charging window at the
+    baseline and at a free f0, and of its discharge window at a free f0,
+    as the criterion fits it, and at the baseline."""
+    series, sub = criterion7_series(seed)
+    baseline = float(np.mean(series.freqs[: bisect.bisect_left(series.times, 400.0)]))
+    for s, t_start, t_end, kind, fix_f0 in (
+        (series, 400.0, 2400.0, "charging", baseline),
+        (series, 400.0, 2400.0, "charging", None),
+        (sub, 2400.0, None, "discharge", None),
+        (series, 2400.0, None, "discharge", baseline),
+    ):
+        t, f, w = charging._select(s, t_start, t_end)
+        yield t - t_start, f, w, kind, fix_f0
+
+
+def test_projector_matches_the_reference():
+    # criterion 7's seeds 0-19: the residuals, linear parameters, Kaufman
+    # Jacobian and model Jacobian at a sixth of the seed pairs and at a
+    # point where the columns coincide (the pseudo-inverse), and the
+    # prescreen's costs, which rank the pairs in the same order. The
+    # reference took the prescreen's columns as 1 - exp(-tau/T), the
+    # solve's from expm1; both now come from expm1, and each cost, |y|^2
+    # less its projections, moves by up to 4e-12 (relative) with them
+    def close(got, want):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+    for seed in range(20):
+        for tau, f, w, kind, fix_f0 in _criterion7_windows(seed):
+            new, ref = charging._projector(tau, f, w, kind, fix_f0), _reference_projector(tau, f, w, kind, fix_f0)
+            grid = np.log(np.array(charging.TIME_CONSTANT_SEED_GRID) * tau[-1])
+            pairs = charging._seed_pairs(grid.size)
+            got, want = new[3](grid, pairs), ref[3](grid, pairs)
+            np.testing.assert_allclose(got, want, rtol=1e-11, atol=0)
+            np.testing.assert_array_equal(np.argsort(got, kind="stable"), np.argsort(want, kind="stable"))
+            for log_T in (*grid[pairs[::6]], grid[[4, 4]]):
+                (lin, resid, J), (want_lin, want_resid, want_J) = new[0](log_T), ref[0](log_T)
+                close(resid, want_resid)
+                np.testing.assert_allclose(lin, want_lin, rtol=1e-12, atol=0)
+                close(J, want_J)
+                close(new[2](log_T), ref[2](log_T))
+                np.testing.assert_array_equal(new[1](log_T), resid)
 
 
 class TestSettledStability:
