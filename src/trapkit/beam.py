@@ -173,6 +173,7 @@ def _field(x, full):
     return g1 + a * g2, b * g2, d_re, d_im
 
 
+@np.errstate(all="ignore")  # an extreme scan's overflow ends in a non-finite value the fit checks
 def fit_profile(
     scan: RabiPositionScan,
     mode: str = "two-beamlet",

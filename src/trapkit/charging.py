@@ -205,6 +205,7 @@ def _seed_pairs(n):
     return pairs
 
 
+@np.errstate(all="ignore")  # an extreme record's overflow ends in a non-finite value the fit checks
 def _fit_window(series, t_start, t_end, f0_mode, kind, names):
     """Variable-projection fit of f0 + dfa*ba(tau; Ta) + dfb*bb(tau; Tb) to
     the points in [t_start, t_end], tau = t - t_start, and its report,
