@@ -120,7 +120,7 @@ def simulate_heating_series(cfg: SimConfig, wait_times) -> HeatingSeries:
     downstream weighted heating fit.
     """
     from . import thermometry
-    from .heating import HeatingSeries
+    from .heating import HeatingSeries, weighted_linear_fit
 
     wait_times = list(wait_times)
     nbars = []
@@ -134,10 +134,8 @@ def simulate_heating_series(cfg: SimConfig, wait_times) -> HeatingSeries:
     series = HeatingSeries(wait_times=tuple(wait_times), nbar=tuple(nbars), nbar_err=None)
     if cfg.shots_per_point is None:
         return series
-    t = np.asarray(wait_times)
-    coeffs = np.polyfit(t, np.asarray(nbars), 1)
-    predicted = np.clip(np.polyval(coeffs, t), 1e-3, None)
-    errs = [thermometry.nbar_with_uncertainty(_expected_observation(cfg, p))[1] for p in predicted]
+    a, b, _ = weighted_linear_fit(wait_times, nbars)
+    errs = [thermometry.nbar_with_uncertainty(_expected_observation(cfg, max(a + b * t, 1e-3)))[1] for t in wait_times]
     return replace(series, nbar_err=tuple(errs))
 
 
