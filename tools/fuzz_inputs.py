@@ -13,12 +13,16 @@ scaled by 1e300, 1e-300 or 0, or made constant; rows dropped or
 duplicated; odd ``light_on`` metadata; another unit in the header. Every
 choice follows from i alone, so a case is the same on every run.
 
-The input contract each case must keep: exit 0 prints finite strict JSON;
-exits 2 and 3 print nothing to stdout; no other exit code and no
-exception. stdout is captured at file descriptor 1 as well as at
-sys.stdout, since LAPACK writes its complaints with C stdio, below
-sys.stdout. The script prints the count of each exit code, by record kind,
-and every case that breaks the contract; it exits 1 if one does.
+The input contract each case must keep: exit 0 prints finite strict JSON
+to stdout and nothing to stderr; exits 2 and 3 print nothing to stdout and
+one JSON line, the error record, to stderr; no other exit code and no
+exception. stdout and stderr are captured at file descriptors 1 and 2 as
+well as at sys.stdout and sys.stderr, since LAPACK writes its complaints
+with C stdio, below sys.stdout, and each case runs under its own copy of
+the warning filters, so a warning shows in every case that raises it, as
+in a fresh process. The script prints the count of each exit code, by
+record kind, and every case that breaks the contract, and how many break
+it on stderr; it exits 1 if one does.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import random
 import sys
 import tempfile
 import traceback
+import warnings
 from pathlib import Path
 
 # record kind -> the `trapkit simulate` arguments that make it, and the
@@ -133,6 +138,7 @@ MUTATIONS = {
     "unit": _unit,
 }
 ROUND = len(KINDS) * len(MUTATIONS)
+STDERR = "stderr: "  # the prefix of a problem found on stderr
 
 
 def case(i):
@@ -158,24 +164,28 @@ def _flush_c_stdio():
 
 def run_cli(argv):
     """(exit code, stdout, stderr) of trapkit.cli.main(argv) in-process,
-    stdout being what reached sys.stdout and file descriptor 1."""
+    each stream being what reached it and its file descriptor."""
     from trapkit.cli import main
 
-    sys.stdout.flush()
+    for stream in (sys.stdout, sys.stderr):
+        stream.flush()
     _flush_c_stdio()
-    saved = os.dup(1)
+    saved = [os.dup(fd) for fd in (1, 2)]
     out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryFile() as below:
-        os.dup2(below.fileno(), 1)
+    with tempfile.TemporaryFile() as below_out, tempfile.TemporaryFile() as below_err:
+        os.dup2(below_out.fileno(), 1)
+        os.dup2(below_err.fileno(), 2)
         try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
                 code = main(argv)
         finally:
             _flush_c_stdio()
-            os.dup2(saved, 1)
-            os.close(saved)
-        below.seek(0)
-        return code, below.read().decode("utf-8", "replace") + out.getvalue(), err.getvalue()
+            for fd, copy in zip((1, 2), saved):
+                os.dup2(copy, fd)
+                os.close(copy)
+        below_out.seek(0)
+        below_err.seek(0)
+        return code, *(below.read().decode("utf-8", "replace") + text.getvalue() for below, text in ((below_out, out), (below_err, err)))
 
 
 def _finite(text):
@@ -197,7 +207,7 @@ def check(i, workdir):
     path.write_text(text, encoding="utf-8")
     argv = [*argv, "--input", str(path)]
     try:
-        code, out, _ = run_cli(argv)
+        code, out, err = run_cli(argv)
     except (Exception, SystemExit) as exc:  # a crash, or an exit outside main's codes, is the finding
         return kind, mutation, argv, None, "".join(traceback.format_exception_only(type(exc), exc)).strip()
     problem = None
@@ -206,12 +216,24 @@ def check(i, workdir):
             json.loads(out, parse_float=_finite, parse_constant=_no_constant)
         except ValueError as exc:
             problem = f"exit 0 without finite strict JSON on stdout: {exc}"
+        if err and not problem:
+            problem = f"{STDERR}exit 0 with stderr {err[:200]!r}"
     elif code in (2, 3):
         if out:
             problem = f"exit {code} with stdout {out[:200]!r}"
+        elif not _one_json_line(err):
+            problem = f"{STDERR}exit {code} with stderr {err[:200]!r}, not one JSON line"
     else:
         problem = f"exit code {code}"
     return kind, mutation, argv, code, problem
+
+
+def _one_json_line(text):
+    lines = text.splitlines()
+    try:
+        return len(lines) == 1 and isinstance(json.loads(lines[0]), dict)
+    except ValueError:
+        return False
 
 
 def main(argv=None):
@@ -232,7 +254,8 @@ def main(argv=None):
     print(f"{args.cases} cases from {args.first}: " + ", ".join(f"exit {c}: {n}" for c, n in sorted(codes.items(), key=str)))
     for kind, counts in by_kind.items():
         print(f"  {kind}: " + ", ".join(f"exit {c}: {n}" for c, n in sorted(counts.items(), key=str)))
-    print(f"cases breaking the contract: {len(failures)}")
+    on_stderr = sum(failure[4].startswith(STDERR) for failure in failures)
+    print(f"cases breaking the contract: {len(failures)}, {on_stderr} of them on stderr")
     for failure in failures:
         print("  case {} ({} record, {}): {}: {}".format(failure[0], failure[1], failure[2], " ".join(failure[3]), failure[4]))
     return 1 if failures else 0
