@@ -9,6 +9,8 @@ Levenberg-Marquardt, so these fits load no scipy.optimize. The seeds and
 bounds scale with the window's span, so a fit does not depend on the time
 unit. A time constant the data cannot identify runs to a bound and is
 flagged as sitting at it, and two that meet are flagged as coinciding.
+What a fit needs of its window's sampling alone is kept, read-only, for
+the last SAMPLING_CACHE_SIZE samplings, so a refit pays for its frequencies.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import DatasetError, check_series, to_frequency_series
-from .fitting import fit_report, multistart_least_squares, variable_projection
-from .reports import FitReport
+from .fitting import fit_report, grid_columns, multistart_least_squares, variable_projection
+from .reports import FitConvergenceError, FitReport
 from .units import CHARGING_WINDOWS
 
 # Time-constant seeds a third of a decade apart, as fractions of the fit
@@ -40,6 +42,9 @@ BOUND_TOLERANCE = 1e-3
 
 # Default settled-window start: this many slow time constants after turn-on
 SETTLED_WINDOW_FACTOR = 5.0
+
+# Window samplings whose fit set-up _sampling keeps, each ~20 floats a sample
+SAMPLING_CACHE_SIZE = 4
 
 # Calibration pair: a 0.1 MHz settled offset is nulled by 2.4 kV/cm
 DEFAULT_FIELD_SENSITIVITY = 2.4e5 / 0.1e6  # (V/m)/Hz
@@ -166,26 +171,35 @@ def _select(series: FrequencySeries, t_start, t_end):
     return np.array(series.times[window], dtype=float), np.array(series.freqs[window], dtype=float), w
 
 
-def _projector(tau, f, w, kind, fix_f0=None):
+def _basis(tau, w, kind, fixed):
+    """_columns' inputs, for weights w (None unweighted): -tau and -sign*w as
+    columns, -tau*sign*w, and a fixed-f0 discharge's 1 in -e = (e - 1) + 1."""
+    nsw = (np.ones_like(tau) if w is None else w)[:, None] * ([-1.0, 1.0] if kind == "charging" else [-1.0, -1.0])
+    return -tau[:, None], nsw, tau[:, None] * nsw, 1.0 if kind == "discharge" and fixed else 0.0
+
+
+def _columns(basis, log_T, out):
+    """fitting.variable_projection's columns(log_T, out), given _basis'
+    inputs: sign*(1 - e)*w, e = exp(-tau/T) from expm1, or -e*w."""
+    ntcol, nsw, ntsw, one = basis
+    k = [math.exp(-x) for x in log_T]  # 1/T
+    em1 = np.expm1(ntcol.dot([k]))  # -tau/T
+    np.multiply(em1 + one if one else em1, nsw if len(k) == 2 else nsw[:, :1], out=out)
+    return lambda lin: (em1 + 1.0) * (ntsw * [k[0] * lin[0], k[1] * lin[1]])  # d(B lin)/dlog T
+
+
+def _projector(tau, f, w, kind, fix_f0=None, basis=None):
     """fitting.variable_projection's (core, resid, jac, costs) for the model
     of _fit_window, with the basis columns sign*(1 - e)*w, e = exp(-tau/T)
     from expm1, so exact where T >> tau, or for a discharge at a fixed f0
-    -e*w. A discharge at a free f0 solves (1 - e)*w too, and core maps its
-    f0 and Jacobian to -e*w. The prescreen's grid, whose costs no column's
-    sign changes, takes the first sign throughout."""
-    ntcol, wcol = -tau[:, None], (np.ones_like(tau) if w is None else w)[:, None]
-    nsw = wcol * ([-1.0, 1.0] if kind == "charging" else [-1.0, -1.0])  # -sign*w
-    ntsw = tau[:, None] * nsw  # -tau*sign*w
-    one = 1.0 if kind == "discharge" and fix_f0 is not None else 0.0  # -e = (e - 1) + 1
-
-    def columns(log_T, out):
-        k = [math.exp(-x) for x in log_T]  # 1/T
-        em1 = np.expm1(ntcol.dot([k]))  # -tau/T
-        np.multiply(em1 + one if one else em1, nsw if len(k) == 2 else nsw[:, :1], out=out)
-        return lambda lin: (em1 + 1.0) * (ntsw * [k[0] * lin[0], k[1] * lin[1]])  # d(B lin)/dlog T
-
-    y = wcol[:, 0] * (f if fix_f0 is None else f - fix_f0)
-    core, resid, jac, costs = variable_projection(columns, y, None if fix_f0 is not None else wcol[:, 0])
+    -e*w, from basis, _basis' inputs, built here if not given. A discharge
+    at a free f0 solves (1 - e)*w too, and core maps its f0 and Jacobian to
+    -e*w. The prescreen's grid, whose costs no column's sign changes, takes
+    the first sign throughout."""
+    wv = np.ones_like(tau) if w is None else w
+    y = wv * (f if fix_f0 is None else f - fix_f0)
+    columns = functools.partial(_columns, basis or _basis(tau, w, kind, fix_f0 is not None))
+    core, resid, jac, costs = variable_projection(columns, y, None if fix_f0 is not None else wv)
     if kind == "charging" or fix_f0 is not None:
         return core, resid, jac, costs
 
@@ -197,12 +211,36 @@ def _projector(tau, f, w, kind, fix_f0=None):
     return level, resid, jac, costs
 
 
-@functools.cache
 def _seed_pairs(n):
     """Each (i, j) with i < j < n, read-only: the (Ta, Tb) seed pairs of n time constants."""
-    pairs = np.array(list(itertools.combinations(range(n), 2)))
+    pairs = np.array(list(itertools.combinations(range(n), 2)), dtype=int).reshape(-1, 2)
     pairs.flags.writeable = False
     return pairs
+
+
+@functools.lru_cache(maxsize=SAMPLING_CACHE_SIZE)
+def _sampling(times, errs, t_start, kind, free):
+    """What _fit_window needs of a window's times, errs (None unweighted),
+    t_start, kind and whether f0 is free, read-only: tau, the weights, the
+    log T bounds, _basis, the log T seed grid, its index pairs and their
+    seeds, and the grid's fitting.grid_columns."""
+    tau = np.array(times, dtype=float) - t_start
+    if tau.size < 8:
+        raise ValueError("need at least 8 points for a double-exponential fit")
+    w = None if errs is None else 1.0 / np.array(errs, dtype=float)
+    span = float(tau[-1])
+    # below the floor exp(-gap/T) < eps: the column is the first sample alone
+    floor = math.log(float(tau[1] - tau[0]) / -math.log(np.finfo(float).eps))
+    bounds = (floor, math.log(TIME_CONSTANT_CEILING * span))
+    basis = _basis(tau, w, kind, not free)
+    grid = np.array([g for g in (math.log(a * span) for a in TIME_CONSTANT_SEED_GRID) if g > floor])
+    pairs = _seed_pairs(grid.size)
+    seeds = grid[pairs]
+    f0_column = (np.ones_like(tau) if w is None else w) if free else None
+    X = grid_columns(functools.partial(_columns, basis), grid, tau.size, f0_column)
+    for array in (tau, *basis[:3], grid, seeds, *([] if w is None else [w])):
+        array.flags.writeable = False
+    return tau, w, bounds, basis, grid, pairs, seeds, X
 
 
 @np.errstate(all="ignore")  # an extreme record's overflow ends in a non-finite value the fit checks
@@ -219,11 +257,13 @@ def _fit_window(series, t_start, t_end, f0_mode, kind, names):
     one), and None is 'baseline' for a discharge fit on a series with such
     points, else 'fit'. Returns (values, cov, report) with Ta <= Tb and cov
     over (dfa, dfb, log Ta, log Tb[, f0]); extras holds t_start as t_on or
-    t_off.
+    t_off. A fit that fails where the window's time span or weighted
+    frequencies overflow raises ValueError, not FitConvergenceError.
     """
     if f0_mode not in ("fit", "baseline", None):
         raise ValueError("f0_mode must be 'fit' or 'baseline'")
-    t, f, w = _select(series, t_start, t_end)
+    window = _window(series, t_start, t_end)
+    f = np.array(series.freqs[window], dtype=float)
     # the baseline is the record before the light first comes on, not the charged window
     starts = [start for start, _ in series.light_on_intervals]
     dark = min([t_start, *starts])
@@ -237,18 +277,17 @@ def _fit_window(series, t_start, t_end, f0_mode, kind, names):
         if not before:
             raise ValueError(f"no points before t = {dark} s to fix the baseline f0 from")
         fix_f0 = float(np.mean(before))
-    tau = t - t_start
-    if tau.size < 8:
-        raise ValueError("need at least 8 points for a double-exponential fit")
-    span = float(tau[-1])
-    # below the floor exp(-gap/T) < eps: the column is the first sample alone
-    floor = math.log(float(tau[1] - tau[0]) / -math.log(np.finfo(float).eps))
-    bounds = (floor, math.log(TIME_CONSTANT_CEILING * span))
-    core, resid_fn, jac, costs = _projector(tau, f, w, kind, fix_f0)
-
-    grid = np.array([g for g in (math.log(a * span) for a in TIME_CONSTANT_SEED_GRID) if g > floor])
-    pairs = _seed_pairs(grid.size)
-    res = multistart_least_squares(resid_fn, grid[pairs], bounds=bounds, jac=jac, costs=functools.partial(costs, grid, pairs))
+    errs = None if series.freq_errs is None else tuple(series.freq_errs[window])
+    tau, w, bounds, basis, grid, pairs, seeds, X = _sampling(tuple(series.times[window]), errs, t_start, kind, fix_f0 is None)
+    core, resid_fn, jac, costs = _projector(tau, f, w, kind, fix_f0, basis)
+    try:
+        res = multistart_least_squares(resid_fn, seeds, bounds=bounds, jac=jac, costs=functools.partial(costs, grid, pairs, X))
+    except FitConvergenceError:  # a window whose numbers overflow the fit is out of range, not unconverged
+        wf = f if w is None else f * w
+        for quantity, value in (("time span x 1000", bounds[1]), ("sum of its squared weighted frequencies", wf @ wf)):
+            if not math.isfinite(value):
+                raise ValueError(f"the {kind} window [{t_start}, {'end' if t_end is None else t_end}] s: the {quantity} overflows") from None
+        raise
     log_T = np.sort(res.x)
     lin, resid, J = core(log_T)
     Ta, Tb = np.exp(log_T)
@@ -258,7 +297,7 @@ def _fit_window(series, t_start, t_end, f0_mode, kind, names):
     values = {name_a: dfa, name_b: dfb, name_Ta: Ta, name_Tb: Tb, "f0": lin[-1] if fix_f0 is None else fix_f0}
     G = np.diag([1.0, 1.0, Ta, Tb, 1.0])[:, : J.shape[1]]  # the fit searches log T; a fixed f0 has no column
     extras = {"f0_fixed": 0.0 if f0_mode == "fit" else 1.0, f"t_{CHARGING_WINDOWS[kind][0]}": t_start}
-    report, cov = fit_report(f"{kind}-double-exponential", values, G, J, resid, t.size, w is not None, res.status, extras)
+    report, cov = fit_report(f"{kind}-double-exponential", values, G, J, resid, tau.size, w is not None, res.status, extras)
     errs, flags = report.param_errs, report.flags
     if abs(dfa) <= errs[name_a] and abs(dfb) <= errs[name_b]:
         flags.append("amplitudes-consistent-with-zero")

@@ -324,9 +324,10 @@ def variable_projection(columns, y, w=None):
     G^-1, or where the columns coincide from G's pseudo-inverse G/tr(G)^2,
     lstsq's minimum-norm split. jac forms Kaufman's Jacobian D - P D (BIT
     15, 49 (1975)) from the same solve, cached by log T as floats; J^T J
-    from Gram products could go negative. costs(grid, pairs) gives |resid|^2
-    at (grid[i], grid[j]) for each row (i, j) of pairs from one Gram matrix
-    of y and the columns at the grid, reduced as solve reduces G; where two
+    from Gram products could go negative. costs(grid, pairs, X=None) gives
+    |resid|^2 at (grid[i], grid[j]) for each row (i, j) of pairs from one
+    Gram matrix of X, grid_columns(columns, grid, y.size, w) if not given,
+    and y less its part along w, reduced as solve reduces G; where two
     columns coincide, the second is dropped."""
     free = w is not None
     A = np.zeros((y.size, 4))  # [the basis at the last point solved, w (0 if f0 is fixed), y less its part along w]
@@ -361,11 +362,8 @@ def variable_projection(columns, y, w=None):
         inv = np.array((i00, i01, -u0, i01, i11, -u1, -u0, -u1, 1.0 / ww + q0 * u0 + q1 * u1)).reshape(3, 3)
         return D - design @ (inv @ (design.T @ D))
 
-    def costs(grid, pairs):
-        X = np.column_stack([np.empty((y.size, grid.size)), y])
-        columns(grid, X[:, :-1])
-        if free:  # project out the f0 column
-            X -= A[:, 2:3] @ (A[:, 2:3].T @ X) / ww
+    def costs(grid, pairs, X=None):
+        X = np.column_stack([grid_columns(columns, grid, y.size, A[:, 2] if free else None) if X is None else X, A[:, 3]])
         G = X.T @ X
         a, b = pairs.T
         ya, gab, gaa = G[a, -1], G[a, b], G[a, a]
@@ -374,6 +372,17 @@ def variable_projection(columns, y, w=None):
         return G[-1, -1] - ya * ya / gaa - np.divide(yb * yb, gbb, out=np.zeros_like(gbb), where=keep)
 
     return core, lambda log_T: solve(tuple(log_T.tolist()))[1], jac, costs
+
+
+def grid_columns(columns, grid, n, w=None):
+    """variable_projection's basis columns over n samples at each log T of grid,
+    read-only, with w, a free f0's column, projected out: its costs' X."""
+    X = np.empty((n, grid.size))
+    columns(grid, X)
+    if w is not None:
+        X -= w[:, None] @ (w @ X)[None, :] / (float(w @ w) or 1.0)
+    X.flags.writeable = False
+    return X
 
 
 def covariance_from_jacobian(jac: np.ndarray) -> np.ndarray:

@@ -7,10 +7,14 @@ independently of evaluation order and safe to generate concurrently.
 Each simulator imports the domain module of the record it makes, so a
 heating or sideband record loads thermometry (and heating), a charging
 record charging and fitting, and a position scan beam and fitting.
+
+A charging record's times and noise-free curve are kept, read-only, for the
+last CURVE_CACHE_SIZE samplings, so a closed loop pays for its noise alone.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -23,6 +27,9 @@ STREAM_SIDEBAND_RED = 1
 STREAM_SIDEBAND_BLUE = 2
 STREAM_CHARGING = 3
 STREAM_POSITION = 4
+
+# (trap, cadence, light window, total) samplings whose curve _charging_curve keeps
+CURVE_CACHE_SIZE = 4
 
 
 def point_rng(seed: int, stream: int, index: int = 0) -> np.random.Generator:
@@ -146,29 +153,40 @@ def simulate_charging_series(
     total: float,
 ) -> FrequencySeries:
     """Baseline / charging / discharge frequency record on a fixed cadence."""
-    from .charging import FrequencySeries, charging_freq, discharge_freq
+    from .charging import FrequencySeries
 
     if sample_interval <= 0:
         raise ValueError("sample_interval must be positive")
     t_on, t_off = on_window
+    times, curve = _charging_curve(cfg.charging, cfg.discharge, sample_interval, t_on, t_off, total)
+    freqs = curve + point_rng(cfg.seed, STREAM_CHARGING).normal(0.0, cfg.noise_floor, curve.size)
+    errs = None if cfg.noise_floor == 0 else tuple([cfg.noise_floor] * curve.size)
+    intervals = ((t_on, t_off),) if t_off > t_on else ()
+    return FrequencySeries(times, tuple(freqs.tolist()), freq_errs=errs, light_on_intervals=intervals)
+
+
+@functools.lru_cache(maxsize=CURVE_CACHE_SIZE)
+def _charging_curve(charging, discharge, sample_interval, t_on, t_off, total):
+    """A charging record's times, as a tuple, and its read-only noise-free
+    frequencies: the charging model from t_on, the discharge from t_off."""
+    from .charging import charging_freq, discharge_freq
+
     if not (0 <= t_on <= t_off <= total):
         raise ValueError("on_window must lie within [0, total]")
     times = np.arange(0.0, total + 0.5 * sample_interval, sample_interval)
     times = times[times <= total]  # the grid's last step may pass total
-    charge_p = replace(cfg.charging, t_on=t_on)
+    charge_p = replace(charging, t_on=t_on)
     freqs = np.full_like(times, charge_p.f0)
     on = (times >= t_on) & (times < t_off)
     freqs[on] = charging_freq(times[on], charge_p)
     # rescale the configured amplitude split so the curves join at t_off;
     # at t_off = t_on the join's amplitude is 0 and the record stays at f0
-    scale = -(charging_freq(t_off, charge_p) - charge_p.f0) / (cfg.discharge.df3 + cfg.discharge.df4)
-    dis_p = replace(cfg.discharge, df3=cfg.discharge.df3 * scale, df4=cfg.discharge.df4 * scale, t_off=t_off, f0=charge_p.f0)
+    scale = -(charging_freq(t_off, charge_p) - charge_p.f0) / (discharge.df3 + discharge.df4)
+    dis_p = replace(discharge, df3=discharge.df3 * scale, df4=discharge.df4 * scale, t_off=t_off, f0=charge_p.f0)
     after = times >= t_off
     freqs[after] = discharge_freq(times[after], dis_p)
-    freqs = freqs + point_rng(cfg.seed, STREAM_CHARGING).normal(0.0, cfg.noise_floor, times.size)
-    errs = None if cfg.noise_floor == 0 else tuple([cfg.noise_floor] * times.size)
-    intervals = ((t_on, t_off),) if t_off > t_on else ()
-    return FrequencySeries(tuple(times.tolist()), tuple(freqs.tolist()), freq_errs=errs, light_on_intervals=intervals)
+    freqs.flags.writeable = False
+    return tuple(times.tolist()), freqs
 
 
 def simulate_position_scan(cfg: SimConfig, beam: GratingOutputModel, positions) -> RabiPositionScan:

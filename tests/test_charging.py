@@ -686,6 +686,113 @@ def test_projector_matches_the_reference():
                 np.testing.assert_array_equal(new[1](log_T), resid)
 
 
+def _four_window_fits(seed):
+    """The fits of criterion 7's charging window at the baseline and at a
+    free f0, and of its discharge window at a free f0, as the criterion
+    fits it, and at the baseline, each as a callable."""
+    series, sub = criterion7_series(seed)
+    return (
+        functools.partial(fit_charging, series, 400.0, t_end=2400.0, f0_mode="baseline"),
+        functools.partial(fit_charging, series, 400.0, t_end=2400.0, f0_mode="fit"),
+        functools.partial(fit_discharge, sub, 2400.0),
+        functools.partial(fit_discharge, series, 2400.0, f0_mode="baseline"),
+    )
+
+
+def _same_fit(got, want):
+    assert got[0] == want[0]
+    assert got[1].to_json() == want[1].to_json()
+
+
+class TestSamplingCache:
+    """charging._sampling: the fit set-up a window's sampling alone fixes,
+    kept for the last SAMPLING_CACHE_SIZE samplings."""
+
+    def test_warm_fit_equals_a_cold_one(self):
+        # criterion 7's four window types, seeds 0-19: a fit that reuses the
+        # set-up gives the cold fit's parameters and report to the bit
+        for seed in range(20):
+            for fit in _four_window_fits(seed):
+                charging._sampling.cache_clear()
+                cold = fit()
+                hits = charging._sampling.cache_info().hits
+                _same_fit(fit(), cold)
+                assert charging._sampling.cache_info().hits == hits + 1
+
+    def test_a_sampling_is_its_times_errors_start_and_f0(self):
+        # records that share times but not errors, or both but not the
+        # window's start, or whose f0 is fixed where the other's is free,
+        # never share an entry: each fits as it does cold. So does an
+        # unweighted record on the same times
+        series = criterion7_series(0)[0]
+        errs = tuple(2e3 if i % 2 else e for i, e in enumerate(series.freq_errs))
+        fits = [
+            functools.partial(fit_charging, series, 400.0, t_end=2400.0, f0_mode="baseline"),
+            functools.partial(fit_charging, dataclasses.replace(series, freq_errs=errs), 400.0, t_end=2400.0, f0_mode="baseline"),
+            functools.partial(fit_charging, dataclasses.replace(series, freq_errs=None), 400.0, t_end=2400.0, f0_mode="baseline"),
+            # the first sample after 400 s and after 401 s is 405 s: the same times, another start
+            functools.partial(fit_charging, series, 401.0, t_end=2400.0, f0_mode="baseline"),
+            functools.partial(fit_charging, series, 400.0, t_end=2400.0, f0_mode="fit"),
+        ]
+        cold = []
+        for fit in fits:
+            charging._sampling.cache_clear()
+            cold.append(fit())
+        charging._sampling.cache_clear()
+        for k, (fit, want) in enumerate(zip(fits, cold), start=1):
+            _same_fit(fit(), want)
+            assert charging._sampling.cache_info().currsize == min(k, charging.SAMPLING_CACHE_SIZE)
+        assert charging._sampling.cache_info().hits == 0
+
+    def test_cached_arrays_are_read_only(self):
+        series = criterion7_series(0)[0]
+        window = charging._window(series, 400.0, 2400.0)
+        for kind, free in (("charging", True), ("charging", False), ("discharge", True), ("discharge", False)):
+            entry = charging._sampling(series.times[window], series.freq_errs[window], 400.0, kind, free)
+            arrays, todo = [], list(entry)
+            while todo:
+                item = todo.pop()
+                if isinstance(item, tuple):
+                    todo.extend(item)
+                elif isinstance(item, np.ndarray):
+                    arrays.append(item)
+            assert len(arrays) == 9  # tau, w, three basis inputs, grid, pairs, seeds, the grid columns
+            assert not any(a.flags.writeable for a in arrays)
+
+    def test_entries_are_bounded(self):
+        # 50 distinct samplings, each window one sample shorter than the last
+        series = criterion7_series(0)[0]
+        charging._sampling.cache_clear()
+        for k in range(50):
+            fit_charging(series, 400.0, t_end=2400.0 - 15.0 * k, f0_mode="baseline")
+        info = charging._sampling.cache_info()
+        assert info.misses == 50
+        assert info.currsize <= info.maxsize == charging.SAMPLING_CACHE_SIZE < 50
+
+    def test_overflowing_window_is_out_of_range(self):
+        # a fit that fails because the window's weighted frequencies or its
+        # time span overflow is a validation error that names the window
+        series = criterion7_series(0)[0]
+        tiny = dataclasses.replace(series, freq_errs=tuple(1e-300 * e for e in series.freq_errs))
+        with pytest.raises(ValueError, match=r"the discharge window \[2400\.0, end\] s: the sum of its squared weighted frequencies overflows"):
+            fit_discharge(tiny, 2400.0)
+        huge = dataclasses.replace(series, freqs=tuple(1e300 * f for f in series.freqs))
+        with pytest.raises(ValueError, match=r"the charging window \[400\.0, 2400\.0\] s: the sum of its squared"):
+            fit_charging(huge, 400.0, t_end=2400.0)
+        times = tuple(-1.5e308 * (1 - k / 30) for k in range(60))
+        wide = series_from_model(times, series.freqs[:60], series.freq_errs[:60])
+        with pytest.raises(ValueError, match=r"the discharge window \[-1\.5e\+308, end\] s: the time span x 1000 overflows"):
+            fit_discharge(wide, times[0])
+
+    def test_overflowing_record_that_converges_still_fits(self):
+        # the squared frequencies of an unweighted record at ~1e160 Hz
+        # overflow, but its fit converges: it is reported, not refused
+        t = 2400.0 + 15.0 * np.arange(60)
+        f = discharge_freq(t, PAPER_DISCHARGE) + np.random.default_rng(0).normal(0, 1e3, t.size)
+        _, report = fit_discharge(series_from_model(t, 1e160 * f), 2400.0)
+        assert report.n_points == 60
+
+
 class TestSettledStability:
     def _settled_series(self, sigma, seed=0, n=240):
         t = np.arange(0.0, n * 15.0, 15.0) + settled_window_start(PAPER_CHARGING)

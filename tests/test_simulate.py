@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from conftest import cli_env
-from trapkit.charging import ChargingModelParams, DischargeModelParams, charging_freq, discharge_freq, fit_discharge
+from trapkit import simulate
+from trapkit.charging import (
+    ChargingModelParams,
+    DischargeModelParams,
+    FrequencySeries,
+    charging_freq,
+    discharge_freq,
+    fit_discharge,
+)
 from trapkit.simulate import (
     STREAM_CHARGING,
     STREAM_SIDEBAND_BLUE,
@@ -195,6 +203,62 @@ class TestChargingSeries:
             simulate_charging_series(SimConfig(), 30.0, (2400.0, 400.0), 4000.0)
         with pytest.raises(ValueError):
             simulate_charging_series(SimConfig(), 0.0, (0.0, 10.0), 100.0)
+
+
+def _reference_charging_series(cfg, sample_interval, on_window, total):
+    """simulate_charging_series as it was before it kept its curves, kept
+    verbatim as the reference the cached record must match."""
+    t_on, t_off = on_window
+    times = np.arange(0.0, total + 0.5 * sample_interval, sample_interval)
+    times = times[times <= total]
+    charge_p = replace(cfg.charging, t_on=t_on)
+    freqs = np.full_like(times, charge_p.f0)
+    on = (times >= t_on) & (times < t_off)
+    freqs[on] = charging_freq(times[on], charge_p)
+    scale = -(charging_freq(t_off, charge_p) - charge_p.f0) / (cfg.discharge.df3 + cfg.discharge.df4)
+    dis_p = replace(cfg.discharge, df3=cfg.discharge.df3 * scale, df4=cfg.discharge.df4 * scale, t_off=t_off, f0=charge_p.f0)
+    after = times >= t_off
+    freqs[after] = discharge_freq(times[after], dis_p)
+    freqs = freqs + point_rng(cfg.seed, STREAM_CHARGING).normal(0.0, cfg.noise_floor, times.size)
+    errs = None if cfg.noise_floor == 0 else tuple([cfg.noise_floor] * times.size)
+    intervals = ((t_on, t_off),) if t_off > t_on else ()
+    return FrequencySeries(tuple(times.tolist()), tuple(freqs.tolist()), freq_errs=errs, light_on_intervals=intervals)
+
+
+class TestChargingCurveCache:
+    """simulate._charging_curve: a record's times and noise-free curve,
+    kept for the last CURVE_CACHE_SIZE samplings."""
+
+    # (cadence, light window, total): criterion 7's, the same on a longer
+    # record, an empty window, a window ending at total, an off-grid end
+    CASES = [
+        (15.0, (400.0, 2400.0), 5000.0),
+        (15.0, (400.0, 2400.0), 6000.0),
+        (30.0, (400.0, 400.0), 3000.0),
+        (40.0, (400.0, 4000.0), 4000.0),
+        (30.0, (0.0, 2005.0), 4010.0),
+    ]
+
+    def test_records_match_the_reference(self):
+        # every case, cold and then warm, for seeds that share each sampling
+        # and for a record without noise
+        simulate._charging_curve.cache_clear()
+        for interval, window, total in self.CASES:
+            for cfg in (SimConfig(seed=0), SimConfig(seed=1, noise_floor=1e3), SimConfig(seed=2, noise_floor=0.0)) * 2:
+                got = simulate_charging_series(cfg, interval, window, total)
+                assert repr(got) == repr(_reference_charging_series(cfg, interval, window, total))
+        info = simulate._charging_curve.cache_info()
+        assert (info.misses, info.hits) == (len(self.CASES), 5 * len(self.CASES))
+
+    def test_curves_are_read_only_and_bounded(self):
+        simulate._charging_curve.cache_clear()
+        for k in range(50):
+            simulate_charging_series(SimConfig(seed=k), 15.0, (400.0, 2400.0), 5000.0 + k)
+        info = simulate._charging_curve.cache_info()
+        assert info.misses == 50
+        assert info.currsize <= info.maxsize == simulate.CURVE_CACHE_SIZE < 50
+        times, curve = simulate._charging_curve(SimConfig.charging, SimConfig.discharge, 15.0, 400.0, 2400.0, 5000.0)
+        assert isinstance(times, tuple) and not curve.flags.writeable
 
 
 class TestPositionScan:

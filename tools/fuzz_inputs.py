@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Mutated input records through the trapkit CLI, in-process.
 
-    python3 tools/fuzz_inputs.py [--cases N] [--first I]
+    python3 tools/fuzz_inputs.py [--cases N] [--first I] [--emit]
 
 Case i simulates a record of one of four kinds (heating, charging,
 position-scan, sideband-scan; seeds 0-2 of ``trapkit simulate``), applies
@@ -23,6 +23,12 @@ the warning filters, so a warning shows in every case that raises it, as
 in a fresh process. The script prints the count of each exit code, by
 record kind, and every case that breaks the contract, and how many break
 it on stderr; it exits 1 if one does.
+
+--emit first prints one line per case: its index, exit code, the sha256 of
+its stdout and the ``error`` kind of its stderr record ("-" for none). All
+cases run in one process, so the diff of these lines under two source trees
+(``PYTHONPATH=<tree>/src``) also shows any output that state kept from one
+case to the next has changed.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ import collections
 import contextlib
 import ctypes
 import functools
+import hashlib
 import io
 import json
 import math
@@ -202,6 +209,11 @@ def _no_constant(name):
 def check(i, workdir):
     """(kind, mutation, argv, exit code, what breaks the contract or None)
     of case i, its input written into workdir."""
+    return run_case(i, workdir)[:5]
+
+
+def run_case(i, workdir):
+    """check(i, workdir), then the case's stdout and stderr."""
     kind, mutation, argv, text = case(i)
     path = Path(workdir) / f"case{i}.csv"
     path.write_text(text, encoding="utf-8")
@@ -209,7 +221,7 @@ def check(i, workdir):
     try:
         code, out, err = run_cli(argv)
     except (Exception, SystemExit) as exc:  # a crash, or an exit outside main's codes, is the finding
-        return kind, mutation, argv, None, "".join(traceback.format_exception_only(type(exc), exc)).strip()
+        return kind, mutation, argv, None, "".join(traceback.format_exception_only(type(exc), exc)).strip(), "", ""
     problem = None
     if code == 0:
         try:
@@ -225,7 +237,15 @@ def check(i, workdir):
             problem = f"{STDERR}exit {code} with stderr {err[:200]!r}, not one JSON line"
     else:
         problem = f"exit code {code}"
-    return kind, mutation, argv, code, problem
+    return kind, mutation, argv, code, problem, out, err
+
+
+def _error_kind(err):
+    """The ``error`` field of a stderr error record, or "-"."""
+    try:
+        return json.loads(err)["error"]
+    except (ValueError, TypeError, KeyError):
+        return "-"
 
 
 def _one_json_line(text):
@@ -240,13 +260,16 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--cases", type=int, default=1200, help="number of cases")
     parser.add_argument("--first", type=int, default=0, help="first case index")
+    parser.add_argument("--emit", action="store_true", help="print each case's exit code, stdout sha256 and error kind")
     args = parser.parse_args(argv)
     codes = collections.Counter()
     by_kind = collections.defaultdict(collections.Counter)
     failures = []
     with tempfile.TemporaryDirectory() as workdir:
         for i in range(args.first, args.first + args.cases):
-            kind, mutation, case_argv, code, problem = check(i, workdir)
+            kind, mutation, case_argv, code, problem, out, err = run_case(i, workdir)
+            if args.emit:
+                print(i, "crash" if code is None else code, hashlib.sha256(out.encode()).hexdigest(), _error_kind(err))
             codes["crash" if code is None else code] += 1
             by_kind[kind]["crash" if code is None else code] += 1
             if problem:
