@@ -2,15 +2,17 @@
 
 Two superimposed exponentials describe the secular-frequency shift while
 light is on (fast negative metal effect, slow positive dielectric effect)
-and again while it discharges. Each window is fitted by
-fitting.variable_projection, given its basis columns and target here, and
-polished from seed pairs of time constants by fitting's
-Levenberg-Marquardt, so these fits load no scipy.optimize. The seeds and
-bounds scale with the window's span, so a fit does not depend on the time
-unit. A time constant the data cannot identify runs to a bound and is
-flagged as sitting at it, and two that meet are flagged as coinciding.
-What a fit needs of its window's sampling alone is kept, read-only, for
-the last SAMPLING_CACHE_SIZE samplings, so a refit pays for its frequencies.
+and again while it discharges. _window alone cuts a window from a series.
+Each window is fitted by fitting.variable_projection, given its basis
+columns and target here, and polished from seed pairs of time constants by
+fitting's Levenberg-Marquardt, so these fits load no scipy.optimize. The
+seeds and bounds scale with the window's span, so a fit does not depend on
+the time unit. A time constant the data cannot identify runs to a bound and
+is flagged as sitting at it, and two that meet are flagged as coinciding.
+What a fit needs of its window's sampling alone, the basis columns' callable
+and the prescreen's seeds and grid columns among it, is built in one place,
+_sampling, and kept, read-only, for the last SAMPLING_CACHE_SIZE samplings,
+so a refit pays for its frequencies.
 """
 
 from __future__ import annotations
@@ -164,23 +166,9 @@ def _window(series: FrequencySeries, t_start, t_end) -> slice:
     return slice(bisect.bisect_left(series.times, t_start), None if t_end is None else bisect.bisect_right(series.times, t_end))
 
 
-def _select(series: FrequencySeries, t_start, t_end):
-    """Times, frequencies and weights (None unweighted) in [t_start, t_end]."""
-    window = _window(series, t_start, t_end)
-    w = None if series.freq_errs is None else 1.0 / np.array(series.freq_errs[window], dtype=float)
-    return np.array(series.times[window], dtype=float), np.array(series.freqs[window], dtype=float), w
-
-
-def _basis(tau, w, kind, fixed):
-    """_columns' inputs, for weights w (None unweighted): -tau and -sign*w as
-    columns, -tau*sign*w, and a fixed-f0 discharge's 1 in -e = (e - 1) + 1."""
-    nsw = (np.ones_like(tau) if w is None else w)[:, None] * ([-1.0, 1.0] if kind == "charging" else [-1.0, -1.0])
-    return -tau[:, None], nsw, tau[:, None] * nsw, 1.0 if kind == "discharge" and fixed else 0.0
-
-
 def _columns(basis, log_T, out):
-    """fitting.variable_projection's columns(log_T, out), given _basis'
-    inputs: sign*(1 - e)*w, e = exp(-tau/T) from expm1, or -e*w."""
+    """fitting.variable_projection's columns(log_T, out), given _sampling's
+    basis: sign*(1 - e)*w, e = exp(-tau/T) from expm1, or -e*w."""
     ntcol, nsw, ntsw, one = basis
     k = [math.exp(-x) for x in log_T]  # 1/T
     em1 = np.expm1(ntcol.dot([k]))  # -tau/T
@@ -188,17 +176,16 @@ def _columns(basis, log_T, out):
     return lambda lin: (em1 + 1.0) * (ntsw * [k[0] * lin[0], k[1] * lin[1]])  # d(B lin)/dlog T
 
 
-def _projector(tau, f, w, kind, fix_f0=None, basis=None):
+def _projector(columns, f, w, kind, fix_f0=None):
     """fitting.variable_projection's (core, resid, jac, costs) for the model
-    of _fit_window, with the basis columns sign*(1 - e)*w, e = exp(-tau/T)
-    from expm1, so exact where T >> tau, or for a discharge at a fixed f0
-    -e*w, from basis, _basis' inputs, built here if not given. A discharge
+    of _fit_window, from _sampling's columns for the window, kind and f0
+    mode: the basis columns sign*(1 - e)*w, e = exp(-tau/T) from expm1, so
+    exact where T >> tau, or for a discharge at a fixed f0 -e*w. A discharge
     at a free f0 solves (1 - e)*w too, and core maps its f0 and Jacobian to
     -e*w. The prescreen's grid, whose costs no column's sign changes, takes
     the first sign throughout."""
-    wv = np.ones_like(tau) if w is None else w
+    wv = np.ones_like(f) if w is None else w
     y = wv * (f if fix_f0 is None else f - fix_f0)
-    columns = functools.partial(_columns, basis or _basis(tau, w, kind, fix_f0 is not None))
     core, resid, jac, costs = variable_projection(columns, y, None if fix_f0 is not None else wv)
     if kind == "charging" or fix_f0 is not None:
         return core, resid, jac, costs
@@ -211,36 +198,34 @@ def _projector(tau, f, w, kind, fix_f0=None, basis=None):
     return level, resid, jac, costs
 
 
-def _seed_pairs(n):
-    """Each (i, j) with i < j < n, read-only: the (Ta, Tb) seed pairs of n time constants."""
-    pairs = np.array(list(itertools.combinations(range(n), 2)), dtype=int).reshape(-1, 2)
-    pairs.flags.writeable = False
-    return pairs
-
-
 @functools.lru_cache(maxsize=SAMPLING_CACHE_SIZE)
 def _sampling(times, errs, t_start, kind, free):
-    """What _fit_window needs of a window's times, errs (None unweighted),
-    t_start, kind and whether f0 is free, read-only: tau, the weights, the
-    log T bounds, _basis, the log T seed grid, its index pairs and their
-    seeds, and the grid's fitting.grid_columns."""
+    """Every fixed input of _fit_window, built here alone from a window's
+    times, errs (None unweighted), t_start, kind and whether f0 is free,
+    read-only: the weights, the log T bounds, _projector's columns, the
+    seeds (log Ta, log Tb), their index pairs into the log T seed grid, and
+    the grid's fitting.grid_columns, the prescreen's X."""
     tau = np.array(times, dtype=float) - t_start
     if tau.size < 8:
         raise ValueError("need at least 8 points for a double-exponential fit")
     w = None if errs is None else 1.0 / np.array(errs, dtype=float)
+    wv = np.ones_like(tau) if w is None else w
     span = float(tau[-1])
     # below the floor exp(-gap/T) < eps: the column is the first sample alone
     floor = math.log(float(tau[1] - tau[0]) / -math.log(np.finfo(float).eps))
     bounds = (floor, math.log(TIME_CONSTANT_CEILING * span))
-    basis = _basis(tau, w, kind, not free)
+    # _columns' basis: -tau and -sign*w as columns, -tau*sign*w, and a
+    # fixed-f0 discharge's 1 in -e = (e - 1) + 1
+    nsw = wv[:, None] * ([-1.0, 1.0] if kind == "charging" else [-1.0, -1.0])
+    basis = (-tau[:, None], nsw, tau[:, None] * nsw, 1.0 if kind == "discharge" and not free else 0.0)
+    columns = functools.partial(_columns, basis)
     grid = np.array([g for g in (math.log(a * span) for a in TIME_CONSTANT_SEED_GRID) if g > floor])
-    pairs = _seed_pairs(grid.size)
+    pairs = np.array(list(itertools.combinations(range(grid.size), 2)), dtype=int).reshape(-1, 2)  # (Ta, Tb), Ta < Tb
     seeds = grid[pairs]
-    f0_column = (np.ones_like(tau) if w is None else w) if free else None
-    X = grid_columns(functools.partial(_columns, basis), grid, tau.size, f0_column)
-    for array in (tau, *basis[:3], grid, seeds, *([] if w is None else [w])):
+    X = grid_columns(columns, grid, tau.size, wv if free else None)
+    for array in (*basis[:3], pairs, seeds, *([] if w is None else [w])):
         array.flags.writeable = False
-    return tau, w, bounds, basis, grid, pairs, seeds, X
+    return w, bounds, columns, seeds, pairs, X
 
 
 @np.errstate(all="ignore")  # an extreme record's overflow ends in a non-finite value the fit checks
@@ -278,10 +263,10 @@ def _fit_window(series, t_start, t_end, f0_mode, kind, names):
             raise ValueError(f"no points before t = {dark} s to fix the baseline f0 from")
         fix_f0 = float(np.mean(before))
     errs = None if series.freq_errs is None else tuple(series.freq_errs[window])
-    tau, w, bounds, basis, grid, pairs, seeds, X = _sampling(tuple(series.times[window]), errs, t_start, kind, fix_f0 is None)
-    core, resid_fn, jac, costs = _projector(tau, f, w, kind, fix_f0, basis)
+    w, bounds, columns, seeds, pairs, X = _sampling(tuple(series.times[window]), errs, t_start, kind, fix_f0 is None)
+    core, resid_fn, jac, costs = _projector(columns, f, w, kind, fix_f0)
     try:
-        res = multistart_least_squares(resid_fn, seeds, bounds=bounds, jac=jac, costs=functools.partial(costs, grid, pairs, X))
+        res = multistart_least_squares(resid_fn, seeds, bounds=bounds, jac=jac, costs=costs(pairs, X))
     except FitConvergenceError:  # a window whose numbers overflow the fit is out of range, not unconverged
         wf = f if w is None else f * w
         for quantity, value in (("time span x 1000", bounds[1]), ("sum of its squared weighted frequencies", wf @ wf)):
@@ -297,7 +282,7 @@ def _fit_window(series, t_start, t_end, f0_mode, kind, names):
     values = {name_a: dfa, name_b: dfb, name_Ta: Ta, name_Tb: Tb, "f0": lin[-1] if fix_f0 is None else fix_f0}
     G = np.diag([1.0, 1.0, Ta, Tb, 1.0])[:, : J.shape[1]]  # the fit searches log T; a fixed f0 has no column
     extras = {"f0_fixed": 0.0 if f0_mode == "fit" else 1.0, f"t_{CHARGING_WINDOWS[kind][0]}": t_start}
-    report, cov = fit_report(f"{kind}-double-exponential", values, G, J, resid, tau.size, w is not None, res.status, extras)
+    report, cov = fit_report(f"{kind}-double-exponential", values, G, J, resid, f.size, w is not None, res.status, extras)
     errs, flags = report.param_errs, report.flags
     if abs(dfa) <= errs[name_a] and abs(dfb) <= errs[name_b]:
         flags.append("amplitudes-consistent-with-zero")
@@ -406,10 +391,11 @@ def settled_stability(
     predict maps times (s) to model frequencies (Hz). Flags non-normal
     residuals (e.g. leftover drift) via a D'Agostino-Pearson test.
     """
-    t, f, _ = _select(series, window[0], window[1])
+    cut = _window(series, window[0], window[1])
+    t = np.array(series.times[cut], dtype=float)
     if t.size < 3:
         raise ValueError("settled window contains fewer than 3 points")
-    resid = f - np.asarray(predict(t), dtype=float)
+    resid = np.array(series.freqs[cut], dtype=float) - np.asarray(predict(t), dtype=float)
     sigma = float(np.std(resid, ddof=1))
     flags = []
     p_norm = float("nan")

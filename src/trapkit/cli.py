@@ -224,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate-err", type=float, default=0.0)
     p.add_argument("--species", default="Yb-171")
     p.add_argument("--freq", type=float, required=True, help="axial secular frequency, Hz")
-    p.add_argument("--distance", type=float, default=20.0, help="ion-surface distance, um")
     p.add_argument("--ref-species", default="Ca-40")
     p.add_argument("--ref-freq", type=float, default=1e6, help="Hz")
     p.set_defaults(func=cmd_direct)

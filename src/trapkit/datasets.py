@@ -212,7 +212,7 @@ def load_config(path):
     if path is None:
         return dict(SPECIES_TABLE)
     try:
-        cfg = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+        cfg = json.loads(Path(path).read_text(encoding="utf-8-sig"), parse_int=float)  # an integer beyond a float's range is inf
     except json.JSONDecodeError as exc:
         raise DatasetError(f"config parse failure: {exc}") from None
     species = cfg.get("species", {}) if isinstance(cfg, dict) else None
@@ -222,7 +222,11 @@ def load_config(path):
     for name, entry in species.items():
         if not isinstance(entry, dict) or "mass_u" not in entry:
             raise DatasetError(f"config {path}: species {name!r} needs an object with a 'mass_u' entry")
-        table[name] = IonSpecies(name, float(entry["mass_u"]) * ATOMIC_MASS_KG, float(entry.get("charge_e", 1)) * ELEMENTARY_CHARGE)
+        mass, charge = entry["mass_u"], entry.get("charge_e", 1.0)
+        for key, value in (("mass_u", mass), ("charge_e", charge)):
+            if not isinstance(value, float):  # every JSON number parses as one; true, null, text, lists and objects do not
+                raise DatasetError(f"config {path}: species {name!r}: its {key!r} entry must be a number, not {json.dumps(value)}")
+        table[name] = IonSpecies(name, mass * ATOMIC_MASS_KG, charge * ELEMENTARY_CHARGE)
     return table
 
 

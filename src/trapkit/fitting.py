@@ -267,11 +267,10 @@ def multistart_least_squares(residual_fn, seeds, jac, bounds=(-np.inf, np.inf), 
 
     seeds: an (s, p) array of parameter vectors, or what np.asarray makes
     one of. The seeds are prescreened by initial cost |residual_fn(seed)|^2,
-    one call per seed, or, if costs is given, by costs(), with no arguments,
-    which returns them for all seeds at once, in order (the charging fits'
-    one matrix product over their seed grid), and ranked by one stable
-    argsort. The best MAX_POLISHED are polished, in order of initial cost,
-    by least_squares with the Jacobian jac and the bounds; the number of
+    one call per seed, or given as costs, an array in seed order (the
+    charging fits' variable_projection costs, one matrix product over their
+    seed grid), and ranked by one stable argsort. The best MAX_POLISHED are
+    polished, in order of initial cost, by least_squares with the Jacobian jac and the bounds; the number of
     parameters picks the solver. Polishing stops as soon as a polished cost
     is within AGREE_RTOL (relative) of the best cost so far. Raises
     FitConvergenceError (with the best cost and every polished start's
@@ -280,7 +279,7 @@ def multistart_least_squares(residual_fn, seeds, jac, bounds=(-np.inf, np.inf), 
     seeds = np.asarray(seeds, dtype=float)
     if not len(seeds):
         raise ValueError("at least one seed is required")
-    initial = np.array([r @ r for r in map(residual_fn, seeds)]) if costs is None else costs()
+    initial = np.array([r @ r for r in map(residual_fn, seeds)] if costs is None else costs, dtype=float)
     initial[~np.isfinite(initial)] = np.inf
     order = np.argsort(initial, kind="stable")[:MAX_POLISHED]
     best = None
@@ -324,9 +323,9 @@ def variable_projection(columns, y, w=None):
     G^-1, or where the columns coincide from G's pseudo-inverse G/tr(G)^2,
     lstsq's minimum-norm split. jac forms Kaufman's Jacobian D - P D (BIT
     15, 49 (1975)) from the same solve, cached by log T as floats; J^T J
-    from Gram products could go negative. costs(grid, pairs, X=None) gives
-    |resid|^2 at (grid[i], grid[j]) for each row (i, j) of pairs from one
-    Gram matrix of X, grid_columns(columns, grid, y.size, w) if not given,
+    from Gram products could go negative. costs(pairs, X) gives |resid|^2
+    at (grid[i], grid[j]) for each row (i, j) of pairs from one Gram matrix
+    of X, grid_columns(columns, grid, y.size, w) built once by the caller,
     and y less its part along w, reduced as solve reduces G; where two
     columns coincide, the second is dropped."""
     free = w is not None
@@ -362,8 +361,8 @@ def variable_projection(columns, y, w=None):
         inv = np.array((i00, i01, -u0, i01, i11, -u1, -u0, -u1, 1.0 / ww + q0 * u0 + q1 * u1)).reshape(3, 3)
         return D - design @ (inv @ (design.T @ D))
 
-    def costs(grid, pairs, X=None):
-        X = np.column_stack([grid_columns(columns, grid, y.size, A[:, 2] if free else None) if X is None else X, A[:, 3]])
+    def costs(pairs, X):
+        X = np.column_stack([X, A[:, 3]])
         G = X.T @ X
         a, b = pairs.T
         ya, gab, gaa = G[a, -1], G[a, b], G[a, a]
@@ -374,12 +373,15 @@ def variable_projection(columns, y, w=None):
     return core, lambda log_T: solve(tuple(log_T.tolist()))[1], jac, costs
 
 
-def grid_columns(columns, grid, n, w=None):
+def grid_columns(columns, grid, n, w):
     """variable_projection's basis columns over n samples at each log T of grid,
-    read-only, with w, a free f0's column, projected out: its costs' X."""
+    read-only, with w, a free f0's column, projected out twice: one pass
+    leaves a part along w that the costs of near-parallel columns carry up
+    to ~1e-9 (relative), and a second takes it out (Giraud et al., Numer.
+    Math. 101, 87 (2005)). Its costs' X."""
     X = np.empty((n, grid.size))
     columns(grid, X)
-    if w is not None:
+    for _ in range(2 if w is not None else 0):
         X -= w[:, None] @ (w @ X)[None, :] / (float(w @ w) or 1.0)
     X.flags.writeable = False
     return X

@@ -164,14 +164,15 @@ def normalize_rate(
     return result.ndot * m_ratio * f_ratio * f_ratio
 
 
-def normalization_report(rate, rate_err, species, freq, distance, ref_species, ref_freq, config=None) -> FitReport:
+def normalization_report(rate, rate_err, species, freq, ref_species, ref_freq, config=None) -> FitReport:
     """The 'rate-normalization' report of a rate +- rate_err (quanta/s) of
-    species at axial freq (Hz), distance (um) from the surface: the rate at
-    ref_species and ref_freq (Hz), and S_E; config is load_config's path."""
+    species at axial freq (Hz): the rate at ref_species and ref_freq (Hz),
+    and S_E; config is load_config's path."""
     if config is not None:  # only a config file needs the dataset reader
         from .datasets import load_config
     table = None if config is None else load_config(config)
-    ctx = make_trap_context(species, TWO_PI * freq, TWO_PI * freq, distance * 1e-6, species_table=table)
+    # neither conversion reads the ion-surface distance; the context takes 20 um
+    ctx = make_trap_context(species, TWO_PI * freq, TWO_PI * freq, 20e-6, species_table=table)
     result = HeatingRateResult(ndot=rate, ndot_err=rate_err, intercept=0.0)
     ref = get_species(ref_species, table)
 

@@ -133,21 +133,21 @@ class TestChargingFit:
     ])
     def test_window_is_the_samples_between_its_edges(self, t_start, t_end):
         # the window is cut by bisection; it holds the samples a mask on
-        # t_start <= t <= t_end would, weights included
+        # t_start <= t <= t_end would, errors included
         series = criterion7_series(3)[0]
-        t, f, w = charging._select(series, t_start, t_end)
+        window = charging._window(series, t_start, t_end)
         times = np.array(series.times)
         mask = (times >= t_start) & (times <= (math.inf if t_end is None else t_end))
-        np.testing.assert_array_equal(t, times[mask])
-        np.testing.assert_array_equal(f, np.array(series.freqs)[mask])
-        np.testing.assert_array_equal(w, 1.0 / np.array(series.freq_errs)[mask])
+        np.testing.assert_array_equal(np.array(series.times[window], dtype=float), times[mask])
+        np.testing.assert_array_equal(np.array(series.freqs[window], dtype=float), np.array(series.freqs)[mask])
+        np.testing.assert_array_equal(np.array(series.freq_errs[window], dtype=float), np.array(series.freq_errs)[mask])
 
     @pytest.mark.parametrize("t_start, t_end", [(math.nan, None), (math.inf, None), (-math.inf, 2400.0), (400.0, math.nan)])
     def test_window_that_is_not_a_span_of_time(self, t_start, t_end):
         # a bisection at NaN would take the whole record, and times since a
         # start of -inf are all infinite
         with pytest.raises(ValueError, match="a window must start at a finite time and end at a number"):
-            charging._select(criterion7_series(3)[0], t_start, t_end)
+            charging._window(criterion7_series(3)[0], t_start, t_end)
 
     def test_noiseless_closed_loop(self):
         t = np.arange(400.0, 2400.0, 15.0)
@@ -309,7 +309,7 @@ class TestDischargeFit:
         multistart, lm = charging.multistart_least_squares, fitting.least_squares
 
         def recorded(fun, seeds, **kwargs):
-            given.append((seeds, kwargs["bounds"], kwargs["costs"](), [float(r @ r) for r in map(fun, seeds)]))
+            given.append((seeds, kwargs["bounds"], kwargs["costs"], [float(r @ r) for r in map(fun, seeds)]))
             return multistart(fun, seeds, **kwargs)
 
         def polish(fun, x0, **kwargs):
@@ -361,6 +361,15 @@ def test_fits_do_not_depend_on_the_time_unit(k):
             assert abs(got.params[name] / unit - value) <= 1e-3 * want.param_errs[name], name
 
 
+def _projected(tau, f, err, kind, fix_f0=None):
+    """charging._projector and the sampling of samples at tau since a
+    window's start, each of error err (None unweighted), built as
+    _fit_window builds them, through charging._sampling."""
+    errs = None if err is None else (err,) * tau.size
+    entry = charging._sampling(tuple(tau.tolist()), errs, 0.0, kind, fix_f0 is None)
+    return charging._projector(entry[2], f, entry[0], kind, fix_f0), entry
+
+
 class TestProjection:
     """charging._projector's linear solve, its Jacobian and cache, and the
     multistart stop rule."""
@@ -381,7 +390,7 @@ class TestProjection:
             f = f0 + dfa * (1 - np.exp(-tau / Ta)) - dfb * (1 - np.exp(-tau / Tb))
         else:
             f = f0 - dfa * np.exp(-tau / Ta) - dfb * np.exp(-tau / Tb)
-        core, resid_fn, jac, _ = charging._projector(tau, f, np.full(tau.size, 1e-3), kind, fix_f0)
+        (core, resid_fn, jac, _), _ = _projected(tau, f, 1e3, kind, fix_f0)
         log_T = np.log([Ta, Tb])
         lin, resid = core(log_T)[:2]
         assert lin[0] == pytest.approx(dfa, rel=1e-9)
@@ -401,8 +410,8 @@ class TestProjection:
         # give the minimum-norm split, |dfa| = |dfb|
         tau = np.arange(0.0, 4500.0, 15.0)
         f = 5.329e6 + 1e5 * (1 - np.exp(-tau / 300.0)) + np.random.default_rng(5).normal(0, 1e3, tau.size)
-        w = np.full(tau.size, 1e-3)
-        core, resid_fn, _, _ = charging._projector(tau, f, w, kind)
+        (core, resid_fn, _, _), (w, *_) = _projected(tau, f, 1e3, kind)
+        np.testing.assert_array_equal(w, np.full(tau.size, 1e-3))
         log_T = np.log([21.0, Tb])
         lin, resid = core(log_T)[:2]
         e = np.exp(-tau[:, None] / np.array([21.0, Tb]))
@@ -427,7 +436,7 @@ class TestProjection:
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(a) or svd(*a, **k))
         tau = np.arange(0.0, 4500.0, 15.0)
         f = 5.329e6 + 151e3 * (1 - np.exp(-tau / 21.0)) - 50e3 * (1 - np.exp(-tau / 900.0))
-        _, resid_fn, jac, _ = charging._projector(tau, f, None, "charging")
+        (_, resid_fn, jac, _), _ = _projected(tau, f, None, "charging")
         with monkeypatch.context() as m:
             for name in ("exp", "expm1"):
                 m.setattr(np, name, lambda *a, f=getattr(np, name), **k: exps.append(a) or f(*a, **k))
@@ -455,33 +464,32 @@ class TestProjection:
         tau = np.arange(0.0, 2.5 * Tb, 15.0)
         rng = np.random.default_rng(4)
         f = f0 + dfa * (1 - np.exp(-tau / Ta)) + rng.normal(0, 1e3, tau.size)
-        _, resid_fn, _, costs = charging._projector(tau, f, np.full(tau.size, 1e-3), kind, fix_f0)
+        (_, resid_fn, _, costs), (w, _, columns, *_) = _projected(tau, f, 1e3, kind, fix_f0)
         grid = np.log([1.0, 10.0, Ta, 50.0, 0.1 * Tb, Tb, 3 * Tb, 5e4])
         pairs = np.array([[0, 1], [2, 5], [4, 6], [3, 7], [2, 2]])
         want = [float(r @ r) for r in map(resid_fn, grid[pairs])]
-        got = costs(grid, pairs)
+        got = costs(pairs, fitting.grid_columns(columns, grid, tau.size, w if fix_f0 is None else None))
         np.testing.assert_array_equal(np.argsort(got), np.argsort(want))
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
     def test_no_svd_in_the_prescreen(self, monkeypatch):
         # the multistart's prescreen ranks all 78 seed pairs of a criterion-7
-        # window from one matrix product of the basis columns, without an SVD
+        # window from one matrix product of the basis columns, without an SVD:
+        # none is made from the fit's start, its sampling built cold, to the
+        # multistart, which gets the 78 costs
         svd, calls, ranked = np.linalg.svd, [], []
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a) or svd(*a, **k))
         multistart = charging.multistart_least_squares
 
         def recorded(fun, seeds, costs, **kwargs):
-            def counted():
-                before = len(calls)
-                out = costs()
-                ranked.append((len(out), len(calls) - before))
-                return out
-
-            return multistart(fun, seeds, costs=counted, **kwargs)
+            ranked.append((len(costs), len(calls)))
+            return multistart(fun, seeds, costs=costs, **kwargs)
 
         monkeypatch.setattr(charging, "multistart_least_squares", recorded)
         series, sub = criterion7_series(0)
+        charging._sampling.cache_clear()
         fit_charging(series, 400.0, t_end=2400.0, f0_mode="baseline")
+        calls.clear()
         fit_discharge(sub, 2400.0)
         assert ranked == [(78, 0), (78, 0)]
 
@@ -643,9 +651,11 @@ def _reference_projector(tau, f, w, kind, fix_f0=None):
 
 
 def _criterion7_windows(seed):
-    """Yields (tau, f, w, kind, fix_f0) of criterion 7's charging window at the
-    baseline and at a free f0, and of its discharge window at a free f0,
-    as the criterion fits it, and at the baseline."""
+    """Yields (tau, sampling, f, kind, fix_f0) of criterion 7's charging
+    window at the baseline and at a free f0, and of its discharge window at
+    a free f0, as the criterion fits it, and at the baseline: the window cut
+    by charging._window and its charging._sampling, as _fit_window builds
+    them."""
     series, sub = criterion7_series(seed)
     baseline = float(np.mean(series.freqs[: bisect.bisect_left(series.times, 400.0)]))
     for s, t_start, t_end, kind, fix_f0 in (
@@ -654,8 +664,9 @@ def _criterion7_windows(seed):
         (sub, 2400.0, None, "discharge", None),
         (series, 2400.0, None, "discharge", baseline),
     ):
-        t, f, w = charging._select(s, t_start, t_end)
-        yield t - t_start, f, w, kind, fix_f0
+        window = charging._window(s, t_start, t_end)
+        sampling = charging._sampling(s.times[window], s.freq_errs[window], t_start, kind, fix_f0 is None)
+        yield np.array(s.times[window]) - t_start, sampling, np.array(s.freqs[window], dtype=float), kind, fix_f0
 
 
 def test_projector_matches_the_reference():
@@ -670,14 +681,14 @@ def test_projector_matches_the_reference():
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
     for seed in range(20):
-        for tau, f, w, kind, fix_f0 in _criterion7_windows(seed):
-            new, ref = charging._projector(tau, f, w, kind, fix_f0), _reference_projector(tau, f, w, kind, fix_f0)
-            grid = np.log(np.array(charging.TIME_CONSTANT_SEED_GRID) * tau[-1])
-            pairs = charging._seed_pairs(grid.size)
-            got, want = new[3](grid, pairs), ref[3](grid, pairs)
+        for tau, (w, _, columns, seeds, pairs, X), f, kind, fix_f0 in _criterion7_windows(seed):
+            new, ref = charging._projector(columns, f, w, kind, fix_f0), _reference_projector(tau, f, w, kind, fix_f0)
+            grid = np.empty(len(charging.TIME_CONSTANT_SEED_GRID))  # every seed lies above these windows' floors
+            grid[pairs] = seeds
+            got, want = new[3](pairs, X), ref[3](grid, pairs)
             np.testing.assert_allclose(got, want, rtol=1e-11, atol=0)
             np.testing.assert_array_equal(np.argsort(got, kind="stable"), np.argsort(want, kind="stable"))
-            for log_T in (*grid[pairs[::6]], grid[[4, 4]]):
+            for log_T in (*seeds[::6], grid[[4, 4]]):
                 (lin, resid, J), (want_lin, want_resid, want_J) = new[0](log_T), ref[0](log_T)
                 close(resid, want_resid)
                 np.testing.assert_allclose(lin, want_lin, rtol=1e-12, atol=0)
@@ -686,11 +697,14 @@ def test_projector_matches_the_reference():
                 np.testing.assert_array_equal(new[1](log_T), resid)
 
 
-def _four_window_fits(seed):
+def _four_window_fits(seed, weighted=True):
     """The fits of criterion 7's charging window at the baseline and at a
     free f0, and of its discharge window at a free f0, as the criterion
-    fits it, and at the baseline, each as a callable."""
+    fits it, and at the baseline, each as a callable; unweighted, the
+    records drop their frequency errors."""
     series, sub = criterion7_series(seed)
+    if not weighted:
+        series, sub = (dataclasses.replace(s, freq_errs=None) for s in (series, sub))
     return (
         functools.partial(fit_charging, series, 400.0, t_end=2400.0, f0_mode="baseline"),
         functools.partial(fit_charging, series, 400.0, t_end=2400.0, f0_mode="fit"),
@@ -708,16 +722,25 @@ class TestSamplingCache:
     """charging._sampling: the fit set-up a window's sampling alone fixes,
     kept for the last SAMPLING_CACHE_SIZE samplings."""
 
-    def test_warm_fit_equals_a_cold_one(self):
-        # criterion 7's four window types, seeds 0-19: a fit that reuses the
-        # set-up gives the cold fit's parameters and report to the bit
+    @staticmethod
+    def warm_equals_cold(weighted):
         for seed in range(20):
-            for fit in _four_window_fits(seed):
+            for fit in _four_window_fits(seed, weighted):
                 charging._sampling.cache_clear()
                 cold = fit()
                 hits = charging._sampling.cache_info().hits
                 _same_fit(fit(), cold)
                 assert charging._sampling.cache_info().hits == hits + 1
+
+    def test_warm_fit_equals_a_cold_one(self):
+        # criterion 7's four window types, seeds 0-19: a fit that reuses the
+        # set-up gives the cold fit's parameters and report to the bit
+        self.warm_equals_cold(weighted=True)
+
+    def test_warm_unweighted_fit_equals_a_cold_one(self):
+        # the same on the records without their frequency errors, whose
+        # sampling holds no weights and whose f0 column is all ones
+        self.warm_equals_cold(weighted=False)
 
     def test_a_sampling_is_its_times_errors_start_and_f0(self):
         # records that share times but not errors, or both but not the
@@ -754,9 +777,11 @@ class TestSamplingCache:
                 item = todo.pop()
                 if isinstance(item, tuple):
                     todo.extend(item)
+                elif isinstance(item, functools.partial):  # the columns callable and the basis it holds
+                    todo.extend((item.func, *item.args, *item.keywords.values()))
                 elif isinstance(item, np.ndarray):
                     arrays.append(item)
-            assert len(arrays) == 9  # tau, w, three basis inputs, grid, pairs, seeds, the grid columns
+            assert len(arrays) == 7  # w, the columns' three basis inputs, seeds, pairs, the grid columns
             assert not any(a.flags.writeable for a in arrays)
 
     def test_entries_are_bounded(self):

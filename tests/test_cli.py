@@ -210,8 +210,7 @@ class TestFitRecord:
 
 # normalize's flags by dest name: their defaults, and --rate 780 --rate-err 50 --freq 5.329e6
 NORMALIZE_FLAGS = {
-    "rate": 780.0, "rate_err": 50.0, "species": "Yb-171", "freq": 5.329e6, "distance": 20.0,
-    "ref_species": "Ca-40", "ref_freq": 1e6,
+    "rate": 780.0, "rate_err": 50.0, "species": "Yb-171", "freq": 5.329e6, "ref_species": "Ca-40", "ref_freq": 1e6,
 }
 
 
@@ -430,6 +429,22 @@ class TestExitCodes:
         assert json.loads(err)["error"] == "validation"
         assert "cfg.json" in json.loads(err)["detail"]
 
+    @pytest.mark.parametrize("key", ["mass_u", "charge_e"])
+    @pytest.mark.parametrize("value", [[137.9], None, {"u": 137.9}], ids=["list", "null", "object"])
+    def test_config_entry_that_is_not_a_number(self, tmp_path, capsys, key, value):
+        # a species whose mass or charge is not a JSON number is refused by
+        # name, not converted with a traceback
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"species": {"Ba-138": {"mass_u": 137.905, "charge_e": 1, key: value}}}))
+        code, out, err = run(
+            capsys, "normalize", "--rate", "100", "--freq", "1e6", "--species", "Ba-138", "--config", str(cfg),
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "validation",
+            "detail": f"config {cfg}: species 'Ba-138': its {key!r} entry must be a number, not {json.dumps(value)}",
+        }
+
     @pytest.mark.parametrize("command, flag", [("fit-charging", "--t-on"), ("fit-discharge", "--t-off")])
     def test_no_edge_flag_and_no_light_on_metadata(self, tmp_path, capsys, command, flag):
         # with neither, the command has no window to fit and names the flag that sets one
@@ -634,12 +649,14 @@ class TestExitCodes:
         ["beam-profile", "--input", "p.csv", "--seed", "3"],
         ["thermometry", "--p-red", "0.075", "--p-blue", "0.75", "--seed", "3"],
         ["normalize", "--rate", "780", "--freq", "5.329e6", "--seed", "3"],
+        ["normalize", "--rate", "780", "--freq", "5.329e6", "--distance", "5"],
     ], ids=[
         "simulate", "thermometry", "fit-heating", "report",
         "simulate-position", "simulate-charging", "simulate-heating", "simulate-sideband",
         "fit-charging", "fit-discharge",
         *(f"{command}-seed" for command in ("fit-heating", "fit-charging", "fit-discharge", "beam-profile",
                                             "thermometry", "normalize")),
+        "normalize-distance",  # no report reads the ion-surface distance
     ])
     def test_flag_the_subcommand_does_not_read(self, tmp_path, capsys, monkeypatch, argv):
         # each subcommand, and each simulated kind, takes only the flags it reads

@@ -282,8 +282,9 @@ class TestLevenbergMarquardt:
         # across the ridge vanishes, so the polish stays on the ridge. It
         # ends by MINPACK's ftol, never by the decrement test
         sub = criterion7_series(2)[1]
-        tau = np.asarray(sub.times) - 2400.0
-        _, resid, jac, _ = charging._projector(tau, np.asarray(sub.freqs), 1 / np.asarray(sub.freq_errs), "discharge")
+        window = charging._window(sub, 2400.0, None)
+        w, _, columns, *_ = charging._sampling(sub.times[window], sub.freq_errs[window], 2400.0, "discharge", True)
+        _, resid, jac, _ = charging._projector(columns, np.array(sub.freqs[window], dtype=float), w, "discharge")
         res = least_squares(resid, np.log([300.0, 300.0]), jac=jac, bounds=(0.0, math.log(2.6e6)))
         assert res.x[0] == res.x[1]
         assert (res.status, res.decrement) == (2, False)
