@@ -15,7 +15,7 @@ import numpy as np
 
 from .datasets import check_series, to_position_scan
 from .fitting import fit_report, multistart_least_squares
-from .reports import FitReport
+from .reports import FitConvergenceError, FitReport
 from .units import BEAM_MODES
 
 DEFAULT_BEAMLET_WAIST = 0.9e-6  # m, sub-micron beamlets
@@ -185,7 +185,9 @@ def fit_profile(
     Jacobian. Two beamlets are fitted with the second's complex amplitude
     a + ib, whose argument and modulus are the reported phase and
     amplitude ratio. Reports peak positions, separation, and dip depth of the
-    fitted profile.
+    fitted profile. A fit that fails where the scan's weighted Rabi
+    frequencies overflow, or its span's square underflows, raises
+    ValueError, not FitConvergenceError.
     """
     if mode not in BEAM_MODES:
         raise ValueError(f"mode must be one of {BEAM_MODES}")
@@ -264,7 +266,15 @@ def fit_profile(
         ])[:, cols]
         return jac * w_rows[:, None] if w is not None else jac
 
-    res = multistart_least_squares(residuals, seeds, jac=jacobian)
+    try:
+        res = multistart_least_squares(residuals, seeds, jac=jacobian)
+    except FitConvergenceError:  # a scan whose numbers leave a float's range is out of range, not unconverged
+        wr = r if w is None else r * w
+        if not math.isfinite(wr @ wr):
+            raise ValueError("the position scan: the sum of its squared weighted Rabi frequencies overflows") from None
+        if span * span == 0:
+            raise ValueError(f"the position scan: the square of its positions' span, {span:g} m, underflows") from None
+        raise
     full, model, scale = _unpack(res.x, mode)
 
     # the reported parameters' derivatives in the fitted ones: the fit

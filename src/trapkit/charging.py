@@ -7,8 +7,11 @@ Each window is fitted by fitting.variable_projection, given its basis
 columns and target here, and polished from seed pairs of time constants by
 fitting's Levenberg-Marquardt, so these fits load no scipy.optimize. The
 seeds and bounds scale with the window's span, so a fit does not depend on
-the time unit. A time constant the data cannot identify runs to a bound and
-is flagged as sitting at it, and two that meet are flagged as coinciding.
+the time unit. The multistart polishes one start per basin of the seed
+grid: once a start has converged, a seed pair with a grid neighbour of
+lower prescreen cost is skipped. A time constant the data cannot identify
+runs to a bound and is flagged as sitting at it, and two that meet are
+flagged as coinciding.
 What a fit needs of its window's sampling alone, the basis columns' callable
 and the prescreen's seeds and grid columns among it, is built in one place,
 _sampling, and kept, read-only, for the last SAMPLING_CACHE_SIZE samplings,
@@ -203,8 +206,9 @@ def _sampling(times, errs, t_start, kind, free):
     """Every fixed input of _fit_window, built here alone from a window's
     times, errs (None unweighted), t_start, kind and whether f0 is free,
     read-only: the weights, the log T bounds, _projector's columns, the
-    seeds (log Ta, log Tb), their index pairs into the log T seed grid, and
-    the grid's fitting.grid_columns, the prescreen's X."""
+    seeds (log Ta, log Tb), their index pairs into the log T seed grid, the
+    grid's fitting.grid_columns, the prescreen's X, and each seed's
+    neighbours, the seeds one grid step away in Ta, Tb or both."""
     tau = np.array(times, dtype=float) - t_start
     if tau.size < 8:
         raise ValueError("need at least 8 points for a double-exponential fit")
@@ -222,10 +226,13 @@ def _sampling(times, errs, t_start, kind, free):
     grid = np.array([g for g in (math.log(a * span) for a in TIME_CONSTANT_SEED_GRID) if g > floor])
     pairs = np.array(list(itertools.combinations(range(grid.size), 2)), dtype=int).reshape(-1, 2)  # (Ta, Tb), Ta < Tb
     seeds = grid[pairs]
+    index = {pair: k for k, pair in enumerate(map(tuple, pairs.tolist()))}
+    steps = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if di or dj]
+    neighbours = tuple(tuple(index[n] for n in ((i + di, j + dj) for di, dj in steps) if n in index) for i, j in index)
     X = grid_columns(columns, grid, tau.size, wv if free else None)
     for array in (*basis[:3], pairs, seeds, *([] if w is None else [w])):
         array.flags.writeable = False
-    return w, bounds, columns, seeds, pairs, X
+    return w, bounds, columns, seeds, pairs, X, neighbours
 
 
 @np.errstate(all="ignore")  # an extreme record's overflow ends in a non-finite value the fit checks
@@ -263,10 +270,10 @@ def _fit_window(series, t_start, t_end, f0_mode, kind, names):
             raise ValueError(f"no points before t = {dark} s to fix the baseline f0 from")
         fix_f0 = float(np.mean(before))
     errs = None if series.freq_errs is None else tuple(series.freq_errs[window])
-    w, bounds, columns, seeds, pairs, X = _sampling(tuple(series.times[window]), errs, t_start, kind, fix_f0 is None)
+    w, bounds, columns, seeds, pairs, X, neighbours = _sampling(tuple(series.times[window]), errs, t_start, kind, fix_f0 is None)
     core, resid_fn, jac, costs = _projector(columns, f, w, kind, fix_f0)
     try:
-        res = multistart_least_squares(resid_fn, seeds, bounds=bounds, jac=jac, costs=costs(pairs, X))
+        res = multistart_least_squares(resid_fn, seeds, bounds=bounds, jac=jac, costs=costs(pairs, X), neighbours=neighbours)
     except FitConvergenceError:  # a window whose numbers overflow the fit is out of range, not unconverged
         wf = f if w is None else f * w
         for quantity, value in (("time span x 1000", bounds[1]), ("sum of its squared weighted frequencies", wf @ wf)):

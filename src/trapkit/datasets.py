@@ -222,6 +222,9 @@ def load_config(path):
     for name, entry in species.items():
         if not isinstance(entry, dict) or "mass_u" not in entry:
             raise DatasetError(f"config {path}: species {name!r} needs an object with a 'mass_u' entry")
+        unknown = [key for key in entry if key not in ("mass_u", "charge_e")]  # a misspelt charge would run at charge 1
+        if unknown:
+            raise DatasetError(f"config {path}: species {name!r}: unknown entry {unknown[0]!r}; expected 'mass_u' and 'charge_e'")
         mass, charge = entry["mass_u"], entry.get("charge_e", 1.0)
         for key, value in (("mass_u", mass), ("charge_e", charge)):
             if not isinstance(value, float):  # every JSON number parses as one; true, null, text, lists and objects do not

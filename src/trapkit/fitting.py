@@ -24,7 +24,11 @@ from .reports import FitConvergenceError, FitReport
 WEAK_IDENTIFIABILITY_THRESHOLD = 0.15
 
 # Every multistart polishes at most this many seeds, the best by initial
-# cost, and stops once two polished costs agree within AGREE_RTOL (relative)
+# cost, and stops once two polished costs agree within AGREE_RTOL (relative).
+# Given each seed's neighbours, it runs one polish per basin of the sample
+# (Rinnooy Kan & Timmer, Math. Programming 39, 57 (1987)): once a start has
+# converged, a seed with a lower-cost neighbour lies in that neighbour's
+# basin and is skipped
 MAX_POLISHED = 3
 AGREE_RTOL = 1e-9
 
@@ -262,7 +266,7 @@ def _more_step(ur, s, Vt, m, radius, alpha):
     return h * (radius / np.linalg.norm(h)), alpha
 
 
-def multistart_least_squares(residual_fn, seeds, jac, bounds=(-np.inf, np.inf), costs=None):
+def multistart_least_squares(residual_fn, seeds, jac, bounds=(-np.inf, np.inf), costs=None, neighbours=None):
     """Polish the best few of several seeds by least squares; keep the best.
 
     seeds: an (s, p) array of parameter vectors, or what np.asarray makes
@@ -270,9 +274,14 @@ def multistart_least_squares(residual_fn, seeds, jac, bounds=(-np.inf, np.inf), 
     one call per seed, or given as costs, an array in seed order (the
     charging fits' variable_projection costs, one matrix product over their
     seed grid), and ranked by one stable argsort. The best MAX_POLISHED are
-    polished, in order of initial cost, by least_squares with the Jacobian jac and the bounds; the number of
-    parameters picks the solver. Polishing stops as soon as a polished cost
-    is within AGREE_RTOL (relative) of the best cost so far. Raises
+    polished, in order of initial cost, by least_squares with the Jacobian
+    jac and the bounds; the number of parameters picks the solver.
+    neighbours, if given, holds for each seed the indices of its
+    neighbouring seeds: once a polished start has converged (returned a
+    finite x), a seed that has a neighbour of lower initial cost lies in
+    that neighbour's basin and is not polished, while a seed with none, a
+    second basin, still is. Polishing stops as soon as a polished cost is
+    within AGREE_RTOL (relative) of the best cost so far. Raises
     FitConvergenceError (with the best cost and every polished start's
     outcome attached) if nothing converges.
     """
@@ -284,7 +293,9 @@ def multistart_least_squares(residual_fn, seeds, jac, bounds=(-np.inf, np.inf), 
     order = np.argsort(initial, kind="stable")[:MAX_POLISHED]
     best = None
     starts = []
-    for c, s in zip(initial[order].tolist(), seeds[order]):
+    for i, c, s in zip(order.tolist(), initial[order].tolist(), seeds[order]):
+        if best is not None and neighbours is not None and any(initial[j] < c for j in neighbours[i]):
+            continue  # in a lower neighbour's basin
         try:
             res = least_squares(residual_fn, s, jac=jac, bounds=bounds)
         except Exception as exc:

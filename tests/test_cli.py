@@ -445,6 +445,38 @@ class TestExitCodes:
             "detail": f"config {cfg}: species 'Ba-138': its {key!r} entry must be a number, not {json.dumps(value)}",
         }
 
+    @pytest.mark.parametrize("command", ["fit-charging", "fit-discharge"])
+    def test_fit_that_converges_from_no_start(self, tmp_path, capsys, monkeypatch, command):
+        # exit 3: nothing on stdout, and on stderr one JSON line with the
+        # best prescreened cost; every start is made to fail, as no
+        # mutated record in tools/fuzz_inputs.py makes one fail
+        data = tmp_path / "charging.csv"
+        assert run(capsys, "simulate", "charging", "--out", str(data), "--seed", "3")[0] == 0
+
+        def fails(*args, **kwargs):
+            raise ValueError("the start fails")
+
+        monkeypatch.setattr(trapkit.fitting, "least_squares", fails)
+        code, out, err = run(capsys, command, "--input", str(data))
+        assert (code, out) == (3, "")
+        record = json.loads(err)
+        assert record["error"] == "fit-non-convergence" and record["best_cost"] > 0
+        assert err.count("\n") == 1
+
+    def test_config_entry_with_an_unknown_key(self, tmp_path, capsys):
+        # a charge spelt "charge" would otherwise leave charge_e at 1 and S_E
+        # 4x off: the species and the key are named
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"species": {"Ca-40": {"mass_u": 39.96, "charge": 2}}}))
+        code, out, err = run(
+            capsys, "normalize", "--rate", "100", "--freq", "1e6", "--species", "Ca-40", "--config", str(cfg),
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "validation",
+            "detail": f"config {cfg}: species 'Ca-40': unknown entry 'charge'; expected 'mass_u' and 'charge_e'",
+        }
+
     @pytest.mark.parametrize("command, flag", [("fit-charging", "--t-on"), ("fit-discharge", "--t-off")])
     def test_no_edge_flag_and_no_light_on_metadata(self, tmp_path, capsys, command, flag):
         # with neither, the command has no window to fit and names the flag that sets one
@@ -631,6 +663,26 @@ class TestExitCodes:
         code, out, err = run(capsys, "beam-profile", "--input", str(data), "--mode", mode)
         assert (code, out) == (2, "")
         assert "overflows" in json.loads(err)["detail"]
+
+    @pytest.mark.parametrize("column, scale, quantity", [
+        ("rabi", None, "sum of its squared weighted Rabi frequencies overflows"),
+        ("rabi", 1e300, "sum of its squared weighted Rabi frequencies overflows"),
+        ("err", 1e-300, "sum of its squared weighted Rabi frequencies overflows"),
+        ("pos", 1e-300, "square of its positions' span, 1e-305 m, underflows"),
+    ], ids=["rabi-1e308", "rabi-times-1e300", "errors-times-1e-300", "positions-times-1e-300"])
+    def test_beam_profile_out_of_range_scan(self, tmp_path, capsys, column, scale, quantity):
+        # a fit that fails because a quantity leaves a float's range exits
+        # 2 and names the quantity, as a charging window's does; None sets
+        # one Rabi frequency to 1e308
+        data = tmp_path / "scan.csv"
+        assert run(capsys, "simulate", "position", "--out", str(data), "--seed", "3", "--points", "41")[0] == 0
+        ds = load_dataset(data, "position-scan")
+        values = ds.columns[column]
+        ds.columns[column] = (*values[:20], 1e308, *values[21:]) if scale is None else tuple(scale * v for v in values)
+        write_dataset(data, ds)
+        code, out, err = run(capsys, "beam-profile", "--input", str(data))
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "validation", "detail": f"the position scan: the {quantity}"}
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "heating", "--out", "h.csv", "--format", "table"],

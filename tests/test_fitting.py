@@ -99,6 +99,44 @@ def test_multistart_without_the_rule_polishes_every_kept_start(polishes, monkeyp
     assert res.x[0] < 0
 
 
+# the +1 seeds 1.0 and 0.98 are neighbours, in one basin; -1.35 has none
+NEIGHBOURS = ((1,), (0,), ())
+
+
+def test_multistart_skips_a_seed_with_a_lower_neighbour(polishes):
+    # once 0.98 has converged, 1.0 lies in its lower neighbour's basin and
+    # is skipped; -1.35, a second basin, is still polished
+    res = multistart_least_squares(_two_minima, [[1.0], [0.98], [-1.35]], jac=_two_minima_jac, neighbours=NEIGHBOURS)
+    assert polishes == [0.98, -1.35]
+    assert res.x[0] < 0
+
+
+@pytest.mark.parametrize("failure", ["raises", "non-finite-x"])
+def test_multistart_polishes_a_neighbour_while_no_start_has_converged(polishes, monkeypatch, failure):
+    # the first start fails, so 1.0 is polished although its neighbour
+    # 0.98 has the lower cost
+    counted = trapkit.fitting.least_squares
+
+    def first_fails(fun, x0, **kwargs):
+        res = counted(fun, x0, **kwargs)
+        if len(polishes) > 1:
+            return res
+        if failure == "raises":
+            raise ValueError("the first start fails")
+        return SimpleNamespace(**{**vars(res), "x": np.full_like(res.x, np.nan)})
+
+    monkeypatch.setattr(trapkit.fitting, "least_squares", first_fails)
+    res = multistart_least_squares(_two_minima, [[1.0], [0.98], [-1.35]], jac=_two_minima_jac, neighbours=NEIGHBOURS)
+    assert polishes == [0.98, 1.0, -1.35]
+    assert res.x[0] < 0
+
+
+def test_multistart_without_neighbours_polishes_as_before(polishes):
+    res = multistart_least_squares(_two_minima, [[1.0], [0.98], [-1.35]], jac=_two_minima_jac, neighbours=None)
+    assert polishes == [0.98, 1.0]
+    assert res.x[0] > 0
+
+
 def test_convergence_error_carries_every_start():
     with pytest.raises(FitConvergenceError) as info:
         multistart_least_squares(
@@ -477,7 +515,7 @@ def test_named_floats_match_the_list_reference(case):
 
 def test_criterion7_polishes_match_the_list_reference(monkeypatch):
     # every start polished in criterion 7's charging (f0 fixed and free) and
-    # discharge fits, seeds 0-19, by both solvers from the same point
+    # discharge fits, seeds 0-39, by both solvers from the same point
     polished = []
 
     def both(fun, x0, jac, bounds):
@@ -486,7 +524,7 @@ def test_criterion7_polishes_match_the_list_reference(monkeypatch):
         return got
 
     monkeypatch.setattr(trapkit.fitting, "least_squares", both)
-    for seed in range(20):
+    for seed in range(40):
         series, sub = criterion7_series(seed)
         for f0_mode in ("baseline", "fit"):
             fit_charging(series, 400.0, t_end=2400.0, f0_mode=f0_mode)

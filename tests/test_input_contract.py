@@ -21,4 +21,6 @@ def test_mutated_records_keep_the_input_contract(tmp_path):
     # first three columns; ~8 ms a case
     results = [fuzz_inputs.check(i, tmp_path) for i in range(3 * fuzz_inputs.ROUND)]
     assert [(i, *r) for i, r in enumerate(results) if r[-1]] == []
-    assert {code for *_, code, _ in results} == {0, 2, 3}  # every exit the contract allows is reached
+    # exits 0 and 2 are reached, and no case exits 3: each record out of a
+    # float's range is refused by name (tests/test_cli.py reaches exit 3)
+    assert {code for *_, code, _ in results} == {0, 2}

@@ -16,12 +16,13 @@ chi^2 falls, by more than CHI2_RTOL (relative), each with both chi^2 and
 both sets of flags: a fit whose minimum moves shows there even when its
 drift is hidden by a large error. Then, for each fit kind and over the
 block, each tree's polishing evaluations (nfev), polished starts and fits
-that polished a third start, counted on ``trapkit.fitting.least_squares``,
-its polished starts by the test that ended them (the Gauss-Newton
-decrement, ftol, xtol, both, gtol or max-nfev), and its ``np.linalg.svd``
-calls. The charging and discharge fits solve each evaluation in closed
-form, so for them the SVD calls count the covariance's alone, one per fit;
-the beam's trust region adds one per iteration. The beam's phase is left
+that polished a second and a third start, counted on
+``trapkit.fitting.least_squares``, its polished starts by the test that
+ended them (the Gauss-Newton decrement, ftol, xtol, both, gtol or
+max-nfev), and its ``np.linalg.svd`` calls. The charging and discharge
+fits solve each evaluation in closed form, so for them the SVD calls
+count the covariance's alone, one per fit; the beam's trust region adds
+one per iteration. The beam's phase is left
 out of the drift: criterion 9's grid measures the truth's field zero as
 exactly 0, so every fitted phase is pi to rounding with an error of ~1e-7
 rad, and its drift in sigma means nothing. For a block of beam fits it
@@ -60,6 +61,7 @@ STOPS = {0: "max-nfev", 1: "gtol", 2: "ftol", 3: "xtol", 4: "ftol and xtol"}
 COUNTS = {
     "nfev": lambda fit: sum(fit["nfev"]),
     "polished starts": lambda fit: len(fit["nfev"]),
+    "fits polishing a second start": lambda fit: len(fit["nfev"]) >= 2,
     "fits polishing a third start": lambda fit: len(fit["nfev"]) >= 3,
     "svd calls": lambda fit: fit["svd"],
 }
