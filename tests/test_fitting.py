@@ -4,20 +4,20 @@ the multistart's stop rule and diagnostics, and the report every nonlinear
 fit ends in (fitting.fit_report)."""
 
 import math
-import operator
 from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import oracle
 import trapkit.fitting
-from test_charging import criterion7_series
+from test_charging import _criterion7_windows, criterion7_series
 from trapkit import charging
 from trapkit.beam import RabiPositionScan
 from trapkit.charging import FrequencySeries, fit_charging, fit_discharge
 from trapkit.fitting import (
-    FIRST_DAMPING, MAX_NFEV, TOL, FitConvergenceError, _trust_region, fit_report, least_squares, multistart_least_squares,
+    TOL, FitConvergenceError, _trust_region, fit_report, least_squares, multistart_least_squares,
 )
 from trapkit.heating import HeatingSeries
 
@@ -380,109 +380,6 @@ class TestLevenbergMarquardt:
         np.testing.assert_allclose(numpy_lm, costs(), rtol=1e-9, atol=0)
 
 
-# The list-based Levenberg-Marquardt that fitting._levenberg_marquardt
-# replaced by the same arithmetic on named floats, kept verbatim as the
-# reference the rewrite must match bit for bit
-def _list_levenberg_marquardt(fun, jac, x0, bounds):
-    """Bounded Levenberg-Marquardt over one or two parameters, with
-    Nielsen's damping update (Madsen, Nielsen & Tingleff, Methods for
-    non-linear least squares problems, 2004), damping each parameter in
-    units of its Jacobian column's current norm (Marquardt 1963). The first
-    damping is their tau, FIRST_DAMPING = 0.1: tau = 1 is meant for poor
-    starts, and from 0.05 in log T off a minimum, about as near as the
-    charging seeds start, it still took ~8 evaluations. A running
-    maximum of the norms, as in scipy's x_scale="jac", sent criterion 7
-    seed 50's first discharge start into the swapped (Tb, Ta) basin. x0 and
-    steps are clipped to the box, and a parameter on a bound whose gradient
-    points out of the box is held for that step. Numpy forms only g = J^T r
-    and J^T J per iteration and checks only the first residuals; the bounds,
-    made floats once per polish, trial steps, box clip and stop tests run on
-    Python floats. The scaled normal matrix [[a, b], [b, d]]
-    (J^T J with each column scaled, a held column zeroed; one parameter
-    pads b = d = 0 and its second gradient entry 0) gives the damped scaled
-    step z = (A + mu I)^-1 (g*scale) in closed form, over
-    det = max(a*d - b^2, 0) + mu*(a + d + mu), which stays > 0 for every
-    mu > 0 even where the columns coincide, and |J step|^2 = z.A.z for the
-    predicted reduction. jac is called only at accepted points. The ftol
-    and gtol tests are MINPACK's (Moré, Lecture Notes in Math. 630, 105
-    (1978)), so neither depends on the residuals' units: ftol bounds the
-    actual and the predicted reduction by TOL*cost, with ratio <= 2, and
-    gtol the cosine between r and each free parameter's column,
-    max|g_i*scale_i| <= TOL*|r|. ftol also ends the polish before a trial,
-    once the Gauss-Newton decrement 0.5 g.A^-1.g over the free parameters
-    (untested where two coincide) is <= TOL times the cost less it and each
-    held parameter's own. The xtol test and the status codes follow scipy's."""
-    lb, ub = ([float(b)] * np.size(x0) if np.ndim(b) == 0 else [float(v) for v in b] for b in bounds)
-    x = np.array([min(max(xi, lo), hi) for xi, lo, hi in zip(np.asarray(x0, dtype=float).tolist(), lb, ub, strict=True)])
-    r = fun(x)
-    if not np.all(np.isfinite(r)):
-        raise ValueError("Residuals are not finite in the initial point.")
-    nfev, cost, J, xs = 1, 0.5 * float(r @ r), jac(x), x.tolist()
-    pad = [0.0] * (2 - len(xs))  # one parameter: a second one with a zero column
-    mu, nu = FIRST_DAMPING, 2.0  # mu in units of the scaled J^T J's unit diagonal
-    status, decrement = None, False
-    while status is None:
-        g = (J.T @ r).tolist()
-        G = (J.T @ J).tolist()
-        # 0 holds a parameter: its column and its step vanish
-        held = [(xi <= lo and gi > 0) or (xi >= hi and gi < 0) for xi, lo, hi, gi in zip(xs, lb, ub, g)]
-        scale = [0.0 if h else 1.0 / (math.sqrt(G[i][i]) or 1.0) for i, h in enumerate(held)]
-        g0, g1 = [gi * si for gi, si in zip(g, scale)] + pad
-        if max(abs(g0), abs(g1)) <= TOL * math.sqrt(2.0 * cost):
-            status = 1
-            break
-        s0, s1 = scale + pad
-        a = G[0][0] * s0 * s0
-        b, d = (G[0][1] * s0 * s1, G[1][1] * s1 * s1) if s1 else (0.0, 0.0)  # s1 = 0: held or padded
-        minor = max(a * d - b * b, 0.0)  # rounding can make it negative for near-parallel columns
-        if minor > 0 or not (s0 and s1):  # the decrement, doubled, over one free parameter or two
-            gain = (d * g0 * g0 - 2.0 * b * g0 * g1 + a * g1 * g1) / minor if minor else (g0 * g0 + g1 * g1) / (a + d)
-            if gain <= TOL * (2.0 * cost - gain - sum(gi * gi / G[i][i] for i, gi in enumerate(g) if held[i])):
-                status, decrement = 2, True
-                break
-        while status is None:
-            if nfev == MAX_NFEV:
-                status = 0
-                break
-            det = minor + mu * (a + d + mu)
-            # (A + mu I)^-1 (g0, g1); where the columns coincide d*g0 - b*g1 is
-            # exactly 0, so the step stays exact as mu falls below eps
-            z = ((d * g0 - b * g1 + mu * g0) / det, (a * g1 - b * g0 + mu * g1) / det)
-            x_new = [min(max(xi - si * zi, lo), hi) for xi, si, zi, lo, hi in zip(xs, scale, z, lb, ub)]
-            step = [u - v for u, v in zip(x_new, xs)]
-            x_arr = np.array(x_new)
-            r_new = fun(x_arr)
-            nfev += 1
-            cost_new = 0.5 * float(r_new @ r_new)  # a non-finite cost fails every test below
-            actual = cost - cost_new
-            # as _predicted_reduction, with |J step|^2 = z.A.z for the clipped scaled step z
-            z0, z1 = [st / si if si else 0.0 for st, si in zip(step, scale)] + pad
-            predicted = -_dot(step, g) - 0.5 * (a * z0 * z0 + 2.0 * b * z0 * z1 + d * z1 * z1)
-            ratio = actual / predicted if predicted > 0 else 0.0
-            ftol_met = abs(actual) <= TOL * cost and predicted <= TOL * cost and ratio <= 2.0
-            xtol_met = math.sqrt(_dot(step, step)) < TOL * (TOL + math.sqrt(_dot(xs, xs)))
-            if ftol_met or xtol_met:
-                status = 4 if ftol_met and xtol_met else 2 if ftol_met else 3
-            if actual > 0:
-                x, xs, r, cost, J = x_arr, x_new, r_new, cost_new, jac(x_arr)
-                mu *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
-                nu = 2.0
-                break
-            mu *= nu
-            nu *= 2.0
-    return SimpleNamespace(x=x, fun=r, jac=J, cost=cost, nfev=nfev, status=status, decrement=decrement)
-
-
-def _dot(u, v):
-    """The dot product of two short sequences of floats."""
-    return sum(map(operator.mul, u, v))
-
-
-def _assert_same_polish(want, got):
-    assert got.x.tobytes() == want.x.tobytes() and got.fun.tobytes() == want.fun.tobytes()
-    assert (got.cost, got.nfev, got.status, got.decrement) == (want.cost, want.nfev, want.status, want.decrement)
-
-
 def _linear(J, y):
     J, y = np.asarray(J, dtype=float), np.asarray(y, dtype=float)
     return lambda x: J @ x - y, lambda x: J
@@ -507,31 +404,81 @@ REFERENCE_CASES = {
 }
 
 
+def _recorded(fun, jac):
+    """fun and jac, each appending ("fun" or "jac", x) to calls."""
+    calls = []
+    return (lambda x: calls.append(("fun", x.copy())) or fun(x)), (lambda x: calls.append(("jac", x.copy())) or jac(x)), calls
+
+
+def _assert_stop_test_holds(res, calls, exact_at, bounds):
+    """A polish ends where the stop test its status reports holds against
+    exact_at(x), the residuals and Jacobian at x in long double, and at a
+    KKT point: into the box, no gradient along a unit column exceeds what
+    the decrement test leaves, sqrt(2 TOL) |r|. A cost below the smallest
+    normal double counts as zero."""
+    assert res.status != 0  # no polish here runs to MAX_NFEV
+    x, (r, J) = res.x, exact_at(res.x)
+    lo, hi = (np.broadcast_to(np.asarray(b, dtype=float), x.shape) for b in bounds)
+    g, G, rr = J.T @ r, J.T @ J, r @ r
+    zero, held = rr / 2 < np.finfo(float).tiny, ((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0))
+    slope = g / np.sqrt(np.diag(G))
+    if res.status == 1:
+        assert zero or np.all(np.abs(slope[~held]) <= TOL * np.sqrt(rr))
+    elif res.decrement:  # the Gauss-Newton decrement g.G^-1.g over the free parameters
+        (i, *k), own = np.flatnonzero(~held), np.sum(g[held] ** 2 / np.diag(G)[held])
+        j = k[0] if k else i
+        a, b, d = G[i, i], G[i, j], G[j, j]
+        gain = (d * g[i] ** 2 - 2 * b * g[i] * g[j] + a * g[j] ** 2) / (a * d - b * b) if k else g[i] ** 2 / a
+        assert gain <= TOL * (rr - gain - own)
+    else:  # ftol or xtol on the last trial, made from the last accepted point
+        last = max(k for k, (name, _) in enumerate(calls) if name == "fun")
+        base, trial = [x for name, x in calls[:last] if name == "jac"][-1], calls[last][1]
+        step = trial - base
+        assert res.status == 2 or np.linalg.norm(step) < TOL * (TOL + np.linalg.norm(base))
+        if res.status in (2, 4):
+            (rb, Jb), (rt, _) = exact_at(base), exact_at(trial)
+            cost, Jh = rb @ rb / 2, Jb @ step
+            actual, predicted = cost - rt @ rt / 2, -step @ (Jb.T @ rb) - Jh @ Jh / 2
+            assert abs(actual) <= TOL * cost and predicted <= TOL * cost and (predicted <= 0 or actual <= 2 * predicted)
+    into_box = np.where(x <= lo, np.minimum(slope, 0), np.where(x >= hi, np.maximum(slope, 0), slope))
+    assert zero or np.all(np.abs(into_box) <= math.sqrt(2 * TOL * rr))
+
+
+@oracle.needs_long_double
 @pytest.mark.parametrize("case", list(REFERENCE_CASES))
-def test_named_floats_match_the_list_reference(case):
+def test_polish_ends_where_its_stop_test_holds(case):
     fun, jac, x0, bounds = REFERENCE_CASES[case]
-    _assert_same_polish(_list_levenberg_marquardt(fun, jac, x0, bounds), trapkit.fitting._levenberg_marquardt(fun, jac, x0, bounds))
+    recorded_fun, recorded_jac, calls = _recorded(fun, jac)
+    res = least_squares(recorded_fun, x0, jac=recorded_jac, bounds=bounds)
+    _assert_stop_test_holds(res, calls, lambda x: tuple(np.asarray(f(x.astype(np.longdouble)), dtype=np.longdouble) for f in (fun, jac)), bounds)
 
 
-def test_criterion7_polishes_match_the_list_reference(monkeypatch):
-    # every start polished in criterion 7's charging (f0 fixed and free) and
-    # discharge fits, seeds 0-39, by both solvers from the same point
-    polished = []
+@oracle.needs_long_double
+def test_criterion7_polishes_end_where_their_stop_tests_hold(monkeypatch):
+    # every start polished in criterion 7's four window fits, seeds 0-39,
+    # the window fitted as _fit_window fits it, checked against the
+    # long-double projection at each end
+    polished, lm = [], trapkit.fitting.least_squares
 
-    def both(fun, x0, jac, bounds):
-        want, got = _list_levenberg_marquardt(fun, jac, x0, bounds), trapkit.fitting._levenberg_marquardt(fun, jac, x0, bounds)
-        polished.append((want, got))
-        return got
+    def recorded(fun, x0, jac, bounds):
+        fun, jac, calls = _recorded(fun, jac)
+        res = lm(fun, x0, jac=jac, bounds=bounds)
+        polished.append((res, calls))
+        return res
 
-    monkeypatch.setattr(trapkit.fitting, "least_squares", both)
+    monkeypatch.setattr(trapkit.fitting, "least_squares", recorded)
     for seed in range(40):
-        series, sub = criterion7_series(seed)
-        for f0_mode in ("baseline", "fit"):
-            fit_charging(series, 400.0, t_end=2400.0, f0_mode=f0_mode)
-        fit_discharge(sub, 2400.0)
-    assert len(polished) >= 2 * 60
-    for want, got in polished:
-        _assert_same_polish(want, got)
+        for tau, (w, bounds, columns, seeds, pairs, X, neighbours), f, kind, fix_f0 in _criterion7_windows(seed):
+            _, resid, jac, costs = charging._projector(columns, f, w, kind, fix_f0)
+            polished.clear()
+            multistart_least_squares(resid, seeds, jac=jac, bounds=bounds, costs=costs(pairs, X), neighbours=neighbours)
+
+            def exact_at(x):
+                exact = oracle.projection(tau, f, w, kind, fix_f0, x)
+                return exact.resid[0], oracle.jacobian(exact)[0][0]
+
+            for res, calls in polished:
+                _assert_stop_test_holds(res, calls, exact_at, bounds)
 
 
 def test_predicted_reduction_beside_a_large_irreducible_residual():

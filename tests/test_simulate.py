@@ -10,7 +10,6 @@ from trapkit import simulate
 from trapkit.charging import (
     ChargingModelParams,
     DischargeModelParams,
-    FrequencySeries,
     charging_freq,
     discharge_freq,
     fit_discharge,
@@ -126,16 +125,10 @@ class TestChargingSeries:
     def test_noiseless_matches_models(self):
         cfg = SimConfig(seed=0, noise_floor=0.0)
         series = simulate_charging_series(cfg, 30.0, (400.0, 2400.0), 4000.0)
-        t = np.asarray(series.times)
-        f = np.asarray(series.freqs)
-        base = t < 400.0
-        np.testing.assert_allclose(f[base], cfg.charging.f0)
-        on = (t >= 400.0) & (t < 2400.0)
-        np.testing.assert_allclose(f[on], charging_freq(t[on], cfg.charging), rtol=1e-12)
+        np.testing.assert_array_equal(series.freqs, _model(cfg, series.times, 400.0, 2400.0))
         assert series.light_on_intervals == ((400.0, 2400.0),)
         # discharge segment is continuous with the charging curve at t_off
-        i_off = int(np.argmax(t >= 2400.0))
-        assert f[i_off] == pytest.approx(charging_freq(2400.0, cfg.charging), rel=1e-9)
+        assert series.freqs[series.times.index(2400.0)] == pytest.approx(charging_freq(2400.0, cfg.charging), rel=1e-9)
 
     def test_discharge_segment_round_trip(self):
         cfg = SimConfig(seed=0, noise_floor=0.0)
@@ -178,18 +171,9 @@ class TestChargingSeries:
 
     def test_noise_floor_zero_is_the_model_exactly(self):
         cfg = SimConfig(seed=4, noise_floor=0.0)
-        t_on, t_off = 300.0, 2000.0
-        series = simulate_charging_series(cfg, 15.0, (t_on, t_off), 5000.0)
+        series = simulate_charging_series(cfg, 15.0, (300.0, 2000.0), 5000.0)
         assert series.freq_errs is None
-        t, f = np.asarray(series.times), np.asarray(series.freqs)
-        charge = replace(cfg.charging, t_on=t_on)
-        # the discharge amplitudes scaled to join the charging curve at t_off
-        scale = -(charging_freq(t_off, charge) - charge.f0) / (cfg.discharge.df3 + cfg.discharge.df4)
-        dis = replace(cfg.discharge, df3=cfg.discharge.df3 * scale, df4=cfg.discharge.df4 * scale, t_off=t_off)
-        on, after = (t >= t_on) & (t < t_off), t >= t_off
-        assert np.all(f[t < t_on] == charge.f0)
-        np.testing.assert_array_equal(f[on], charging_freq(t[on], charge))
-        np.testing.assert_array_equal(f[after], discharge_freq(t[after], dis))
+        np.testing.assert_array_equal(series.freqs, _model(cfg, series.times, 300.0, 2000.0))
 
     def test_noise_is_seeded(self):
         a = simulate_charging_series(SimConfig(seed=8), 30.0, (400.0, 2400.0), 3000.0)
@@ -205,24 +189,18 @@ class TestChargingSeries:
             simulate_charging_series(SimConfig(), 0.0, (0.0, 10.0), 100.0)
 
 
-def _reference_charging_series(cfg, sample_interval, on_window, total):
-    """simulate_charging_series as it was before it kept its curves, kept
-    verbatim as the reference the cached record must match."""
-    t_on, t_off = on_window
-    times = np.arange(0.0, total + 0.5 * sample_interval, sample_interval)
-    times = times[times <= total]
-    charge_p = replace(cfg.charging, t_on=t_on)
-    freqs = np.full_like(times, charge_p.f0)
-    on = (times >= t_on) & (times < t_off)
-    freqs[on] = charging_freq(times[on], charge_p)
-    scale = -(charging_freq(t_off, charge_p) - charge_p.f0) / (cfg.discharge.df3 + cfg.discharge.df4)
-    dis_p = replace(cfg.discharge, df3=cfg.discharge.df3 * scale, df4=cfg.discharge.df4 * scale, t_off=t_off, f0=charge_p.f0)
-    after = times >= t_off
-    freqs[after] = discharge_freq(times[after], dis_p)
-    freqs = freqs + point_rng(cfg.seed, STREAM_CHARGING).normal(0.0, cfg.noise_floor, times.size)
-    errs = None if cfg.noise_floor == 0 else tuple([cfg.noise_floor] * times.size)
-    intervals = ((t_on, t_off),) if t_off > t_on else ()
-    return FrequencySeries(tuple(times.tolist()), tuple(freqs.tolist()), freq_errs=errs, light_on_intervals=intervals)
+def _model(cfg, times, t_on, t_off):
+    """The noise-free record at times: f0 before the light, charging_freq
+    from t_on and discharge_freq from t_off, the discharge amplitudes
+    rescaled so that the two curves join at t_off."""
+    t = np.asarray(times)
+    charge = replace(cfg.charging, t_on=t_on)
+    scale = -(charging_freq(t_off, charge) - charge.f0) / (cfg.discharge.df3 + cfg.discharge.df4)
+    dis = replace(cfg.discharge, df3=cfg.discharge.df3 * scale, df4=cfg.discharge.df4 * scale, t_off=t_off, f0=charge.f0)
+    on, after = (t >= t_on) & (t < t_off), t >= t_off
+    f = np.full(t.size, charge.f0)
+    f[on], f[after] = charging_freq(t[on], charge), discharge_freq(t[after], dis)
+    return f
 
 
 class TestChargingCurveCache:
@@ -239,16 +217,27 @@ class TestChargingCurveCache:
         (30.0, (0.0, 2005.0), 4010.0),
     ]
 
-    def test_records_match_the_reference(self):
+    def test_records_are_the_model_plus_seeded_noise(self):
         # every case, cold and then warm, for seeds that share each sampling
-        # and for a record without noise
+        # and for a record without noise: the times are the cadence's
+        # multiples up to total, and the frequencies the model on them plus
+        # the seed's normal draws
         simulate._charging_curve.cache_clear()
-        for interval, window, total in self.CASES:
+        for interval, (t_on, t_off), total in self.CASES:
             for cfg in (SimConfig(seed=0), SimConfig(seed=1, noise_floor=1e3), SimConfig(seed=2, noise_floor=0.0)) * 2:
-                got = simulate_charging_series(cfg, interval, window, total)
-                assert repr(got) == repr(_reference_charging_series(cfg, interval, window, total))
+                series = simulate_charging_series(cfg, interval, (t_on, t_off), total)
+                n = len(series.times)
+                assert series.times == tuple(interval * k for k in range(n)) and series.times[-1] <= total < series.times[-1] + interval
+                noise = point_rng(cfg.seed, STREAM_CHARGING).normal(0.0, cfg.noise_floor, n)
+                assert series.freqs == tuple((_model(cfg, series.times, t_on, t_off) + noise).tolist())
+                assert series.freq_errs == (None if cfg.noise_floor == 0 else (cfg.noise_floor,) * n)
+                assert series.light_on_intervals == (((t_on, t_off),) if t_off > t_on else ())
         info = simulate._charging_curve.cache_info()
         assert (info.misses, info.hits) == (len(self.CASES), 5 * len(self.CASES))
+        for interval, window, total in self.CASES:  # a warm record equals a cold one
+            warm = simulate_charging_series(SimConfig(seed=1), interval, window, total)
+            simulate._charging_curve.cache_clear()
+            assert simulate_charging_series(SimConfig(seed=1), interval, window, total) == warm
 
     def test_curves_are_read_only_and_bounded(self):
         simulate._charging_curve.cache_clear()
