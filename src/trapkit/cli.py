@@ -21,6 +21,11 @@ that reads a dataset loads numpy only after the loader has accepted the
 file: every rejected input, and `fit-heating`, whose weighted line is
 plain floats, run without numpy.
 
+A call builds only the parser of the subcommand (and simulated kind) it
+names, and the whole tree only where it names none, as --help does; its
+messages read the same either way. units loads only where its names are
+read: not in thermometry, report, fit-heating or simulate heating/sideband.
+
 `python -m trapkit.cli` and `trapkit` start in run, which freezes the garbage
 collector before exit: every file trapkit writes is closed before main
 returns, so nothing depends on a garbage-collection finalizer at exit.
@@ -39,7 +44,6 @@ from pathlib import Path
 
 from . import __version__
 from .reports import FitConvergenceError, FitReport
-from .units import BEAM_MODES, CHARGING_WINDOWS
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +55,8 @@ def cmd_simulate(args):
         raise ValueError(f"--points must be at least 2, got {args.points}")
     if args.kind in ("heating", "sideband") and not args.span > 0:
         raise ValueError(f"--span must be positive for {args.kind}, got {args.span}")
+    if args.kind == "charging" and not (0 < args.interval < math.inf and math.isfinite(args.total)):
+        raise ValueError(f"--interval must be positive and finite and --total finite, got {args.interval} and {args.total}")
     import numpy as np
 
     from . import datasets, simulate
@@ -60,35 +66,39 @@ def cmd_simulate(args):
     if given.get("shots_per_point") == 0:
         given["shots_per_point"] = None
     cfg = simulate.SimConfig(**given)
-    if args.kind == "charging":
-        series = simulate.simulate_charging_series(
-            cfg,
-            sample_interval=args.interval,
-            on_window=(args.on_start, args.on_start + args.on_duration),
-            total=args.total,
-        )
-        ds = datasets.from_frequency_series(series)
-    elif args.kind == "position":
-        from .beam import GratingOutputModel
-        model = GratingOutputModel(
-            mode="two-beamlet",
-            waist=args.beamlet_waist * 1e-6,
-            beamlet_separation=args.separation * 1e-6,
-            center=args.center * 1e-6,
-        )
-        positions = np.linspace(
-            args.scan_start * 1e-6, args.scan_end * 1e-6, args.points
-        )
-        scan = simulate.simulate_position_scan(cfg, model, positions.tolist())
-        ds = datasets.from_position_scan(scan, origin="grating")
-    else:
-        waits = np.linspace(0.0, args.span, args.points).tolist()
-        if args.kind == "heating":
-            series = simulate.simulate_heating_series(cfg, waits)
-            ds = datasets.from_heating_series(series)
+    try:
+        if args.kind == "charging":
+            series = simulate.simulate_charging_series(
+                cfg,
+                sample_interval=args.interval,
+                on_window=(args.on_start, args.on_start + args.on_duration),
+                total=args.total,
+            )
+            ds = datasets.from_frequency_series(series)
+        elif args.kind == "position":
+            from .beam import GratingOutputModel
+            model = GratingOutputModel(
+                mode="two-beamlet",
+                waist=args.beamlet_waist * 1e-6,
+                beamlet_separation=args.separation * 1e-6,
+                center=args.center * 1e-6,
+            )
+            positions = np.linspace(
+                args.scan_start * 1e-6, args.scan_end * 1e-6, args.points
+            )
+            scan = simulate.simulate_position_scan(cfg, model, positions.tolist())
+            ds = datasets.from_position_scan(scan, origin="grating")
         else:
-            obs = [(w, simulate.simulate_sideband_scan(cfg, w, index=i)) for i, w in enumerate(waits)]
-            ds = datasets.from_sideband_observations(obs)
+            waits = np.linspace(0.0, args.span, args.points).tolist()
+            if args.kind == "heating":
+                series = simulate.simulate_heating_series(cfg, waits)
+                ds = datasets.from_heating_series(series)
+            else:
+                obs = [(w, simulate.simulate_sideband_scan(cfg, w, index=i)) for i, w in enumerate(waits)]
+                ds = datasets.from_sideband_observations(obs)
+    except MemoryError as exc:  # numpy refuses an array larger than memory before allocating it
+        flags = "--total and --interval" if args.kind == "charging" else "--points"
+        raise ValueError(f"{flags}: more rows than memory holds ({exc})") from None
     ds.metadata["seed"] = str(cfg.seed)
     datasets.write_dataset(args.out, ds)
     print(f"wrote {args.out} ({ds.n_rows} rows)")
@@ -155,7 +165,33 @@ def cmd_report(args):
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+_COMMANDS = ("simulate", "fit-heating", "fit-charging", "fit-discharge", "thermometry", "beam-profile", "normalize", "report")
+_KINDS = ("heating", "sideband", "charging", "position")
+
+
+def _subparsers(parser, dest, names, argv):
+    """The add_parser of parser's subparsers under dest, in the order of
+    names; it builds only the subparser that argv[0] names, and returns None
+    for the others. If argv names none (None, --help, --version, a missing
+    or unknown name), it builds them all. A lone subparser's usage still
+    lists every name, so its messages read as the whole tree's."""
+    one = argv[0] if argv and argv[0] in names else None
+    metavar = None if one is None else "{" + ",".join(names) + "}"
+    sub = parser.add_subparsers(dest=dest, required=True, metavar=metavar)
+    return lambda name, **kwargs: sub.add_parser(name, **kwargs) if one in (None, name) else None
+
+
+def _fitted(p):
+    # the fit commands share --out-dir, --format and --input, and cmd_fit
+    p.add_argument("--out-dir", type=str, default=None)
+    p.add_argument("--format", choices=("table", "report"), default="report")
+    p.add_argument("--input", required=True)
+    p.set_defaults(func=cmd_fit)
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of argv's subcommand (and simulated kind) alone, or of
+    every one if argv names none."""
     parser = argparse.ArgumentParser(
         prog="trapkit",
         description="Surface ion trap characterization: thermometry, heating, charging, beam profiles",
@@ -163,81 +199,83 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
 
     # each subcommand takes only the flags it reads
-    sub = parser.add_subparsers(dest="command", required=True)
+    add = _subparsers(parser, "command", _COMMANDS, argv)
 
     # each simulated kind takes --seed, --out and only the flags it reads;
     # a simulator flag is stored under its SimConfig field only when given,
     # so that SimConfig's default holds for the others
-    p = sub.add_parser("simulate", help="generate a synthetic dataset")
-    p.set_defaults(func=cmd_simulate)
-    kinds = p.add_subparsers(dest="kind", required=True)
-    simulated = argparse.ArgumentParser(add_help=False)
-    simulated.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    simulated.add_argument("--out", required=True)
-    points = argparse.ArgumentParser(add_help=False)
-    points.add_argument("--points", type=int, default=7)
-    for kind in ("heating", "sideband"):
-        k = kinds.add_parser(kind, parents=[simulated, points], help=f"{kind} record after wait times over --span")
-        k.add_argument("--shots", dest="shots_per_point", metavar="SHOTS", type=int, default=argparse.SUPPRESS, help="shots per point; 0 for analytic mode")
-        k.add_argument("--rate", dest="heating_rate", metavar="RATE", type=float, default=argparse.SUPPRESS, help="heating rate, quanta/s")
-        k.add_argument("--initial-nbar", type=float, default=argparse.SUPPRESS)
-        k.add_argument("--span", type=float, default=2e-3, help="wait-time span, s")
-    k = kinds.add_parser("charging", parents=[simulated], help="trap-frequency record with one light-on window")
-    k.add_argument("--interval", type=float, default=15.0, help="charging cadence, s")
-    k.add_argument("--on-start", type=float, default=400.0)
-    k.add_argument("--on-duration", type=float, default=2000.0)
-    k.add_argument("--total", type=float, default=5000.0)
-    k.add_argument("--noise", dest="noise_floor", metavar="NOISE", type=float, default=argparse.SUPPRESS, help="charging noise floor, Hz")
-    k = kinds.add_parser("position", parents=[simulated, points], help="Rabi scan across a two-beamlet grating output")
-    k.add_argument("--separation", type=float, default=1.8, help="beamlet separation, um")
-    k.add_argument("--beamlet-waist", type=float, default=0.9, help="um")
-    k.add_argument("--center", type=float, default=11.0, help="um")
-    k.add_argument("--scan-start", type=float, default=6.0, help="um")
-    k.add_argument("--scan-end", type=float, default=16.0, help="um")
+    if p := add("simulate", help="generate a synthetic dataset"):
+        p.set_defaults(func=cmd_simulate)
+        add_kind = _subparsers(p, "kind", _KINDS, argv and argv[1:])
+        simulated = argparse.ArgumentParser(add_help=False)
+        simulated.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+        simulated.add_argument("--out", required=True)
+        points = argparse.ArgumentParser(add_help=False)
+        points.add_argument("--points", type=int, default=7)
+        for kind in ("heating", "sideband"):
+            if k := add_kind(kind, parents=[simulated, points], help=f"{kind} record after wait times over --span"):
+                k.add_argument("--shots", dest="shots_per_point", metavar="SHOTS", type=int, default=argparse.SUPPRESS, help="shots per point; 0 for analytic mode")
+                k.add_argument("--rate", dest="heating_rate", metavar="RATE", type=float, default=argparse.SUPPRESS, help="heating rate, quanta/s")
+                k.add_argument("--initial-nbar", type=float, default=argparse.SUPPRESS)
+                k.add_argument("--span", type=float, default=2e-3, help="wait-time span, s")
+        if k := add_kind("charging", parents=[simulated], help="trap-frequency record with one light-on window"):
+            k.add_argument("--interval", type=float, default=15.0, help="charging cadence, s")
+            k.add_argument("--on-start", type=float, default=400.0)
+            k.add_argument("--on-duration", type=float, default=2000.0)
+            k.add_argument("--total", type=float, default=5000.0)
+            k.add_argument("--noise", dest="noise_floor", metavar="NOISE", type=float, default=argparse.SUPPRESS, help="charging noise floor, Hz")
+        if k := add_kind("position", parents=[simulated, points], help="Rabi scan across a two-beamlet grating output"):
+            k.add_argument("--separation", type=float, default=1.8, help="beamlet separation, um")
+            k.add_argument("--beamlet-waist", type=float, default=0.9, help="um")
+            k.add_argument("--center", type=float, default=11.0, help="um")
+            k.add_argument("--scan-start", type=float, default=6.0, help="um")
+            k.add_argument("--scan-end", type=float, default=16.0, help="um")
 
-    # the fit commands share --out-dir, --format and --input, and cmd_fit
-    fitted = argparse.ArgumentParser(add_help=False)
-    fitted.add_argument("--out-dir", type=str, default=None)
-    fitted.add_argument("--format", choices=("table", "report"), default="report")
-    fitted.add_argument("--input", required=True)
-    fitted.set_defaults(func=cmd_fit)
-    sub.add_parser("fit-heating", parents=[fitted], help="fit nbar(t) to a line")
-    for window, (light, _) in CHARGING_WINDOWS.items():
-        p = sub.add_parser(f"fit-{window}", parents=[fitted], help=f"fit the light-{light} {window} model")
-        p.add_argument(f"--t-{light}", dest="edge", metavar=f"T_{light.upper()}", type=float, default=None)
-        default = "fit" if window == "charging" else "baseline where the record has points before its first light-on, else fit"
-        p.add_argument("--f0-mode", choices=("fit", "baseline"), default=None, help=f"f0 floated, or the mean before the first light-on; default: {default}")
-        p.set_defaults(window=window)
+    if p := add("fit-heating", help="fit nbar(t) to a line"):
+        _fitted(p)
+    for window, help in (("charging", "fit the light-on charging model"), ("discharge", "fit the light-off discharge model")):
+        if p := add(f"fit-{window}", help=help):
+            from .units import CHARGING_WINDOWS
 
-    p = sub.add_parser("thermometry", help="nbar from one red/blue pair")
-    p.add_argument("--p-red", type=float, required=True)
-    p.add_argument("--p-blue", type=float, required=True)
-    p.add_argument("--shots", type=int, default=None)
-    p.set_defaults(func=cmd_direct)
+            light = CHARGING_WINDOWS[window][0]
+            _fitted(p)
+            p.add_argument(f"--t-{light}", dest="edge", metavar=f"T_{light.upper()}", type=float, default=None)
+            default = "fit" if window == "charging" else "baseline where the record has points before its first light-on, else fit"
+            p.add_argument("--f0-mode", choices=("fit", "baseline"), default=None, help=f"f0 floated, or the mean before the first light-on; default: {default}")
+            p.set_defaults(window=window)
 
-    p = sub.add_parser("beam-profile", parents=[fitted], help="fit a Rabi position scan")
-    p.add_argument("--mode", choices=BEAM_MODES, default="two-beamlet")
+    if p := add("thermometry", help="nbar from one red/blue pair"):
+        p.add_argument("--p-red", type=float, required=True)
+        p.add_argument("--p-blue", type=float, required=True)
+        p.add_argument("--shots", type=int, default=None)
+        p.set_defaults(func=cmd_direct)
 
-    p = sub.add_parser("normalize", help="rescale a heating rate to a reference")
-    p.add_argument("--config", type=str, default=None, help="JSON file whose 'species' entry extends the species table")
-    p.add_argument("--rate", type=float, required=True, help="quanta/s")
-    p.add_argument("--rate-err", type=float, default=0.0)
-    p.add_argument("--species", default="Yb-171")
-    p.add_argument("--freq", type=float, required=True, help="axial secular frequency, Hz")
-    p.add_argument("--ref-species", default="Ca-40")
-    p.add_argument("--ref-freq", type=float, default=1e6, help="Hz")
-    p.set_defaults(func=cmd_direct)
+    if p := add("beam-profile", help="fit a Rabi position scan"):
+        from .units import BEAM_MODES
 
-    p = sub.add_parser("report", help="reprint a stored fit report")
-    p.add_argument("--input", required=True)
-    p.set_defaults(func=cmd_report)
+        _fitted(p)
+        p.add_argument("--mode", choices=BEAM_MODES, default="two-beamlet")
+
+    if p := add("normalize", help="rescale a heating rate to a reference"):
+        p.add_argument("--config", type=str, default=None, help="JSON file whose 'species' entry extends the species table")
+        p.add_argument("--rate", type=float, required=True, help="quanta/s")
+        p.add_argument("--rate-err", type=float, default=0.0)
+        p.add_argument("--species", default="Yb-171")
+        p.add_argument("--freq", type=float, required=True, help="axial secular frequency, Hz")
+        p.add_argument("--ref-species", default="Ca-40")
+        p.add_argument("--ref-freq", type=float, default=1e6, help="Hz")
+        p.set_defaults(func=cmd_direct)
+
+    if p := add("report", help="reprint a stored fit report"):
+        p.add_argument("--input", required=True)
+        p.set_defaults(func=cmd_report)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except FitConvergenceError as exc:

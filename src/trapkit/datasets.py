@@ -21,8 +21,6 @@ import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .units import ATOMIC_MASS_KG, ELEMENTARY_CHARGE, SPECIES_TABLE, TWO_PI, IonSpecies
-
 DATASET_KINDS = ("heating", "charging", "sideband-scan", "position-scan")
 
 
@@ -35,7 +33,7 @@ _UNIT_TABLES = {
     "time": {"s": 1.0, "ms": 1e-3, "us": 1e-6},
     "freq": {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6},
     "pos": {"m": 1.0, "mm": 1e-3, "um": 1e-6},
-    "rabi": {"rad/s": 1.0, "Hz": TWO_PI, "kHz": TWO_PI * 1e3},
+    "rabi": {"rad/s": 1.0, "Hz": math.tau, "kHz": math.tau * 1e3},
     "plain": {"": 1.0, "1": 1.0},
 }
 
@@ -209,6 +207,8 @@ def file_digest(path) -> str:
 def load_config(path):
     """The species table, extended by the 'species' entry of the JSON
     config file at path if one is given."""
+    from .units import ATOMIC_MASS_KG, ELEMENTARY_CHARGE, SPECIES_TABLE, IonSpecies
+
     if path is None:
         return dict(SPECIES_TABLE)
     try:

@@ -7,7 +7,10 @@ import math
 from dataclasses import dataclass, replace
 
 from .reports import FitReport
-from .units import HBAR, TWO_PI, IonSpecies, TrapContext, get_species, make_trap_context
+
+TYPE_CHECKING = False  # typing's constant, without importing typing
+if TYPE_CHECKING:  # the S_E and normalization functions import units when called
+    from .units import IonSpecies, TrapContext
 
 
 @dataclass(frozen=True)
@@ -131,6 +134,8 @@ def fit_record(ds) -> tuple[FitReport, list]:
 def spectral_density_from_rate(result: HeatingRateResult, ctx: TrapContext) -> float:
     """Electric-field noise spectral density S_E = 4*m*hbar*omega*ndot/q^2,
     in (V/m)^2/Hz, at the context's axial frequency."""
+    from .units import HBAR
+
     if result.ndot < 0:
         raise ValueError("ndot must be >= 0 for a spectral density")
     m = ctx.species.mass
@@ -140,6 +145,8 @@ def spectral_density_from_rate(result: HeatingRateResult, ctx: TrapContext) -> f
 
 def rate_from_spectral_density(s_e: float, ctx: TrapContext) -> float:
     """Inverse of spectral_density_from_rate: ndot = q^2 S_E/(4 m hbar omega)."""
+    from .units import HBAR
+
     m = ctx.species.mass
     q = ctx.species.charge
     return q * q * s_e / (4.0 * m * HBAR * ctx.axial_freq)
@@ -168,17 +175,19 @@ def normalization_report(rate, rate_err, species, freq, ref_species, ref_freq, c
     """The 'rate-normalization' report of a rate +- rate_err (quanta/s) of
     species at axial freq (Hz): the rate at ref_species and ref_freq (Hz),
     and S_E; config is load_config's path."""
+    from .units import get_species, make_trap_context
+
     if config is not None:  # only a config file needs the dataset reader
         from .datasets import load_config
     table = None if config is None else load_config(config)
     # neither conversion reads the ion-surface distance; the context takes 20 um
-    ctx = make_trap_context(species, TWO_PI * freq, TWO_PI * freq, 20e-6, species_table=table)
+    ctx = make_trap_context(species, math.tau * freq, math.tau * freq, 20e-6, species_table=table)
     result = HeatingRateResult(ndot=rate, ndot_err=rate_err, intercept=0.0)
     ref = get_species(ref_species, table)
 
     def convert(r):
         return {
-            "ndot_normalized": normalize_rate(r, ctx, ref, TWO_PI * ref_freq),
+            "ndot_normalized": normalize_rate(r, ctx, ref, math.tau * ref_freq),
             "spectral_density": spectral_density_from_rate(r, ctx),
         }
 

@@ -20,8 +20,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .units import TWO_PI
-
 # stream tags keep the per-experiment generators independent
 STREAM_SIDEBAND_RED = 1
 STREAM_SIDEBAND_BLUE = 2
@@ -64,7 +62,7 @@ class SimConfig:
     @_BuiltOnFirstRead
     def rabi(cls):
         from .thermometry import RabiParams
-        return RabiParams(base_rabi=TWO_PI * 200e3, lamb_dicke=0.1)
+        return RabiParams(base_rabi=math.tau * 200e3, lamb_dicke=0.1)
 
     @_BuiltOnFirstRead
     def charging(cls):
@@ -195,7 +193,7 @@ def simulate_position_scan(cfg: SimConfig, beam: GratingOutputModel, positions) 
     from .beam import RabiPositionScan, rabi_profile
 
     x = np.asarray(list(positions), dtype=float)
-    rabi = rabi_profile(x, beam, TWO_PI * 121.1e3)
+    rabi = rabi_profile(x, beam, math.tau * 121.1e3)
     frac, errs = cfg.rabi_noise_frac, None
     if frac > 0:
         rabi = np.abs(rabi * (1.0 + point_rng(cfg.seed, STREAM_POSITION).normal(0.0, frac, x.size)))

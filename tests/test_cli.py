@@ -1,3 +1,4 @@
+import argparse
 import gc
 import importlib
 import json
@@ -612,6 +613,24 @@ class TestExitCodes:
         assert "--span" in json.loads(err)["detail"]
         assert not data.exists()
 
+    @pytest.mark.parametrize("kind, flags, named", [
+        ("charging", ["--total", "1e12", "--interval", "1e-3"], ("--total", "--interval")),
+        ("heating", ["--points", "1000000000000"], ("--points",)),
+        ("position", ["--points", "1000000000000"], ("--points",)),
+        ("charging", ["--total", "inf"], ("--total",)),
+        ("charging", ["--interval", "nan"], ("--interval",)),
+    ], ids=["charging-rows", "heating-points", "position-points", "total-inf", "interval-nan"])
+    def test_simulate_oversized_request(self, tmp_path, capsys, kind, flags, named):
+        # a record numpy cannot hold, or cannot count, names its flags; each
+        # size here is one that numpy refuses before allocating anything
+        data = tmp_path / "sim.csv"
+        code, out, err = run(capsys, "simulate", kind, "--out", str(data), *flags)
+        assert (code, out) == (2, "")
+        record = json.loads(err)
+        assert record["error"] == "validation"
+        assert all(flag in record["detail"] for flag in named), record
+        assert not data.exists()
+
     @pytest.mark.parametrize("mode", ["two-beamlet", "single-gaussian"])
     def test_beam_profile_of_an_all_zero_scan(self, tmp_path, capsys, mode):
         # no sample carries a Rabi frequency: there is no profile to fit,
@@ -721,6 +740,75 @@ class TestExitCodes:
         assert not any(tmp_path.iterdir())
 
 
+def parse(capsys, parser, argv):
+    """The exit code, stdout and stderr of parser on argv; code None for a
+    parse that returns, whose namespace then stands in for stdout."""
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        code, args = exc.code, None
+    else:
+        code = None
+    out = capsys.readouterr()
+    return code, vars(args) if args is not None else out.out, out.err
+
+
+class TestOneSubcommandParser:
+    """build_parser(argv) builds the parser of argv's subcommand (and
+    simulated kind) alone; on every call its help, usage and errors are
+    those of the whole tree, build_parser()."""
+
+    # each subcommand or simulated kind -> a call with an invalid choice, or
+    # an invalid value where it offers no choice
+    INVALID = {
+        ("simulate",): ["bogus", "--out", "x.csv"],
+        ("simulate", "heating"): ["--out", "h.csv", "--points", "many"],
+        ("simulate", "sideband"): ["--out", "s.csv", "--span", "long"],
+        ("simulate", "charging"): ["--out", "c.csv", "--total", "long"],
+        ("simulate", "position"): ["--out", "p.csv", "--points", "many"],
+        ("fit-heating",): ["--input", "h.csv", "--format", "plot"],
+        ("fit-charging",): ["--input", "c.csv", "--f0-mode", "guess"],
+        ("fit-discharge",): ["--input", "c.csv", "--format", "plot"],
+        ("thermometry",): ["--p-red", "red", "--p-blue", "0.75"],
+        ("beam-profile",): ["--input", "p.csv", "--mode", "three-beamlet"],
+        ("normalize",): ["--rate", "fast", "--freq", "5.329e6"],
+        ("report",): ["--input"],
+    }
+    CALLS = [
+        *([*command, "--help"] for command in INVALID),
+        *(list(command) for command in INVALID),  # each misses a required flag or kind
+        *([*command, *argv] for command, argv in INVALID.items()),
+        [], ["--help"], ["--version"], ["bogus"], ["--version", "report"], ["-h", "simulate"],
+        ["report", "--input", "r.json", "--unknown"], ["simulate", "heating", "--out", "h.csv", "--charge", "1"],
+        # well-formed calls parse to the same namespace
+        ["simulate", "position", "--out", "p.csv", "--seed", "3", "--points", "41"],
+        ["fit-discharge", "--input", "c.csv", "--t-off", "2400", "--format", "table", "--out-dir", "out/"],
+        ["normalize", "--rate", "780", "--freq", "5.329e6", "--ref-species", "Ca-40"],
+    ]
+
+    @pytest.mark.parametrize("argv", CALLS, ids=lambda argv: " ".join(argv) or "bare")
+    def test_same_output_as_the_whole_tree(self, capsys, argv):
+        whole = parse(capsys, trapkit.cli.build_parser(), argv)
+        assert parse(capsys, trapkit.cli.build_parser(argv), argv) == whole
+        assert whole[1] or whole[2]  # each call prints or parses something
+
+    @pytest.mark.parametrize("argv, built", [
+        (["fit-heating", "--input", "h.csv"], ["fit-heating"]),
+        (["simulate", "charging", "--out", "c.csv"], ["simulate", "charging"]),
+        (["simulate", "--help"], ["simulate", "heating", "sideband", "charging", "position"]),
+    ])
+    def test_a_call_builds_only_its_subcommand(self, argv, built):
+        def names(parser):  # of the subparsers built, depth first
+            sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            built = []
+            for name, p in sub.choices.items():
+                built += [name, *(names(p) if p._subparsers else ())]
+            return built
+
+        assert names(trapkit.cli.build_parser(argv)) == built
+        assert len(names(trapkit.cli.build_parser())) == 12  # 8 subcommands and 4 kinds
+
+
 class TestImportCost:
     def test_cli_import_loads_no_scipy(self):
         # scipy is imported inside the functions that call it; a top-level
@@ -812,6 +900,9 @@ class TestImportCost:
         assert (out == "") == (code == 2)
         assert not any(m.split(".")[0] == "numpy" for m in loaded), sorted(loaded)
         assert ("trapkit.datasets" in loaded) == (case in self.REJECTED), sorted(loaded)
+        # units holds the names that the parsers of fit-charging and
+        # beam-profile offer, and --version builds every parser
+        assert ("trapkit.units" in loaded) == (argv[0] in ("--version", "fit-charging", "beam-profile")), sorted(loaded)
 
     @pytest.mark.parametrize("fmt", ["report", "table"])
     def test_fit_heating_loads_no_numpy(self, tmp_path, capsys, fmt):
@@ -822,6 +913,7 @@ class TestImportCost:
         code, out, loaded = self.modules_after(["fit-heating", "--input", "h.csv", "--format", fmt, "--out-dir", "out"], tmp_path)
         assert code == 0 and out == (tmp_path / f"out/h_heating_{fmt}.{'json' if fmt == 'report' else 'csv'}").read_text()
         assert not any(m.split(".")[0] == "numpy" for m in loaded), sorted(loaded)
+        assert "trapkit.units" not in loaded, sorted(loaded)
 
     @pytest.mark.parametrize("fit_argv, unused", [
         (["fit-charging", "--f0-mode", "baseline"], {"trapkit.beam", "trapkit.simulate"}),
@@ -841,7 +933,7 @@ class TestImportCost:
         argv = ["normalize", "--rate", "780", "--freq", "5.329e6"]
         code, out, loaded = self.modules_after(argv, tmp_path)
         assert code == 0 and json.loads(out)["params"]
-        assert "trapkit.datasets" not in loaded, sorted(loaded)
+        assert "trapkit.datasets" not in loaded and "trapkit.units" in loaded, sorted(loaded)
         (tmp_path / "cfg.json").write_text(json.dumps({"species": {"Ba-138": {"mass_u": 137.905}}}))
         argv += ["--species", "Ba-138", "--ref-freq", "5.329e6", "--config", "cfg.json"]
         code, out, loaded = self.modules_after(argv, tmp_path)
@@ -849,8 +941,8 @@ class TestImportCost:
         assert json.loads(out)["params"]["ndot_normalized"] == pytest.approx(780.0 * 137.905 / 39.963, rel=1e-3)
 
     @pytest.mark.parametrize("kind, unused", [
-        ("heating", {"trapkit.charging", "trapkit.fitting", "trapkit.beam"}),
-        ("sideband", {"trapkit.charging", "trapkit.fitting", "trapkit.beam"}),
+        ("heating", {"trapkit.charging", "trapkit.fitting", "trapkit.beam", "trapkit.units"}),
+        ("sideband", {"trapkit.charging", "trapkit.fitting", "trapkit.beam", "trapkit.units"}),
         ("charging", {"trapkit.beam", "trapkit.heating", "trapkit.thermometry"}),
         ("position", {"trapkit.charging", "trapkit.heating", "trapkit.thermometry"}),
     ])

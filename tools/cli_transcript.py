@@ -12,8 +12,10 @@ fit of a noiseless record, which has no err column, analytic heating and
 sideband records, a heating record at one shot per point, whose
 thermometry fails, the help of two simulated kinds, which argparse
 prints to stdout, analytic thermometry, and a normalization with a
-species from a config file and with a malformed one) and one
-``cli-session`` cycle of the benchmark
+species from a config file and with a malformed one), eleven calls that
+print the parser's own help (the top level's, each of the eight
+subcommands' and the two simulated kinds' that the branches leave out),
+and one ``cli-session`` cycle of the benchmark
 (``perfbench/workloads.py``: two analysis sessions and the four malformed
 inputs) in a fresh temporary directory. For each call it prints the exit
 code and the sha256 of stdout, then the sha256 of every file the calls
@@ -73,6 +75,17 @@ BRANCHES = [
     ["normalize", "--config", "no_mass.json", "--rate", "780", "--freq", "5.329e6"],
 ]
 
+# the help of the top level, of each subcommand and of the simulated kinds
+# that BRANCHES leaves out
+HELP = [
+    ["--help"],
+    *([command, "--help"] for command in (
+        "simulate", "fit-heating", "fit-charging", "fit-discharge", "thermometry", "beam-profile", "normalize", "report",
+    )),
+    ["simulate", "sideband", "--help"],
+    ["simulate", "position", "--help"],
+]
+
 # the config files the normalize calls read, written into the work directory
 CONFIGS = {
     "species.json": '{"species": {"Ba-138": {"mass_u": 137.905, "charge_e": 1}}}\n',
@@ -111,7 +124,7 @@ def main(src: str) -> int:
 
         for name, text in CONFIGS.items():
             (workdir / name).write_text(text, encoding="utf-8")
-        for argv in README + BRANCHES:
+        for argv in README + BRANCHES + HELP:
             run(argv)
         session_calls(workdir, run)
         for path in sorted(p for p in workdir.rglob("*") if p.is_file()):
